@@ -29,14 +29,13 @@ from seqbid.simulate import compare_solutions
 
 
 def max_abs_lattice_error(gold: DiscreteSolution, sol) -> float:
-    """Worst |approx - exact| over unpruned integer-endowment states."""
+    """Worst |approx - exact| over the unsettled and terminal components gold stores."""
     lattice = np.arange(gold.endowment + 1, dtype=float)
     worst = 0.0
-    for t in range(gold.n + 1):
-        for mask in range(1 << min(t, gold.n)):
+    for t, layer in enumerate(gold.stage_values):
+        for mask, exact in layer.items():
             if (t, mask) in gold.settled:
                 continue
-            exact = gold.stage_values[t][mask]
             approx = sol.values.components[t][mask].values(lattice)
             worst = max(worst, float(np.abs(approx - exact).max()))
     return worst

@@ -9,8 +9,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .continuous import MaximizerConfig, error_bound, solve_grid
-from .core import MODE_CONTINUOUS, MODE_DISCRETE, to_discrete, validate_problem
+from .continuous import MaximizerConfig, UniformFixed, Vg1, Vg2, error_bound, solve_grid
+from .core import MODE_CONTINUOUS, to_discrete
 from .discrete import solve_discrete
 from .experiment import ExperimentConfig, config_from_dict, run_experiment_suite
 from .io import (
@@ -27,8 +27,6 @@ from .simulate import collect_rounds, greedy_policy, summarize_utilities, table_
 
 def parse_grid_strategy(text: str):
     """fixed:<g> | vg1:<max_knots>,<threshold> | vg2:<max_knots>,<threshold>"""
-    from .continuous import UniformFixed, Vg1, Vg2
-
     kind, _, rest = text.partition(":")
     try:
         if kind == "fixed":

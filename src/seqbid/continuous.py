@@ -16,7 +16,8 @@ curve, so the maximizer works on the pieces cut at those points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Set
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -29,7 +30,7 @@ from .core import (
     ensure_valid,
     holdings_mask,
 )
-from .discrete import _is_settled_mask
+from .discrete import Layer, Settled, _settled_test, sweep
 from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
 
@@ -77,7 +78,11 @@ GridStrategy = Union[UniformFixed, Vg1, Vg2]
 
 @dataclass
 class HybridValueFunction:
-    """Per stage, per holdings mask: a value curve over endowment [0, m]."""
+    """Per stage, per holdings mask: a value curve over endowment [0, m].
+
+    A solve stores each stage's reached components (see GridSolution); a
+    lookup of any other mask returns its settled closed form.
+    """
 
     components: list[dict[int, PwlFunction]]
     m: float
@@ -120,17 +125,21 @@ def error_bound(ledger: DeltaLedger, t: int) -> float:
 class GridSolution:
     """solve_grid output: curves, error ledger, and evaluation bookkeeping.
 
-    knot_bids[(t, mask)] holds the maximizing bid at each knot of that
-    component, aligned with its knot abscissae; settled components bid 0.
-    state_count totals the knots actually evaluated across unsettled
-    components.
+    The curves store only the components the sweep reached: every unsettled
+    one plus the settled and terminal successors they read.  Every other mask
+    below 2^t (2^n at stage n) is settled, and a lookup answers it with the
+    residual curve shifted by the holdings' bundle value.  knot_bids[(t, mask)]
+    holds the maximizing bid at each knot of an unsettled component, aligned
+    with its knot abscissae; settled components bid 0 and have no entry.
+    settled holds the settled (t, mask) pairs with t < n; state_count totals
+    the knots evaluated across unsettled components.
     """
 
     values: HybridValueFunction
     ledger: DeltaLedger
     state_count: int
     knot_bids: dict[tuple[int, int], np.ndarray]
-    settled: set[tuple[int, int]]
+    settled: Set
 
 
 # The candidate lattice covers [0, d] with a density equivalent to
@@ -321,57 +330,44 @@ def solve_grid(
     n = spec.n
     m = float(spec.endowment)
     table = BundleValueTable(spec.bundles)
-
-    components: list[dict[int, PwlFunction]] = [dict() for _ in range(n + 1)]
+    settled = _settled_test(spec)
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
-    settled: set[tuple[int, int]] = set()
-    deltas = [0.0] * (n + 1)
-    state_count = 0
+    deltas = [0.0] * n + [spec.residual.max_consecutive_delta()[0]]
 
-    for mask in range(1 << n):
-        components[n][mask] = spec.residual.shift(table.value(mask))
-    deltas[n] = spec.residual.max_consecutive_delta()[0]
+    def closed_form(mask):
+        return spec.residual.shift(table.value(mask))
 
-    for t in range(n - 1, -1, -1):
+    def backup(t, mask, win, lose):
         dist = spec.distributions[t]
-        nxt = components[t + 1]
-        stage_delta = 0.0
-        for mask in range(1 << t):
-            if _is_settled_mask(mask, t, n, spec.bundles, table):
-                components[t][mask] = components[n][mask]
-                settled.add((t, mask))
-                continue
-            win = nxt[mask | (1 << t)]
-            lose = nxt[mask]
-            if isinstance(strategy, UniformFixed):
-                xs = np.linspace(0.0, m, strategy.g)
-                zs, qs = _maximize_batch(win, lose, dist, xs, cfg)
-                state_count += strategy.g
-            else:
-                recorded: dict[float, float] = {}
+        if isinstance(strategy, UniformFixed):
+            xs = np.linspace(0.0, m, strategy.g)
+            zs, qs = _maximize_batch(win, lose, dist, xs, cfg)
+        else:
+            recorded: dict[float, float] = {}
 
-                def evaluate(d: float) -> float:
-                    z, q = _maximize_batch(win, lose, dist, np.array([d]), cfg)
-                    recorded[float(d)] = float(z[0])
-                    return float(q[0])
+            def evaluate(d: float) -> float:
+                z, q = _maximize_batch(win, lose, dist, np.array([d]), cfg)
+                recorded[float(d)] = float(z[0])
+                return float(q[0])
 
-                refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
-                curve = refine(evaluate, (0.0, m), strategy.budget)
-                xs = np.asarray(curve.xs)
-                qs = np.asarray(curve.ys)
-                zs = np.array([recorded[x] for x in curve.xs])
-                state_count += len(curve.xs)
-            comp = PwlFunction(tuple(float(x) for x in xs),
-                               tuple(float(y) for y in _monotone(qs)))
-            components[t][mask] = comp
-            knot_bids[(t, mask)] = zs
-            stage_delta = max(stage_delta, comp.max_consecutive_delta()[0])
-        deltas[t] = stage_delta
+            refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
+            curve = refine(evaluate, (0.0, m), strategy.budget)
+            xs = np.asarray(curve.xs)
+            qs = np.asarray(curve.ys)
+            zs = np.array([recorded[x] for x in curve.xs])
+        knot_bids[(t, mask)] = zs
+        comp = PwlFunction(tuple(float(x) for x in xs),
+                           tuple(float(y) for y in _monotone(qs)))
+        deltas[t] = max(deltas[t], comp.max_consecutive_delta()[0])
+        return comp
+
+    layers = sweep(n, lambda t, mask: None if settled(t, mask) else True, backup, closed_form)
+    components = [Layer(layer, 1 << t, closed_form) for t, layer in enumerate(layers)]
 
     return GridSolution(
         HybridValueFunction(components, m),
         DeltaLedger(deltas),
-        state_count,
+        sum(len(zs) for zs in knot_bids.values()),
         knot_bids,
-        settled,
+        Settled(n, knot_bids),
     )

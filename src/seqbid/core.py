@@ -200,12 +200,7 @@ def useful_resources(bundles: Iterable[Bundle]) -> frozenset[int]:
 
 def bundle_value(held: Union[int, Iterable[int]], bundles: Iterable[Bundle]) -> float:
     """Best value among bundles fully contained in the holdings; 0 if none."""
-    mask = holdings_mask(held)
-    best = 0.0
-    for b in bundles:
-        if b.mask & mask == b.mask and b.value > best:
-            best = b.value
-    return best
+    return BundleValueTable(bundles).value(holdings_mask(held))
 
 
 def terminal_value(held: Union[int, Iterable[int]], d: float, spec: ProblemSpec) -> float:
@@ -272,6 +267,8 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
     if not spec.bundles:
         problems.append("bundles: at least one bundle is required")
     for j, b in enumerate(spec.bundles):
+        if not math.isfinite(b.value):
+            problems.append(f"bundles[{j}].value: must be finite, got {b.value}")
         for i in sorted(b.members):
             if i > spec.n:
                 problems.append(
@@ -284,8 +281,10 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
                 problems.append(
                     f"n: resource {i} appears in no bundle; drop irrelevant resources"
                 )
-    if not spec.endowment >= 0:
-        problems.append(f"endowment: must be nonnegative, got {spec.endowment}")
+    if not 0 <= spec.endowment < math.inf:
+        problems.append(f"endowment: must be finite and nonnegative, got {spec.endowment}")
+    if not np.all(np.isfinite(spec.residual.xs + spec.residual.ys)):
+        problems.append("residual: knots must be finite")
     lo, hi = spec.residual.domain
     if abs(lo) > _ENDOWMENT_SLACK or abs(hi - spec.endowment) > _ENDOWMENT_SLACK:
         problems.append(
@@ -301,24 +300,20 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
         )
     if spec.mode not in (MODE_DISCRETE, MODE_CONTINUOUS):
         problems.append(f"mode: unknown mode {spec.mode!r}")
-    elif spec.mode == MODE_DISCRETE:
-        if abs(spec.endowment - round(spec.endowment)) > _ENDOWMENT_SLACK:
-            problems.append(
-                f"endowment: discrete mode needs an integer endowment, got {spec.endowment}"
-            )
-        for t, dist in enumerate(spec.distributions):
-            if not isinstance(dist, DiscreteMultinomial):
-                problems.append(
-                    f"distributions[{t}]: mode/distribution mismatch; "
-                    "discrete mode needs multinomial distributions"
-                )
-    else:
-        for t, dist in enumerate(spec.distributions):
-            if not isinstance(dist, TruncatedGaussian):
-                problems.append(
-                    f"distributions[{t}]: mode/distribution mismatch; "
-                    "continuous mode needs truncated-Gaussian distributions"
-                )
+        return problems
+    discrete = spec.mode == MODE_DISCRETE
+    if discrete and math.isfinite(spec.endowment) and (
+        abs(spec.endowment - round(spec.endowment)) > _ENDOWMENT_SLACK
+    ):
+        problems.append(
+            f"endowment: discrete mode needs an integer endowment, got {spec.endowment}"
+        )
+    kind, label = ((DiscreteMultinomial, "multinomial") if discrete
+                   else (TruncatedGaussian, "truncated-Gaussian"))
+    for t, dist in enumerate(spec.distributions):
+        if not isinstance(dist, kind):
+            problems.append(f"distributions[{t}]: mode/distribution mismatch; "
+                            f"{spec.mode} mode needs {label} distributions")
     return problems
 
 

@@ -17,22 +17,20 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import sqrt
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .continuous import (
-    GridSolution,
     MaximizerConfig,
     UniformFixed,
     Vg1,
     Vg2,
     error_bound,
+    solve_grid,
 )
-from .continuous import solve_grid
 from .core import (
     Bundle,
     MODE_CONTINUOUS,
@@ -171,71 +169,45 @@ class ExperimentConfig:
     maximizer: MaximizerConfig = field(default_factory=MaximizerConfig)
 
 
+def _cast_fields(default, data: dict, skip: tuple = ()) -> dict:
+    """data's entries for default's fields, each cast to the type of default's value."""
+    return {f.name: type(getattr(default, f.name))(data[f.name])
+            for f in fields(default) if f.name in data and f.name not in skip}
+
+
+def _plain_fields(obj, skip: tuple = ()) -> dict:
+    return {f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+            for f in fields(obj) if f.name not in skip}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    runs = tuple(
-        RunSpec(
-            kind=r["kind"],
-            g=int(r.get("g", 0)),
-            max_knots=int(r.get("max_knots", 0)),
-            threshold=float(r.get("threshold", 0.0)),
-        )
-        for r in data["runs"]
-    ) if "runs" in data else cfg.runs
-    gen = data.get("generator", {})
-    gen_params = GeneratorParams(
-        n_resources=int(gen.get("n_resources", 10)),
-        n_bundles=int(gen.get("n_bundles", 4)),
-        bundle_size_mean=float(gen.get("bundle_size_mean", 3.0)),
-        bundle_size_std=float(gen.get("bundle_size_std", 1.0)),
-        value_mean=float(gen.get("value_mean", 15.0)),
-        value_var=float(gen.get("value_var", 2.0)),
-        bid_mean_range=tuple(gen.get("bid_mean_range", (3.0, 6.0))),  # type: ignore[arg-type]
-        bid_var=float(gen.get("bid_var", 0.5)),
-        endowment=float(gen.get("endowment", 30.0)),
-        residual_slope=float(gen.get("residual_slope", 0.7)),
-        seed=int(gen.get("seed", 0)),
-    )
-    mx = data.get("maximizer", {})
-    maximizer = MaximizerConfig(
-        samples_per_segment=int(mx.get("samples_per_segment", 32)),
-        refine_tolerance=float(mx.get("refine_tolerance", 1e-4)),
-    )
-    return ExperimentConfig(
-        n_experiments=int(data.get("n_experiments", 20)),
-        runs=runs,
-        output_dir=str(data.get("output_dir", "suite-out")),
-        master_seed=int(data.get("master_seed", 0)),
-        generator=gen_params,
-        maximizer=maximizer,
+    """Config from config_to_dict's layout; a missing field keeps its default.
+
+    generator.seed is not read: every experiment derives its own seed.
+    """
+    base = ExperimentConfig()
+    cfg = replace(base, **_cast_fields(base, data, ("runs", "generator", "maximizer")))
+    if "runs" in data:
+        cfg = replace(cfg, runs=tuple(
+            RunSpec(r["kind"], **_cast_fields(RunSpec("discrete"), r, ("kind",)))
+            for r in data["runs"]
+        ))
+    return replace(
+        cfg,
+        generator=GeneratorParams(
+            **_cast_fields(base.generator, data.get("generator", {}), ("seed",))),
+        maximizer=MaximizerConfig(**_cast_fields(base.maximizer, data.get("maximizer", {}))),
     )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
+    """The manifest's config fields; output_dir and generator.seed are left out."""
     return {
         "n_experiments": config.n_experiments,
         "master_seed": config.master_seed,
-        "runs": [
-            {"kind": r.kind, "g": r.g, "max_knots": r.max_knots,
-             "threshold": r.threshold}
-            for r in config.runs
-        ],
-        "generator": {
-            "n_resources": config.generator.n_resources,
-            "n_bundles": config.generator.n_bundles,
-            "bundle_size_mean": config.generator.bundle_size_mean,
-            "bundle_size_std": config.generator.bundle_size_std,
-            "value_mean": config.generator.value_mean,
-            "value_var": config.generator.value_var,
-            "bid_mean_range": list(config.generator.bid_mean_range),
-            "bid_var": config.generator.bid_var,
-            "endowment": config.generator.endowment,
-            "residual_slope": config.generator.residual_slope,
-        },
-        "maximizer": {
-            "samples_per_segment": config.maximizer.samples_per_segment,
-            "refine_tolerance": config.maximizer.refine_tolerance,
-        },
+        "runs": [_plain_fields(r) for r in config.runs],
+        "generator": _plain_fields(config.generator, ("seed",)),
+        "maximizer": _plain_fields(config.maximizer),
     }
 
 

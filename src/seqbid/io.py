@@ -32,7 +32,7 @@ from .core import (
     TruncatedGaussian,
     ensure_valid,
 )
-from .discrete import DiscreteSolution
+from .discrete import DiscreteSolution, Settled
 from .pwl import PwlFunction
 from .simulate import ErrorReport
 
@@ -58,13 +58,21 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """An integer-valued field; 1.5 is refused, not truncated to 1."""
+    if not float(value).is_integer():
+        raise ValueError(f"{field}: {value!r} is not an integer")
+    return int(value)
+
+
 def spec_from_dict(data: dict) -> ProblemSpec:
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "n")
         endowment = float(data["endowment"])
         bundles = tuple(
-            Bundle(frozenset(int(i) for i in b["members"]), float(b["value"]))
-            for b in data["bundles"]
+            Bundle(frozenset(_integer(i, f"bundles[{j}].members") for i in b["members"]),
+                   float(b["value"]))
+            for j, b in enumerate(data["bundles"])
         )
         residual_data = data["residual"]
         if "knots" in residual_data:
@@ -107,12 +115,15 @@ def save_spec(spec: ProblemSpec, path: PathLike) -> None:
 def write_discrete_solution(
     sol: DiscreteSolution, path: PathLike
 ) -> None:
-    """Full state dump: one row per (stage, holdings mask, endowment)."""
+    """Full state dump: one row per (stage, holdings mask, endowment).
+
+    Every mask below 2^t is written, settled ones from their closed form.
+    """
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["stage", "holdings_mask", "endowment", "value", "bid", "settled"])
         for t in range(sol.n + 1):
-            for mask in sorted(sol.stage_values[t]):
+            for mask in range(1 << t):
                 values = sol.stage_values[t][mask]
                 if t < sol.n:
                     bids = sol.stage_bids[t][mask]
@@ -138,30 +149,25 @@ def read_discrete_solution(path: PathLike) -> DiscreteSolution:
     e = max(r[2] for r in rows)
     stage_values: list[dict[int, np.ndarray]] = [dict() for _ in range(n + 1)]
     stage_bids: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    settled: set[tuple[int, int]] = set()
+    unsettled: set[tuple[int, int]] = set()
     for t, mask, d, value, bid, flag in rows:
         stage_values[t].setdefault(mask, np.zeros(e + 1))[d] = value
         if t < n:
             stage_bids[t].setdefault(mask, np.zeros(e + 1, dtype=np.int64))[d] = bid
-            if flag:
-                settled.add((t, mask))
-    state_count = sum(
-        e + 1
-        for t in range(n)
-        for mask in stage_bids[t]
-        if (t, mask) not in settled
-    )
-    return DiscreteSolution(n, e, stage_values, stage_bids, settled, state_count)
+            if not flag:
+                unsettled.add((t, mask))
+    return DiscreteSolution(n, e, stage_values, stage_bids, Settled(n, unsettled),
+                            len(unsettled) * (e + 1))
 
 
 def write_grid_solution(sol: GridSolution, path: PathLike) -> None:
-    """Knot dump: one row per (stage, holdings mask, knot)."""
+    """Knot dump: one row per (stage, holdings mask, knot), every mask below 2^t."""
     v = sol.values
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["stage", "holdings_mask", "endowment", "value", "bid"])
         for t in range(v.n + 1):
-            for mask in sorted(v.components[t]):
+            for mask in range(1 << t):
                 comp = v.components[t][mask]
                 bids = sol.knot_bids.get((t, mask))
                 for j, (x, y) in enumerate(comp.knots):

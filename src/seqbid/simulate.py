@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .continuous import HybridValueFunction, MaximizerConfig, _maximize_batch
+from .continuous import HybridValueFunction, MaximizerConfig, _maximize_batch, greedy_bid
 from .core import (
-    BundleValueTable,
-    MODE_DISCRETE,
     ProblemSpec,
     ensure_valid,
     mask_holdings,
     terminal_value,
 )
-from .discrete import DiscreteSolution, _is_settled_mask
+from .discrete import DiscreteSolution
 
 Bidder = Callable[[int, frozenset, float], float]
 
@@ -131,11 +129,10 @@ def constant_bid_policy(z: float) -> Bidder:
 
 def table_policy(solution: DiscreteSolution) -> Bidder:
     """Bidder backed by a discrete solution's bid tables (integer endowments)."""
+    bid = solution.bid
 
     def bidder(t, held, d):
-        from .core import holdings_mask
-
-        return solution.stage_bids[t][holdings_mask(held)][int(round(d))]
+        return bid(t, held, int(round(d)))
 
     return bidder
 
@@ -144,8 +141,6 @@ def greedy_policy(
     v: HybridValueFunction, spec: ProblemSpec, cfg: MaximizerConfig = MaximizerConfig()
 ) -> Bidder:
     """Bidder that maximizes the one-step objective against stored curves."""
-    from .continuous import greedy_bid
-
     def bidder(t, held, d):
         return greedy_bid(v, held, d, t, spec.distributions[t], cfg)
 
@@ -188,55 +183,48 @@ def compare_solutions(
     """Exhaustive state-by-state comparison on the integer endowment lattice.
 
     spec is the continuous-mode instance the approximation solved; exact comes
-    from its discretized copy.  For each unpruned state the value error pits
-    the interpolated curve against the exact value, and the policy error pits
-    the greedy bid recomputed from the curves against the exact bid.
+    from its discretized copy.  The states compared are those of the
+    unsettled components the exact solve stores, in ascending mask order per
+    stage.  For each, the value error pits the interpolated curve against the
+    exact value, and the policy error pits the greedy bid recomputed from the
+    curves against the exact bid.
     """
     if exact.n != approx.n:
         raise ValueError("stage counts differ between exact and approximate solutions")
     n = exact.n
     e = exact.endowment
-    table = BundleValueTable(spec.bundles)
     lattice = np.arange(e + 1, dtype=float)
 
     per_stage: list[StageErrors] = []
     all_value: list[np.ndarray] = []
     all_policy: list[np.ndarray] = []
-    total_states = 0
     for t in range(n):
         stage_value: list[np.ndarray] = []
         stage_policy: list[np.ndarray] = []
-        stage_states = 0
         dist = spec.distributions[t]
         nxt = approx.components[t + 1]
-        for mask in range(1 << t):
-            if _is_settled_mask(mask, t, n, spec.bundles, table):
+        for mask in sorted(exact.stage_values[t]):
+            if (t, mask) in exact.settled:
                 continue
             exact_vals = exact.stage_values[t][mask]
             exact_bids = exact.stage_bids[t][mask].astype(float)
             approx_vals = approx.components[t][mask].values(lattice)
-            win = nxt[mask | (1 << t)]
-            lose = nxt[mask]
-            greedy, _ = _maximize_batch(win, lose, dist, lattice, cfg)
+            greedy, _ = _maximize_batch(nxt[mask | (1 << t)], nxt[mask], dist, lattice, cfg)
             stage_value.append(_relative_sq_error_vec(approx_vals, exact_vals))
             stage_policy.append(_relative_sq_error_vec(greedy, exact_bids))
-            stage_states += e + 1
-        if stage_states:
-            sv = np.concatenate(stage_value)
-            sp = np.concatenate(stage_policy)
-            per_stage.append(
-                StageErrors(t, float(sv.mean()), float(sv.max()),
-                            float(sp.mean()), float(sp.max()), stage_states)
-            )
-            all_value.append(sv)
-            all_policy.append(sp)
-        else:
+        if not stage_value:
             per_stage.append(StageErrors(t, 0.0, 0.0, 0.0, 0.0, 0))
-        total_states += stage_states
+            continue
+        sv = np.concatenate(stage_value)
+        sp = np.concatenate(stage_policy)
+        per_stage.append(StageErrors(t, float(sv.mean()), float(sv.max()),
+                                     float(sp.mean()), float(sp.max()), len(sv)))
+        all_value.append(sv)
+        all_policy.append(sp)
 
-    if total_states:
+    if all_value:
         av = np.concatenate(all_value)
         ap = np.concatenate(all_policy)
         return ErrorReport(per_stage, float(av.mean()), float(av.max()),
-                           float(ap.mean()), float(ap.max()), total_states)
+                           float(ap.mean()), float(ap.max()), len(av))
     return ErrorReport(per_stage, 0.0, 0.0, 0.0, 0.0, 0)

@@ -23,14 +23,8 @@ from seqbid.core import (
 from seqbid.pwl import PwlFunction
 
 
-def expectimax(spec: ProblemSpec) -> tuple[dict, dict]:
-    """Brute-force optimal values and smallest optimal bids, state by state.
-
-    Plain recursion over (stage, holdings mask, integer endowment) with an
-    exhaustive scan of every integer bid; win probabilities and terminal
-    utilities are rebuilt from the raw problem data.  Stage t only carries
-    masks over the resources already auctioned, i.e. mask < 2**t.
-    """
+def _raw(spec: ProblemSpec):
+    """Stage count, endowment, terminal utility and P(high bid < z) tables."""
     n = int(spec.n)
     e = int(round(spec.endowment))
     fx = np.asarray(spec.residual.xs)
@@ -49,7 +43,18 @@ def expectimax(spec: ProblemSpec) -> tuple[dict, dict]:
         for p in dist.probs:
             acc.append(acc[-1] + p)
         below.append(acc)
+    return n, e, terminal, below
 
+
+def expectimax(spec: ProblemSpec) -> tuple[dict, dict]:
+    """Brute-force optimal values and smallest optimal bids, state by state.
+
+    Plain recursion over (stage, holdings mask, integer endowment) with an
+    exhaustive scan of every integer bid; win probabilities and terminal
+    utilities are rebuilt from the raw problem data.  Stage t only carries
+    masks over the resources already auctioned, i.e. mask < 2**t.
+    """
+    n, e, terminal, below = _raw(spec)
     values: dict[tuple[int, int, int], float] = {}
     bids: dict[tuple[int, int, int], int] = {}
     for mask in range(1 << n):
@@ -74,6 +79,25 @@ def expectimax(spec: ProblemSpec) -> tuple[dict, dict]:
                 values[t, mask, d] = best_q
                 bids[t, mask, d] = best_z
     return values, bids
+
+
+def policy_values(spec: ProblemSpec, policy) -> dict:
+    """Brute-force expected value of a bid policy at every state.
+
+    The same recursion as expectimax, over every mask < 2**t at every stage,
+    but each state bids policy(t, mask, d) instead of the best bid.
+    """
+    n, e, terminal, below = _raw(spec)
+    values = {(n, mask, d): terminal(mask, d) for mask in range(1 << n) for d in range(e + 1)}
+    for t in range(n - 1, -1, -1):
+        acc = below[t]
+        for mask in range(1 << t):
+            for d in range(e + 1):
+                z = policy(t, mask, d)
+                pw = acc[min(z, len(acc) - 1)]
+                values[t, mask, d] = (pw * values[t + 1, mask | (1 << t), d - z]
+                                      + (1.0 - pw) * values[t + 1, mask, d])
+    return values
 
 
 def dense_q_max(

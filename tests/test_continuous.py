@@ -150,6 +150,26 @@ class TestUniformGrid:
         assert sol.state_count == 5
         assert sol.ledger.deltas[1] == 0.0
 
+    def test_stores_reached_components_only(self):
+        n = 18
+        spec = ProblemSpec(
+            n=n,
+            bundles=(Bundle(frozenset(range(1, n + 1)), 100.0),),
+            endowment=2.0,
+            residual=PwlFunction.linear(0.7, 0.0, 2.0),
+            distributions=(TruncatedGaussian(0.3, 0.3),) * n,
+            mode="continuous",
+        )
+        sol = solve_grid(spec, UniformFixed(3))
+        assert [len(layer) for layer in sol.values.components] == [1] + [2] * n
+        assert sorted(sol.knot_bids) == [(t, (1 << t) - 1) for t in range(n)]
+        assert len(sol.settled) == 2**n - 1 - n
+        assert sol.state_count == 3 * n
+        for t, mask in [(5, 0), (5, 30), (17, 1 << 16), (n, 5), (n, (1 << n) - 1)]:
+            bonus = 100.0 if mask == (1 << n) - 1 else 0.0
+            assert sol.values.component(t, mask) == spec.residual.shift(bonus)
+            assert t == n or (t, mask) in sol.settled
+
     def test_needs_continuous_mode(self, t1):
         with pytest.raises(ValueError):
             solve_grid(t1, UniformFixed(3))

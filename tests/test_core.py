@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from seqbid.core import (
     validate_problem,
     win_probability,
 )
+from seqbid.io import spec_from_dict, spec_to_dict
 from seqbid.pwl import PwlFunction
 
 
@@ -321,6 +324,30 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             ensure_valid(bad)
+
+    def test_infinite_endowment_rejected(self, t1, c1):
+        inf = float("inf")
+        for spec in (c1, t1):
+            bad = replace(spec, endowment=inf, residual=PwlFunction.linear(0.7, 0.0, inf))
+            problems = validate_problem(bad)
+            assert any(msg.startswith("endowment: must be finite") for msg in problems)
+
+    def test_infinite_bundle_value_rejected(self, c1):
+        bad = replace(c1, bundles=(Bundle(frozenset({1}), float("inf")),))
+        assert any(msg.startswith("bundles[0].value:") for msg in validate_problem(bad))
+
+    def test_nan_residual_rejected(self, c1):
+        bad = replace(c1, residual=PwlFunction.linear(float("nan"), 0.0, 2.0))
+        assert any(msg.startswith("residual: knots must be finite")
+                   for msg in validate_problem(bad))
+
+    def test_spec_file_member_must_be_integral(self, t2):
+        data = spec_to_dict(t2)
+        data["bundles"][0]["members"] = [1.5, 2]
+        with pytest.raises(ValueError, match=r"bundles\[0\]\.members: 1\.5"):
+            spec_from_dict(data)
+        data["bundles"][0]["members"] = [1.0, 2]
+        assert spec_from_dict(data).bundles == t2.bundles
 
     def test_bundle_value_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import expectimax, random_micro_instance
+from oracles import expectimax, policy_values, random_micro_instance
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
@@ -28,6 +28,23 @@ def make_instances(count: int, seed0: int = 0) -> list[ProblemSpec]:
         ensure_valid(random_micro_instance(np.random.default_rng(seed0 + i)))
         for i in range(count)
     ]
+
+
+def every_mask(n: int):
+    """Every (stage, mask) with mask < 2**t, stages 0..n."""
+    return [(t, mask) for t in range(n + 1) for mask in range(1 << t)]
+
+
+def wide_lattice(n: int) -> ProblemSpec:
+    """The benchmark's wide shape at endowment 2: one bundle of all n resources."""
+    return ProblemSpec(
+        n=n,
+        bundles=(Bundle(frozenset(range(1, n + 1)), 100.0),),
+        endowment=2.0,
+        residual=PwlFunction.linear(0.7, 0.0, 2.0),
+        distributions=(DiscreteMultinomial((0.6, 0.3, 0.1)),) * n,
+        mode=MODE_DISCRETE,
+    )
 
 
 class TestT1:
@@ -129,14 +146,14 @@ class TestOracleEquivalence:
         for spec in make_instances(40):
             values, bids = expectimax(spec)
             sol = solve_discrete(spec)
-            for t in range(spec.n + 1):
-                for mask, arr in sol.stage_values[t].items():
-                    for d in range(len(arr)):
-                        assert arr[d] == pytest.approx(values[t, mask, d], abs=1e-9)
-            for t in range(spec.n):
-                for mask, arr in sol.stage_bids[t].items():
-                    for d in range(len(arr)):
-                        assert int(arr[d]) == bids[t, mask, d]
+            for t, mask in every_mask(spec.n):
+                arr = sol.stage_values[t][mask]
+                for d in range(len(arr)):
+                    assert arr[d] == pytest.approx(values[t, mask, d], abs=1e-9)
+            for t, mask in every_mask(spec.n - 1):
+                arr = sol.stage_bids[t][mask]
+                for d in range(len(arr)):
+                    assert int(arr[d]) == bids[t, mask, d]
 
     def test_mode_check(self, c1):
         with pytest.raises(ValueError):
@@ -147,39 +164,18 @@ class TestMonotonicity:
     def test_value_nondecreasing_in_endowment(self):
         for spec in make_instances(25, seed0=100):
             sol = solve_discrete(spec)
-            for t in range(spec.n + 1):
-                for arr in sol.stage_values[t].values():
-                    assert np.all(np.diff(arr) >= -1e-12)
+            for t, mask in every_mask(spec.n):
+                assert np.all(np.diff(sol.stage_values[t][mask]) >= -1e-12)
 
     def test_value_dominates_walking_away(self):
         for spec in make_instances(25, seed0=200):
             sol = solve_discrete(spec)
             from seqbid.core import terminal_value
 
-            for t in range(spec.n + 1):
-                for mask, arr in sol.stage_values[t].items():
-                    floor = [terminal_value(mask, d, spec) for d in range(len(arr))]
-                    assert np.all(arr >= np.asarray(floor) - 1e-12)
-
-
-class TestEarlyExit:
-    def test_never_above_exact_and_self_consistent(self):
-        for spec in make_instances(25, seed0=300):
-            exact = solve_discrete(spec)
-            early = solve_discrete(spec, early_exit=True)
-            replay = evaluate_policy_exact(spec, early.policy())
-            for t in range(spec.n + 1):
-                for mask, arr in early.stage_values[t].items():
-                    assert np.all(arr <= exact.stage_values[t][mask] + 1e-12)
-                    assert np.allclose(arr, replay[t][mask], atol=1e-12)
-
-    def test_exact_on_monotone_objectives(self, t1, t2):
-        for spec in (t1, t2):
-            exact = solve_discrete(spec)
-            early = solve_discrete(spec, early_exit=True)
-            for t in range(spec.n + 1):
-                for mask, arr in early.stage_values[t].items():
-                    assert np.allclose(arr, exact.stage_values[t][mask], atol=0)
+            for t, mask in every_mask(spec.n):
+                arr = sol.stage_values[t][mask]
+                floor = [terminal_value(mask, d, spec) for d in range(len(arr))]
+                assert np.all(arr >= np.asarray(floor) - 1e-12)
 
 
 class TestPolicyEvaluation:
@@ -187,8 +183,38 @@ class TestPolicyEvaluation:
         sol = solve_discrete(t2)
         replay = evaluate_policy_exact(t2, sol.policy())
         for t in range(t2.n + 1):
-            for mask, arr in sol.stage_values[t].items():
-                assert np.allclose(arr, replay[t][mask], atol=1e-12)
+            assert set(sol.stage_values[t]) <= set(replay[t])
+            for mask, arr in replay[t].items():
+                assert np.allclose(arr, sol.stage_values[t][mask], atol=1e-12)
+
+    def test_bids_in_settled_states_match_brute_force(self):
+        def bid_one(t, mask, d):
+            return min(1, d)
+
+        for spec in make_instances(25, seed0=300):
+            want = policy_values(spec, bid_one)
+            got = evaluate_policy_exact(spec, bid_one)
+            for t, mask in every_mask(spec.n):
+                arr = got[t][mask]  # a positive bid reaches every state
+                for d in range(len(arr)):
+                    assert arr[d] == pytest.approx(want[t, mask, d], abs=1e-9)
+
+    def test_follows_only_the_settled_states_that_bid(self):
+        for spec in make_instances(25, seed0=400):
+            sol = solve_discrete(spec)
+
+            def policy(t, mask, d):
+                if (t, mask) in sol.settled:
+                    return min(mask % 2, d)
+                return sol.bid(t, mask, d)
+
+            want = policy_values(spec, policy)
+            got = evaluate_policy_exact(spec, policy)
+            for t in range(spec.n + 1):
+                assert set(sol.stage_values[t]) <= set(got[t])
+                for mask, arr in got[t].items():
+                    for d in range(len(arr)):
+                        assert arr[d] == pytest.approx(want[t, mask, d], abs=1e-9)
 
     def test_constant_policies_on_t1(self, t1):
         always2 = evaluate_policy_exact(t1, lambda t, mask, d: min(2, d))
@@ -216,10 +242,61 @@ class TestSolutionIo:
         assert back.n == sol.n and back.endowment == sol.endowment
         assert back.settled == sol.settled
         assert back.state_count == sol.state_count
-        for t in range(sol.n + 1):
-            assert sorted(back.stage_values[t]) == sorted(sol.stage_values[t])
-            for mask, arr in sol.stage_values[t].items():
-                assert np.allclose(back.stage_values[t][mask], arr, atol=1e-12)
-        for t in range(sol.n):
-            for mask, arr in sol.stage_bids[t].items():
-                assert np.array_equal(back.stage_bids[t][mask], arr)
+        for t, mask in every_mask(sol.n):
+            assert np.array_equal(back.stage_values[t][mask], sol.stage_values[t][mask])
+        for t, mask in every_mask(sol.n - 1):
+            assert np.array_equal(back.stage_bids[t][mask], sol.stage_bids[t][mask])
+
+
+class TestSweep:
+    def test_reached_components_grow_linearly(self):
+        for n in (6, 12, 18):
+            spec = wide_lattice(n)
+            sol = solve_discrete(spec)
+            # stage 0 holds (0, 0); stages 1..n-1 the live mask and the mask that
+            # just lost; stage n the full and the almost-full mask
+            assert [len(layer) for layer in sol.stage_values] == [1] + [2] * n
+            assert sum(len(layer) for layer in sol.stage_values) == 2 * n + 1
+            assert len(sol.settled) == 2**n - 1 - n
+            assert sol.state_count == 3 * n
+            calls = []
+            replay = evaluate_policy_exact(
+                spec, lambda t, mask, d: calls.append(t) or sol.bid(t, mask, d))
+            # the evaluator follows each lost mask's zero bids down to stage n
+            assert len(calls) == 3 * n * (n + 1) // 2
+            assert sum(len(layer) for layer in replay) == n * (n + 1) // 2 + n + 1
+
+    def test_lookups_answer_every_mask_in_closed_form(self):
+        n = 18
+        spec = wide_lattice(n)
+        sol = solve_discrete(spec)
+        f = spec.residual.values(np.arange(3.0))
+        for t in range(n + 1):
+            masks = np.arange(1 << t)
+            values = np.array([sol.stage_values[t][mask] for mask in range(1 << t)])
+            want = f + np.where(masks == (1 << n) - 1, 100.0, 0.0)[:, None]
+            live = (1 << t) - 1
+            if t < n:
+                assert (t, live) not in sol.settled
+                assert all((t, mask) in sol.settled for mask in range(live))
+                bids = np.array([sol.stage_bids[t][mask] for mask in range(live)])
+                assert not bids.any()
+                values, want = values[:live], want[:live]
+            assert np.array_equal(values, want)
+        with pytest.raises(KeyError):
+            sol.stage_values[3][8]
+
+    def test_no_stage_is_left_empty(self):
+        # resource 1 alone beats the pair, so every stage-1 component is settled
+        spec = ProblemSpec(
+            n=2,
+            bundles=(Bundle(frozenset({1}), 10.0), Bundle(frozenset({1, 2}), 5.0)),
+            endowment=2.0,
+            residual=PwlFunction.linear(0.7, 0.0, 2.0),
+            distributions=(DiscreteMultinomial((0.5, 0.5)),) * 2,
+            mode=MODE_DISCRETE,
+        )
+        sol = solve_discrete(spec)
+        assert len(sol.settled) == 2
+        assert all(sol.stage_values)
+        assert np.array_equal(sol.stage_values[2][3], 10.0 + spec.residual.values(np.arange(3.0)))

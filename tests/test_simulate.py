@@ -28,8 +28,8 @@ def hybrid_from_discrete(sol) -> HybridValueFunction:
     xs = tuple(float(d) for d in range(e + 1))
     components = [
         {
-            mask: PwlFunction(xs, tuple(float(v) for v in values))
-            for mask, values in sol.stage_values[t].items()
+            mask: PwlFunction(xs, tuple(float(v) for v in sol.stage_values[t][mask]))
+            for mask in range(1 << t)
         }
         for t in range(sol.n + 1)
     ]
