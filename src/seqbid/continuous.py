@@ -148,81 +148,150 @@ class GridSolution:
 # are always candidates.
 _LATTICE_SEGMENT_CAP = 8
 _MAX_CHUNK_CELLS = 2_000_000
+# Cells of per-pair scan temporaries in one stacked block: bigger blocks save
+# no time and raise peak memory.
+_MAX_STACK_CELLS = 16_384
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+class CurveStack:
+    """Piecewise-linear curves on shared knot abscissae xs; row c of _ay is curve c."""
+
+    def __init__(self, curves: list[PwlFunction]):
+        self.xs, self._ax = curves[0].xs, curves[0]._ax
+        self._ay = np.array([c.ys for c in curves])
+
+
+def _groups(keys) -> list[list[int]]:
+    """Indices of equal keys, grouped in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _layout_groups(pairs: list[tuple[PwlFunction, PwlFunction]]):
+    """Indices, win stack and lose stack of each knot-layout group of (win, lose) pairs."""
+    for idx in _groups((win.xs, lose.xs) for win, lose in pairs):
+        yield (idx, CurveStack([pairs[i][0] for i in idx]),
+               CurveStack([pairs[i][1] for i in idx]))
+
+
+def _interp_table(curves: Union[PwlFunction, CurveStack]) -> tuple:
+    """Knots xp, edges, values and slopes that replay np.interp(., xp, ys[c]) bit
+    for bit (finite slopes): with k = searchsorted(xp, x, "right"), np.interp(x) is
+    slopes[c, k] * (x - edges[k]) + values[c, k] if x > edges[k], else values[c, k]."""
+    xp, fp = curves._ax, np.atleast_2d(curves._ay)
+    zero = np.zeros((len(fp), 1))
+    return (xp, np.concatenate((xp[:1], xp[:-1], [np.inf])),
+            np.concatenate((fp[:, :1], fp), axis=1),
+            np.concatenate((zero, (fp[:, 1:] - fp[:, :-1]) / (xp[1:] - xp[:-1]), zero), axis=1))
+
+
+def _knot_positions(x: np.ndarray, xp: np.ndarray, edges: np.ndarray) -> tuple:
+    """Value column, slope column and offset of each point x for _interp_rows; at a
+    knot value, zero slope (column 0) times offset -0.0 adds -0.0, changing nothing."""
+    k = np.searchsorted(xp, x, side="right")
+    off = x - edges[k]
+    snap = off <= 0
+    return k, np.where(snap, 0, k), np.where(snap, -0.0, off)
+
+
+def _interp_rows(at: tuple, values: np.ndarray, slopes: np.ndarray, rows=slice(None)):
+    """Each curve at every point of `at`; with rows = arange(C)[:, None], curve c at row c."""
+    k, js, off = at
+    return slopes[rows, js] * off + values[rows, k]
+
+
 def _maximize_batch(
-    win: PwlFunction,
-    lose: PwlFunction,
+    win: Union[PwlFunction, CurveStack],
+    lose: Union[PwlFunction, CurveStack],
     dist: BidDistribution,
     ds: np.ndarray,
     cfg: MaximizerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best bid and objective value for each endowment in ds.
+    """Best bid and objective value for each (curve pair, endowment).
 
-    For endowment d the candidate set is the piece boundaries {d - x : x a
-    win-curve knot} clipped to [0, d], a uniform lattice over [0, d], and the
-    interval ends 0 and d.  The best candidate is then polished by a
-    golden-section pass inside its bracketing candidates.  Exact objective
-    ties resolve to the smallest bid.
+    win and lose are single curves with ds a vector of endowments, or stacks
+    of C curves with ds of shape (C, rows), pair c taking win and lose curve c
+    and endowments ds[c].  For endowment d the candidates are the piece
+    boundaries {d - x : x a win-curve knot} clipped to [0, d], a uniform
+    lattice over [0, d], and 0 and d; candidates, win probabilities and knot
+    positions are shared by the pairs of an endowment row, and stacks read
+    curves through an exact replica of np.interp.  The best candidate is then
+    polished by golden section inside its bracketing candidates, for as many
+    steps as the pair's widest bracket needs, so no pair depends on the pairs
+    stacked with it.  Exact objective ties resolve to the smallest bid.
     """
+    win_x, win_e, win_y, win_s = _interp_table(win)
+    lose_x, lose_e, lose_y, lose_s = _interp_table(lose)
     ds = np.atleast_1d(np.asarray(ds, dtype=float))
-    win_x, win_y = win._ax, win._ay
-    lose_x, lose_y = lose._ax, lose._ay
+    rows = ds.reshape(len(win_y), -1)
     segments = min(max(len(win_x) - 1, 1), _LATTICE_SEGMENT_CAP)
     base = np.linspace(0.0, 1.0, cfg.samples_per_segment * segments)
-
-    def q_of(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        p = dist.win_probability_vec(z)
-        return p * np.interp(d - z, win_x, win_y) + (1.0 - p) * np.interp(
-            d, lose_x, lose_y
-        )
-
-    out_z = np.empty(ds.shape)
-    out_q = np.empty(ds.shape)
-    width = len(win_x) + len(base) + 2
-    chunk = max(1, _MAX_CHUNK_CELLS // width)
-    for start in range(0, len(ds), chunk):
-        d = ds[start : start + chunk]
+    out_z, out_q = np.empty((2,) + rows.shape)
+    tol = cfg.refine_tolerance
+    chunk = max(1, _MAX_CHUNK_CELLS // (len(win_x) + len(base) + 2))
+    for pairs, start in ((np.array(p), s) for p in _groups(row.tobytes() for row in rows)
+                         for s in range(0, rows.shape[1], chunk)):
+        d = rows[pairs[0], start : start + chunk]
         dcol = d[:, None]
-        z = np.concatenate(
-            [
-                np.zeros((len(d), 1)),
-                dcol,
-                np.clip(dcol - win_x[None, :], 0.0, None),
-                dcol * base[None, :],
-            ],
-            axis=1,
-        )
-        p = dist.win_probability_vec(z)
-        q = p * np.interp(dcol - z, win_x, win_y)
-        q += (1.0 - p) * np.interp(d, lose_x, lose_y)[:, None]
-        qbest = q.max(axis=1)
-        zbest = np.where(q == qbest[:, None], z, np.inf).min(axis=1)
+        z = np.sort(np.concatenate([np.zeros((len(d), 1)), dcol, np.clip(dcol - win_x, 0.0, None),
+                                    dcol * base], axis=1), axis=1)
+        r_ix, p = np.arange(len(d)), dist.win_probability_vec(z)
+        if len(rows) > 1:
+            scan_at = _knot_positions(dcol - z, win_x, win_e)
+            lose_at = _knot_positions(d, lose_x, lose_e)
+        qbest, zbest, lo, hi, lv = np.empty((5, len(pairs), len(d)))
+        step = max(1, _MAX_STACK_CELLS // z.size)
+        for i in range(0, len(pairs), step):
+            cs, part = pairs[i : i + step], slice(i, i + step)
+            if len(rows) > 1:
+                q = _interp_rows(scan_at, win_y[cs], win_s[cs]) * p
+                lv[part] = _interp_rows(lose_at, lose_y[cs], lose_s[cs])
+            else:
+                q = np.interp(dcol - z, win_x, win_y[0, 1:])[None] * p
+                lv[part] = np.interp(d, lose_x, lose_y[0, 1:])
+            q += (1.0 - p) * lv[part, :, None]
+            # A sorted row's first maximum is the smallest best bid; it is bracketed
+            # by the column before and by the first candidate above it, if any.
+            best = q.argmax(axis=2)
+            qbest[part], zbest[part] = q.max(axis=2), z[r_ix, best]
+            above = np.count_nonzero(z <= zbest[part, :, None], axis=2)
+            lo[part] = z[r_ix, np.maximum(best - 1, 0)]
+            hi[part] = z[r_ix, np.minimum(above, z.shape[1] - 1)]
+        span = (hi - lo).max(axis=1)
+        sel = np.flatnonzero(span > tol)
+        if len(sel):
+            iters = np.ceil(np.log(span[sel] / tol) / np.log(1.0 / _INVPHI)).astype(int)
+            sel, iters = sel[np.argsort(iters, kind="stable")], np.sort(iters)
+            a, b, fp, slopes, lv = lo[sel], hi[sel], win_y[pairs[sel]], win_s[pairs[sel]], lv[sel]
 
-        lo = np.where(z < zbest[:, None], z, -np.inf).max(axis=1)
-        hi = np.where(z > zbest[:, None], z, np.inf).min(axis=1)
-        lo = np.where(np.isfinite(lo), lo, zbest)
-        hi = np.where(np.isfinite(hi), hi, zbest)
-        span = float(np.max(hi - lo)) if len(d) else 0.0
-        if span > cfg.refine_tolerance:
-            iters = int(np.ceil(np.log(span / cfg.refine_tolerance)
-                                / np.log(1.0 / _INVPHI)))
-            a, b = lo, hi
-            for _ in range(iters):
-                x1 = b - _INVPHI * (b - a)
-                x2 = a + _INVPHI * (b - a)
-                keep_left = q_of(x1, d) >= q_of(x2, d)
-                a = np.where(keep_left, a, x1)
-                b = np.where(keep_left, x2, b)
+            def q_of(zz, d, s):
+                pz = dist.win_probability_vec(zz)
+                wv = (_interp_rows(_knot_positions(d - zz, win_x, win_e), fp[s:], slopes[s:],
+                                   np.arange(len(zz))[:, None]) if len(rows) > 1
+                      else np.interp(d - zz, win_x, win_y[0, 1:]))
+                return pz * wv + (1.0 - pz) * lv[s:, : len(d)]
+
+            # A step evaluates both probes side by side in a row (lv holds the lose values
+            # twice).  Pairs run in ascending step count: those still polishing are a suffix.
+            r, d2, lv = len(d), np.concatenate((d, d)), np.concatenate((lv, lv), axis=1)
+            for s in np.searchsorted(iters, np.arange(iters[-1]), side="right"):
+                av, bv = a[s:], b[s:]
+                h = _INVPHI * (bv - av)
+                x = np.concatenate((bv - h, av + h), axis=1)
+                q = q_of(x, d2, s)
+                keep_left = q[:, :r] >= q[:, r:]
+                np.copyto(av, x[:, :r], where=~keep_left)
+                np.copyto(bv, x[:, r:], where=keep_left)
             zc = 0.5 * (a + b)
-            qc = q_of(zc, d)
-            improved = qc > qbest
-            zbest = np.where(improved, zc, zbest)
-            qbest = np.where(improved, qc, qbest)
-        out_z[start : start + chunk] = zbest
-        out_q[start : start + chunk] = qbest
-    return out_z, out_q
+            qc = q_of(zc, d, 0)
+            better = qc > qbest[sel]
+            zbest[sel] = np.where(better, zc, zbest[sel])
+            qbest[sel] = np.where(better, qc, qbest[sel])
+        out_z[pairs, start : start + chunk], out_q[pairs, start : start + chunk] = zbest, qbest
+    return out_z.reshape(ds.shape), out_q.reshape(ds.shape)
 
 
 def _branches(
@@ -322,7 +391,8 @@ def solve_grid(
     stages every settled component is the residual curve shifted by the
     holdings' bundle value, contributing neither evaluations nor ledger delta;
     every unsettled component is built from exact knot backups, with the knot
-    set chosen by the strategy.
+    set chosen by the strategy.  UniformFixed backs a stage up in one maximizer
+    call per (win, lose) knot layout; Vg1 and Vg2 evaluate one knot per call.
     """
     ensure_valid(spec)
     if spec.mode != MODE_CONTINUOUS:
@@ -337,12 +407,23 @@ def solve_grid(
     def closed_form(mask):
         return spec.residual.shift(table.value(mask))
 
-    def backup(t, mask, win, lose):
+    def component(t, mask, xs, zs, qs):
+        knot_bids[(t, mask)] = zs
+        comp = PwlFunction(tuple(float(x) for x in xs),
+                           tuple(float(y) for y in _monotone(qs)))
+        deltas[t] = max(deltas[t], comp.max_consecutive_delta()[0])
+        return comp
+
+    def backup(t, jobs):
         dist = spec.distributions[t]
         if isinstance(strategy, UniformFixed):
-            xs = np.linspace(0.0, m, strategy.g)
-            zs, qs = _maximize_batch(win, lose, dist, xs, cfg)
-        else:
+            xs, solved = np.linspace(0.0, m, strategy.g), {}
+            for idx, win, lose in _layout_groups([job[1:] for job in jobs]):
+                ds = np.broadcast_to(xs, (len(idx), len(xs)))
+                solved.update(zip(idx, zip(*_maximize_batch(win, lose, dist, ds, cfg))))
+            return [component(t, mask, xs, *solved[i]) for i, (mask, _, _) in enumerate(jobs)]
+        out = []
+        for mask, win, lose in jobs:
             recorded: dict[float, float] = {}
 
             def evaluate(d: float) -> float:
@@ -352,14 +433,9 @@ def solve_grid(
 
             refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
             curve = refine(evaluate, (0.0, m), strategy.budget)
-            xs = np.asarray(curve.xs)
-            qs = np.asarray(curve.ys)
             zs = np.array([recorded[x] for x in curve.xs])
-        knot_bids[(t, mask)] = zs
-        comp = PwlFunction(tuple(float(x) for x in xs),
-                           tuple(float(y) for y in _monotone(qs)))
-        deltas[t] = max(deltas[t], comp.max_consecutive_delta()[0])
-        return comp
+            out.append(component(t, mask, curve.xs, zs, np.asarray(curve.ys)))
+        return out
 
     layers = sweep(n, lambda t, mask: None if settled(t, mask) else True, backup, closed_form)
     components = [Layer(layer, 1 << t, closed_form) for t, layer in enumerate(layers)]

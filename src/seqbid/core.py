@@ -84,9 +84,9 @@ class DiscreteMultinomial:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.probs) < 1:
             raise ValueError("multinomial needs at least one level")
-        if any(p < 0 for p in self.probs):
+        if not all(p >= 0 for p in self.probs):
             raise ValueError("multinomial probabilities must be nonnegative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
+        if not abs(sum(self.probs) - 1.0) <= 1e-12:  # so that NaN fails too
             raise ValueError("multinomial probabilities must sum to 1")
 
     @property
@@ -146,7 +146,7 @@ class TruncatedGaussian:
 
     def win_probability_vec(self, z: np.ndarray) -> np.ndarray:
         p = (ndtr((z - self.mean) / self.std) - self._f0) / self._scale
-        return np.clip(p, 0.0, 1.0)
+        return np.minimum(np.maximum(p, 0.0), 1.0)
 
     def mean_value(self) -> float:
         """Mean of the truncated distribution (not the underlying Gaussian)."""
@@ -314,6 +314,9 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
         if not isinstance(dist, kind):
             problems.append(f"distributions[{t}]: mode/distribution mismatch; "
                             f"{spec.mode} mode needs {label} distributions")
+        elif not discrete and not dist._scale >= 1e-6:  # mean below about -4.75 std
+            problems.append(f"distributions[{t}]: P(w > 0) = {dist._scale:.3g} is below 1e-06, "
+                            "so win probabilities would lose most of their digits")
     return problems
 
 

@@ -125,9 +125,10 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
     reaches the lose successor (t + 1, mask), and the win successor
     (t + 1, mask | 1 << t) too if grow returned True.  A stage that grows
     nothing passes on its smallest mask, so no stage is empty.  The backward
-    pass sets each reached component, in ascending mask order per stage, to
-    leaf(mask), the closed form, or to backup(t, mask, win, lose), win being
-    None when not reached.  Returns one dict of results per stage 0..n.
+    pass sets each reached component to leaf(mask), the closed form, or if it
+    grew to its result from backup(t, jobs), which backs up a whole stage: jobs
+    lists (mask, win, lose) for its grown components in ascending mask order,
+    win None when not reached.  Returns one dict of results per stage 0..n.
     """
     plan: list[list[tuple[int, Optional[bool]]]] = []
     frontier = [0]
@@ -139,11 +140,10 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
     results = [dict() for _ in range(n)] + [{mask: leaf(mask) for mask in frontier}]
     for t in range(n - 1, -1, -1):
         nxt = results[t + 1]
-        results[t] = {
-            mask: leaf(mask) if wins is None
-            else backup(t, mask, nxt[mask | 1 << t] if wins else None, nxt[mask])
-            for mask, wins in plan[t]
-        }
+        jobs = [(mask, nxt[mask | 1 << t] if wins else None, nxt[mask])
+                for mask, wins in plan[t] if wins is not None]
+        done = iter(backup(t, jobs))
+        results[t] = {mask: leaf(mask) if wins is None else next(done) for mask, wins in plan[t]}
     return results
 
 
@@ -207,7 +207,8 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
         return q[zs, bids]
 
     settled = _settled_test(spec)
-    values = sweep(n, lambda t, mask: None if settled(t, mask) else True, backup, closed_form)
+    values = sweep(n, lambda t, mask: None if settled(t, mask) else True,
+                   lambda t, jobs: [backup(t, *job) for job in jobs], closed_form)
     unsettled = [(t, mask) for t, layer in enumerate(stage_bids) for mask in layer]
     return DiscreteSolution(
         n, e, [Layer(layer, 1 << t, closed_form) for t, layer in enumerate(values)],
@@ -250,4 +251,4 @@ def evaluate_policy_exact(
         win_next = lose_next if win_next is None else win_next
         return w * win_next[ds - z] + (1.0 - w) * lose_next
 
-    return sweep(spec.n, grow, backup, closed_form)
+    return sweep(spec.n, grow, lambda t, jobs: [backup(t, *job) for job in jobs], closed_form)

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import HybridValueFunction, MaximizerConfig, _maximize_batch, greedy_bid
+from .continuous import (HybridValueFunction, MaximizerConfig, _layout_groups, _maximize_batch,
+                         greedy_bid)
 from .core import (
     ProblemSpec,
     ensure_valid,
@@ -187,7 +188,7 @@ def compare_solutions(
     unsettled components the exact solve stores, in ascending mask order per
     stage.  For each, the value error pits the interpolated curve against the
     exact value, and the policy error pits the greedy bid recomputed from the
-    curves against the exact bid.
+    curves (one maximizer call per stage and knot layout) against the exact bid.
     """
     if exact.n != approx.n:
         raise ValueError("stage counts differ between exact and approximate solutions")
@@ -199,19 +200,17 @@ def compare_solutions(
     all_value: list[np.ndarray] = []
     all_policy: list[np.ndarray] = []
     for t in range(n):
-        stage_value: list[np.ndarray] = []
-        stage_policy: list[np.ndarray] = []
         dist = spec.distributions[t]
         nxt = approx.components[t + 1]
-        for mask in sorted(exact.stage_values[t]):
-            if (t, mask) in exact.settled:
-                continue
-            exact_vals = exact.stage_values[t][mask]
-            exact_bids = exact.stage_bids[t][mask].astype(float)
-            approx_vals = approx.components[t][mask].values(lattice)
-            greedy, _ = _maximize_batch(nxt[mask | (1 << t)], nxt[mask], dist, lattice, cfg)
-            stage_value.append(_relative_sq_error_vec(approx_vals, exact_vals))
-            stage_policy.append(_relative_sq_error_vec(greedy, exact_bids))
+        masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
+        greedy = {}
+        for idx, win, lose in _layout_groups([(nxt[m | 1 << t], nxt[m]) for m in masks]):
+            ds = np.broadcast_to(lattice, (len(idx), e + 1))
+            greedy.update(zip(idx, _maximize_batch(win, lose, dist, ds, cfg)[0]))
+        stage_value = [_relative_sq_error_vec(approx.components[t][m].values(lattice),
+                                              exact.stage_values[t][m]) for m in masks]
+        stage_policy = [_relative_sq_error_vec(greedy[i], exact.stage_bids[t][m].astype(float))
+                        for i, m in enumerate(masks)]
         if not stage_value:
             per_stage.append(StageErrors(t, 0.0, 0.0, 0.0, 0.0, 0))
             continue

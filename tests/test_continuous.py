@@ -4,15 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_q_max, random_small_instance
+from seqbid import continuous, simulate
 from seqbid.continuous import (
+    CurveStack,
     DeltaLedger,
     HybridValueFunction,
     MaximizerConfig,
     UniformFixed,
     Vg1,
     Vg2,
+    _interp_rows,
+    _interp_table,
+    _knot_positions,
+    _layout_groups,
+    _maximize_batch,
     error_bound,
     greedy_bid,
     maximize_bid,
@@ -20,7 +29,9 @@ from seqbid.continuous import (
     q_value,
     solve_grid,
 )
-from seqbid.core import Bundle, ProblemSpec, TruncatedGaussian, ensure_valid
+from seqbid.core import Bundle, ProblemSpec, TruncatedGaussian, ensure_valid, to_discrete
+from seqbid.discrete import solve_discrete
+from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.io import read_grid_solution, write_grid_solution
 from seqbid.pwl import PwlFunction, RefinementBudget
 
@@ -338,3 +349,155 @@ class TestMaximizerConfig:
         gap_f = knot_backup_gap(c1, fine)
         assert gap_f <= gap_c + 1e-9
         assert gap_f <= 1e-4
+
+
+class CountingDist:
+    """A distribution that counts win_probability_vec calls: one per scan, one
+    per golden-section step and one for the polished midpoint."""
+
+    def __init__(self, dist):
+        self.dist, self.calls = dist, 0
+
+    def win_probability_vec(self, z):
+        self.calls += 1
+        return self.dist.win_probability_vec(z)
+
+
+@pytest.fixture(scope="module")
+def stage_pools():
+    """(distribution, endowment, next-stage curves) per stage of two generator
+    instances: stored grid and closed-form curves, plus closed forms looked up."""
+    pools = []
+    for seed, g in ((1000, 7), (1001, 5)):
+        spec = generate_instance(GeneratorParams(seed=seed))
+        sol = solve_grid(spec, UniformFixed(g))
+        for t in range(spec.n):
+            layer = sol.values.components[t + 1]
+            curves = list(layer.values()) + [layer[mask] for mask in range(min(2 << t, 8))]
+            pools.append((spec.distributions[t], spec.endowment, curves))
+    return pools
+
+
+def assert_stack_matches_pairs(pairs, dist, rows, cfg):
+    """Stacked calls per knot-layout group equal one-pair calls bit for bit."""
+    for idx, win, lose in _layout_groups(pairs):
+        zs, qs = _maximize_batch(win, lose, dist, rows[idx], cfg)
+        assert zs.shape == qs.shape == rows[idx].shape
+        for i, z, q in zip(idx, zs, qs):
+            z1, q1 = _maximize_batch(*pairs[i], dist, rows[i], cfg)
+            assert np.array_equal(z, z1) and np.array_equal(q, q1)
+
+
+class TestStackedMaximizer:
+    @given(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_interp_rows_replays_np_interp(self, gaps, data):
+        xp = np.cumsum([data.draw(st.floats(-5.0, 5.0))] + gaps)
+        curves = st.lists(st.floats(-100.0, 100.0), min_size=len(xp), max_size=len(xp))
+        fp = np.array(data.draw(st.lists(curves, min_size=1, max_size=4)))
+        between = data.draw(st.lists(st.floats(xp[0] - 2.0, xp[-1] + 2.0), max_size=20))
+        # Every knot, both ends and beyond them, midpoints, and arbitrary points.
+        x = np.concatenate([xp, (xp[:-1] + xp[1:]) / 2, [xp[0] - 1.0, xp[-1] + 1.0], between])
+        stack = CurveStack([PwlFunction(tuple(xp), tuple(ys)) for ys in fp])
+        _, edges, values, slopes = _interp_table(stack)
+        shared = _interp_rows(_knot_positions(x, xp, edges), values, slopes)
+        per_row = _interp_rows(_knot_positions(np.tile(x, (len(fp), 1)), xp, edges), values,
+                               slopes, np.arange(len(fp))[:, None])
+        for c in range(len(fp)):
+            want = np.interp(x, xp, fp[c]).view(np.int64)
+            assert np.array_equal(shared[c].view(np.int64), want)
+            assert np.array_equal(per_row[c].view(np.int64), want)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_grid_and_closed_form_stacks_match_one_pair_calls(self, stage_pools, data):
+        dist, m, curves = data.draw(st.sampled_from(stage_pools))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(curves), st.sampled_from(curves)),
+                                   min_size=1, max_size=12))
+        width = data.draw(st.integers(1, 8))
+        choices = [np.array(data.draw(st.lists(st.floats(0.0, m), min_size=width,
+                                               max_size=width))) for _ in range(2)]
+        rows = np.array([choices[data.draw(st.integers(0, 1))] for _ in pairs])
+        cfg = MaximizerConfig(data.draw(st.integers(2, 40)),
+                              data.draw(st.sampled_from([1e-6, 1e-4, 1e-2])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continuous, "_MAX_STACK_CELLS",
+                       data.draw(st.sampled_from([1, 3000, continuous._MAX_STACK_CELLS])))
+            assert_stack_matches_pairs(pairs, dist, rows, cfg)
+
+    @pytest.mark.parametrize("cap", [1, 1000, None])
+    def test_unpolished_pair_and_differing_polish_counts(self, monkeypatch, cap):
+        xs = (0.0, 1.0, 1.99995, 2.0)
+        flat = PwlFunction.linear(0.0, 0.0, 2.0)
+        rising = PwlFunction(xs, (0.0, 10.0, 19.9995, 20.0))
+        pairs = [
+            (PwlFunction(xs, (0.0,) * 4), flat.shift(10.0)),  # bids 0; bracket 5e-5 wide
+            (rising, flat),  # interior best bid near 1.18, between lattice points
+            (rising, flat.shift(4.0)),  # interior best bid near 1.0, next to the kink d - 1
+            (PwlFunction(xs, (50.0,) * 4), flat),  # bids everything
+        ]
+        dist = TruncatedGaussian(1.0, 0.5)
+        rows = np.tile([0.0, 2.0], (len(pairs), 1))
+        cfg = MaximizerConfig()
+        calls = []
+        for win, lose in pairs:
+            counting = CountingDist(dist)
+            _maximize_batch(win, lose, counting, rows[0], cfg)
+            calls.append(counting.calls)
+        assert calls[0] == 1 and calls[1] != calls[2]
+        if cap is not None:
+            monkeypatch.setattr(continuous, "_MAX_STACK_CELLS", cap)
+        assert_stack_matches_pairs(pairs, dist, rows, cfg)
+
+    def test_single_curve_stack_is_one_pair(self, c1):
+        sol = solve_grid(c1, UniformFixed(4))
+        win, lose = sol.values.component(1, 1), sol.values.component(1, 0)
+        ds = np.linspace(0.0, 2.0, 7)
+        stacked = _maximize_batch(CurveStack([win]), CurveStack([lose]), c1.distributions[0],
+                                  ds[None], MaximizerConfig())
+        single = _maximize_batch(win, lose, c1.distributions[0], ds, MaximizerConfig())
+        assert np.array_equal(stacked[0][0], single[0]) and np.array_equal(stacked[1][0], single[1])
+
+
+@pytest.fixture(scope="module")
+def instance_1000():
+    spec = generate_instance(GeneratorParams(seed=1000))
+    return spec, solve_grid(spec, UniformFixed(15)), solve_discrete(to_discrete(spec))
+
+
+class TestStageBatchedCalls:
+    """One maximizer call per stage and (win, lose) knot layout, not per component."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        inner = continuous._maximize_batch
+
+        def counted(win, lose, dist, ds, cfg):
+            seen.append(np.size(ds))
+            return inner(win, lose, dist, ds, cfg)
+
+        monkeypatch.setattr(continuous, "_maximize_batch", counted)
+        monkeypatch.setattr(simulate, "_maximize_batch", counted)
+        return seen
+
+    @staticmethod
+    def layouts(values, components):
+        return {(t, values.components[t + 1][mask | 1 << t].xs, values.components[t + 1][mask].xs)
+                for t, mask in components}
+
+    def test_solve_grid(self, instance_1000, calls):
+        spec, ref, _ = instance_1000
+        sol = solve_grid(spec, UniformFixed(15))
+        unsettled = list(sol.knot_bids)
+        assert len(unsettled) == 161 and sum(calls) == 15 * 161 == 2415
+        assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
+        assert sol.values.components == ref.values.components
+
+    def test_compare_solutions(self, instance_1000, calls):
+        spec, sol, exact = instance_1000
+        report = simulate.compare_solutions(exact, sol.values, spec)
+        unsettled = [(t, mask) for t in range(spec.n) for mask in exact.stage_values[t]
+                     if (t, mask) not in exact.settled]
+        assert len(unsettled) == 161 and sum(calls) == report.states == 4991
+        assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n

@@ -149,6 +149,11 @@ class TestDiscreteMultinomial:
         with pytest.raises(ValueError):
             DiscreteMultinomial((0.5, 0.4))
 
+    def test_nan_probability_rejected(self):
+        for probs in ((float("nan"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError):
+                DiscreteMultinomial(probs)
+
     def test_mean(self):
         assert DiscreteMultinomial((0.25, 0.5, 0.25)).mean() == pytest.approx(1.0)
 
@@ -340,6 +345,13 @@ class TestValidation:
         bad = replace(c1, residual=PwlFunction.linear(float("nan"), 0.0, 2.0))
         assert any(msg.startswith("residual: knots must be finite")
                    for msg in validate_problem(bad))
+
+    def test_deep_tail_gaussian_rejected(self, c1):
+        # P(w > 0) is 0.0 at mean -50 std 0.5, 2.9e-7 at -5 std, 3.4e-6 at -4.5 std.
+        for mean, bad in ((-50.0, True), (-2.5, True), (-2.25, False), (1.0, False)):
+            spec = replace(c1, distributions=(TruncatedGaussian(mean, 0.5),))
+            tagged = [msg for msg in validate_problem(spec) if msg.startswith("distributions[0]:")]
+            assert bool(tagged) == bad
 
     def test_spec_file_member_must_be_integral(self, t2):
         data = spec_to_dict(t2)
