@@ -9,9 +9,6 @@ from .continuous import (
     Vg1,
     Vg2,
     error_bound,
-    greedy_bid,
-    maximize_bid,
-    q_value,
     solve_grid,
 )
 from .core import (
@@ -21,7 +18,6 @@ from .core import (
     Holdings,
     ProblemSpec,
     TruncatedGaussian,
-    bundle_value,
     discretize_distribution,
     ensure_valid,
     holdings_mask,
@@ -30,13 +26,10 @@ from .core import (
     to_discrete,
     useful_resources,
     validate_problem,
-    win_probability,
 )
 from .discrete import (
     DiscreteSolution,
-    backup_state_discrete,
     evaluate_policy_exact,
-    is_settled,
     solve_discrete,
 )
 from .experiment import (

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .continuous import MaximizerConfig, UniformFixed, Vg1, Vg2, error_bound, solve_grid
-from .core import MODE_CONTINUOUS, to_discrete
+from .core import MODE_CONTINUOUS, holdings_mask, to_discrete
 from .discrete import solve_discrete
 from .experiment import ExperimentConfig, config_from_dict, run_experiment_suite
 from .io import (
@@ -105,8 +105,8 @@ def _cmd_simulate(args) -> int:
             w.writerow(["round", "utility", "final_endowment",
                         "holdings_mask", "auctions_won"])
             for r, tr in enumerate(traces):
-                mask = sum(1 << (i - 1) for i in tr.final_holdings)
-                w.writerow([r, tr.utility, tr.endowments[-1], mask, sum(tr.won)])
+                w.writerow([r, tr.utility, tr.endowments[-1], holdings_mask(tr.final_holdings),
+                            sum(tr.won)])
     return 0
 
 

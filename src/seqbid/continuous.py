@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -292,77 +292,6 @@ def _maximize_batch(
             qbest[sel] = np.where(better, qc, qbest[sel])
         out_z[pairs, start : start + chunk], out_q[pairs, start : start + chunk] = zbest, qbest
     return out_z.reshape(ds.shape), out_q.reshape(ds.shape)
-
-
-def _branches(
-    held: Union[int, Iterable[int]],
-    t: int,
-    next_stage: Mapping[int, PwlFunction],
-) -> tuple[PwlFunction, PwlFunction]:
-    mask = holdings_mask(held)
-    try:
-        return next_stage[mask | (1 << t)], next_stage[mask]
-    except KeyError as err:
-        raise ValueError(
-            f"stage {t + 1} component missing for holdings mask {err.args[0]}"
-        ) from None
-
-
-def q_value(
-    held: Union[int, Iterable[int]],
-    d: float,
-    z: float,
-    t: int,
-    next_stage: Mapping[int, PwlFunction],
-    dist: BidDistribution,
-) -> float:
-    """Expected value of bidding z at endowment d against stage-(t+1) curves."""
-    if z < 0 or z > d + 1e-12:
-        raise ValueError(f"bid {z!r} outside [0, {d}]")
-    win, lose = _branches(held, t, next_stage)
-    p = dist.win_probability(z)
-    return p * win(max(d - z, 0.0)) + (1.0 - p) * lose(d)
-
-
-def maximize_bid(
-    held: Union[int, Iterable[int]],
-    d: float,
-    t: int,
-    next_stage: Mapping[int, PwlFunction],
-    dist: BidDistribution,
-    cfg: MaximizerConfig = MaximizerConfig(),
-) -> tuple[float, float]:
-    """Best bid in [0, d] and its objective value against stage-(t+1) curves."""
-    win, lose = _branches(held, t, next_stage)
-    if d < 0 or d > lose.domain[1] + 1e-9:
-        raise ValueError(f"endowment {d!r} outside [0, {lose.domain[1]}]")
-    zs, qs = _maximize_batch(win, lose, dist, np.array([d]), cfg)
-    return float(zs[0]), float(qs[0])
-
-
-def maximize_bid_many(
-    held: Union[int, Iterable[int]],
-    ds: np.ndarray,
-    t: int,
-    next_stage: Mapping[int, PwlFunction],
-    dist: BidDistribution,
-    cfg: MaximizerConfig = MaximizerConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized maximize_bid over many endowments of one (stage, holdings)."""
-    win, lose = _branches(held, t, next_stage)
-    return _maximize_batch(win, lose, dist, np.asarray(ds, dtype=float), cfg)
-
-
-def greedy_bid(
-    v: HybridValueFunction,
-    held: Union[int, Iterable[int]],
-    d: float,
-    t: int,
-    dist: BidDistribution,
-    cfg: MaximizerConfig = MaximizerConfig(),
-) -> float:
-    """Bid that maximizes the one-step objective against the stored curves."""
-    return maximize_bid(held, d, t, v.components[t + 1], dist, cfg)[0]
 
 
 # Largest value dip the maximizer may produce between adjacent knots before we

@@ -76,7 +76,7 @@ class Bundle:
 
 @dataclass(frozen=True)
 class DiscreteMultinomial:
-    """High-bid distribution over integer levels 0..w_max; probs[k] = P(w = k)."""
+    """High-bid distribution over integer levels 0..len(probs) - 1; probs[k] = P(w = k)."""
 
     probs: tuple[float, ...]
 
@@ -88,10 +88,6 @@ class DiscreteMultinomial:
             raise ValueError("multinomial probabilities must be nonnegative")
         if not abs(sum(self.probs) - 1.0) <= 1e-12:  # so that NaN fails too
             raise ValueError("multinomial probabilities must sum to 1")
-
-    @property
-    def w_max(self) -> int:
-        return len(self.probs) - 1
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -198,31 +194,21 @@ def useful_resources(bundles: Iterable[Bundle]) -> frozenset[int]:
     return frozenset(out)
 
 
-def bundle_value(held: Union[int, Iterable[int]], bundles: Iterable[Bundle]) -> float:
-    """Best value among bundles fully contained in the holdings; 0 if none."""
-    return BundleValueTable(bundles).value(holdings_mask(held))
-
-
 def terminal_value(held: Union[int, Iterable[int]], d: float, spec: ProblemSpec) -> float:
     """Utility once all auctions have run: bundle value plus residual utility."""
     if d < -_ENDOWMENT_SLACK or d > spec.endowment + _ENDOWMENT_SLACK:
         raise ValueError(f"endowment {d!r} outside [0, {spec.endowment}]")
     d = min(max(d, 0.0), spec.endowment)
-    return bundle_value(held, spec.bundles) + spec.residual(d)
+    return BundleValueTable(spec.bundles).value(holdings_mask(held)) + spec.residual(d)
 
 
 _ENDOWMENT_SLACK = 1e-9
 
 
-def win_probability(dist: BidDistribution, z: float) -> float:
-    """Probability that bid z strictly exceeds the market high bid."""
-    return dist.win_probability(z)
-
-
 def discretize_distribution(
     g: TruncatedGaussian, w_max: int | None = None
 ) -> DiscreteMultinomial:
-    """Collapse a truncated Gaussian onto integer levels 0..w_max.
+    """Collapse a truncated Gaussian onto the integer levels 0 to w_max.
 
     Level k receives the probability mass of (k - 0.5, k + 0.5]; level 0 also
     absorbs [0, 0.5] and the top level absorbs the upper tail, so the masses
@@ -328,7 +314,11 @@ def ensure_valid(spec: ProblemSpec) -> ProblemSpec:
 
 
 class BundleValueTable:
-    """Memoized holdings-mask -> bundle value lookup for one spec."""
+    """Memoized holdings-mask -> bundle value lookup for one spec.
+
+    A holdings set is worth the best value among the bundles it contains in
+    full, or 0 if it contains none.
+    """
 
     def __init__(self, bundles: Iterable[Bundle]):
         self._pairs = [(b.mask, b.value) for b in bundles]

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .core import (
-    BidDistribution,
     BundleValueTable,
     MODE_DISCRETE,
     ProblemSpec,
@@ -27,6 +26,10 @@ from .core import (
 )
 
 Policy = Callable[[int, int, int], int]
+
+# solve_discrete holds (e + 1)^2-cell arrays per stage: refuse endowments
+# above 4,000 (about 128 MB per float array) before allocating any.
+_MAX_LATTICE_CELLS = 4_001**2
 
 
 class Layer(dict):
@@ -112,11 +115,6 @@ def _settled_test(spec: ProblemSpec) -> Callable[[int, int], bool]:
     return settled
 
 
-def is_settled(held: Union[int, Iterable[int]], t: int, spec: ProblemSpec) -> bool:
-    """True when no still-completable bundle beats the current bundle value."""
-    return _settled_test(spec)(t, holdings_mask(held))
-
-
 def sweep(n: int, grow, backup, leaf) -> list[dict]:
     """Results for the components reachable from (0, 0), last stage first.
 
@@ -147,30 +145,6 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
     return results
 
 
-def backup_state_discrete(
-    held: Union[int, Iterable[int]],
-    d: int,
-    t: int,
-    next_values: Mapping[int, np.ndarray],
-    dist: BidDistribution,
-) -> tuple[float, int]:
-    """One-state optimal backup: value and the smallest maximizing bid.
-
-    next_values maps stage-(t+1) holdings masks to value vectors over
-    endowments.  Bids z run over 0..d; winning costs z and adds resource
-    t + 1, losing keeps the state.
-    """
-    mask = holdings_mask(held)
-    if d < 0:
-        raise ValueError("endowment must be nonnegative")
-    win_next = np.asarray(next_values[mask | (1 << t)], dtype=float)
-    lose_next = np.asarray(next_values[mask], dtype=float)
-    w = np.array([dist.win_probability(z) for z in range(d + 1)])
-    q = w * win_next[d::-1] + (1.0 - w) * lose_next[d]
-    z = int(np.argmax(q))
-    return float(q[z]), z
-
-
 def _lattice(spec: ProblemSpec, caller: str):
     """Endowment e, closed-form value by mask, and win probabilities per stage."""
     ensure_valid(spec)
@@ -179,14 +153,16 @@ def _lattice(spec: ProblemSpec, caller: str):
     e = int(round(spec.endowment))
     table = BundleValueTable(spec.bundles)
     f_vals = spec.residual.values(np.arange(e + 1, dtype=float))
-    ws = [np.array([dist.win_probability(z) for z in range(e + 1)])
-          for dist in spec.distributions]
+    ws = [dist.win_probability_vec(np.arange(e + 1)) for dist in spec.distributions]
     return e, lambda mask: table.value(mask) + f_vals, ws
 
 
 def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
     """Optimal values and bids for every state of a discrete spec."""
     e, closed_form, ws = _lattice(spec, "solve_discrete")
+    if (e + 1) ** 2 > _MAX_LATTICE_CELLS:
+        raise ValueError(f"endowment: {e} needs (e + 1)^2 = {(e + 1) ** 2:,} cells per lattice "
+                         f"array, above the exact solver's limit of {_MAX_LATTICE_CELLS:,}")
     n = spec.n
     no_bids = np.zeros(e + 1, dtype=np.int64)
     no_bids.flags.writeable = False

@@ -11,6 +11,7 @@ inserting the midpoints of its two flanking intervals.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,7 +75,8 @@ class PwlFunction:
         lo, hi = self.xs[0], self.xs[-1]
         if d < lo - _DOMAIN_SLACK or d > hi + _DOMAIN_SLACK:
             raise ValueError(f"point {d!r} outside domain [{lo}, {hi}]")
-        return float(np.interp(d, self._ax, self._ay))
+        v = float(np.interp(d, self._ax, self._ay))
+        return v if math.isfinite(v) else float(self._steep(np.array([d], dtype=float))[0])
 
     def values(self, ds: np.ndarray) -> np.ndarray:
         """Vectorized evaluation with the same domain rules as __call__."""
@@ -82,21 +84,15 @@ class PwlFunction:
         lo, hi = self.xs[0], self.xs[-1]
         if ds.size and (ds.min() < lo - _DOMAIN_SLACK or ds.max() > hi + _DOMAIN_SLACK):
             raise ValueError(f"points outside domain [{lo}, {hi}]")
-        return np.interp(ds, self._ax, self._ay)
+        out = np.interp(ds, self._ax, self._ay)
+        return out if np.isfinite(out).all() else np.where(np.isfinite(out), out, self._steep(ds))
 
-    def insert_knot(self, d: float, v: float) -> "PwlFunction":
-        """New function with one extra knot; d must not already be a knot."""
-        d, v = float(d), float(v)
-        lo, hi = self.xs[0], self.xs[-1]
-        if d < lo or d > hi:
-            raise ValueError(f"knot {d!r} outside domain [{lo}, {hi}]")
-        if d in self.xs:
-            raise ValueError(f"duplicate knot abscissa {d!r}")
-        i = bisect_left(self.xs, d)
-        return PwlFunction(
-            self.xs[:i] + (d,) + self.xs[i:],
-            self.ys[:i] + (v,) + self.ys[i:],
-        )
+    def _steep(self, ds: np.ndarray) -> np.ndarray:
+        """Interpolation that stays finite where np.interp's slope, rise / gap,
+        overflows because two knots are closer than rise / float max."""
+        ax, ay = self._ax, self._ay
+        k = np.clip(np.searchsorted(ax, ds, side="right") - 1, 0, len(ax) - 2)
+        return ay[k] + (ds - ax[k]) / (ax[k + 1] - ax[k]) * (ay[k + 1] - ay[k])
 
     def shift(self, dy: float) -> "PwlFunction":
         """Add a constant to every knot value."""

@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import (HybridValueFunction, MaximizerConfig, _layout_groups, _maximize_batch,
-                         greedy_bid)
+from .continuous import HybridValueFunction, MaximizerConfig, _layout_groups, _maximize_batch
 from .core import (
     ProblemSpec,
     ensure_valid,
@@ -25,17 +24,11 @@ from .core import (
 )
 from .discrete import DiscreteSolution
 
-Bidder = Callable[[int, frozenset, float], float]
+Bidder = Callable[[int, int, float], float]
 
 
-def relative_sq_error(estimate: float, target: float) -> float:
-    """Squared relative error, unnormalized when the target is below 1."""
-    if target >= 1.0:
-        return ((estimate - target) / target) ** 2
-    return (estimate - target) ** 2
-
-
-def _relative_sq_error_vec(estimate: np.ndarray, target: np.ndarray) -> np.ndarray:
+def relative_sq_error(estimate: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Elementwise squared relative error, unnormalized where the target is below 1."""
     diff = estimate - target
     return np.where(target >= 1.0, (diff / np.where(target >= 1.0, target, 1.0)) ** 2,
                     diff * diff)
@@ -56,8 +49,8 @@ class RoundTrace:
 def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> RoundTrace:
     """Run the n auctions once, sampling one high bid per auction.
 
-    bidder(t, holdings, endowment) must return a bid in [0, endowment].  A bid
-    wins only by strictly exceeding the sampled high bid.
+    bidder(t, holdings_mask, endowment) must return a bid in [0, endowment].
+    A bid wins only by strictly exceeding the sampled high bid.
     """
     ensure_valid(spec)
     rng = np.random.default_rng(seed)
@@ -66,7 +59,7 @@ def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> RoundTrace:
     high_bids, bids, won, endowments = [], [], [], []
     for t in range(spec.n):
         w = float(spec.distributions[t].sample(rng))
-        z = float(bidder(t, mask_holdings(held), d))
+        z = float(bidder(t, held, d))
         if z < 0 or z > d + 1e-9:
             raise ValueError(f"bidder returned infeasible bid {z!r} at stage {t}")
         win = z > w
@@ -122,7 +115,7 @@ def estimate_policy_value(
 
 
 def constant_bid_policy(z: float) -> Bidder:
-    def bidder(t, held, d):
+    def bidder(t, mask, d):
         return min(z, d)
 
     return bidder
@@ -132,8 +125,8 @@ def table_policy(solution: DiscreteSolution) -> Bidder:
     """Bidder backed by a discrete solution's bid tables (integer endowments)."""
     bid = solution.bid
 
-    def bidder(t, held, d):
-        return bid(t, held, int(round(d)))
+    def bidder(t, mask, d):
+        return bid(t, mask, int(round(d)))
 
     return bidder
 
@@ -142,8 +135,13 @@ def greedy_policy(
     v: HybridValueFunction, spec: ProblemSpec, cfg: MaximizerConfig = MaximizerConfig()
 ) -> Bidder:
     """Bidder that maximizes the one-step objective against stored curves."""
-    def bidder(t, held, d):
-        return greedy_bid(v, held, d, t, spec.distributions[t], cfg)
+    def bidder(t, mask, d):
+        if not 0.0 <= d <= v.m + 1e-9:
+            raise ValueError(f"endowment {d!r} outside [0, {v.m}]")
+        nxt = v.components[t + 1]
+        zs, _ = _maximize_batch(nxt[mask | 1 << t], nxt[mask], spec.distributions[t],
+                                np.array([d]), cfg)
+        return float(zs[0])
 
     return bidder
 
@@ -207,9 +205,9 @@ def compare_solutions(
         for idx, win, lose in _layout_groups([(nxt[m | 1 << t], nxt[m]) for m in masks]):
             ds = np.broadcast_to(lattice, (len(idx), e + 1))
             greedy.update(zip(idx, _maximize_batch(win, lose, dist, ds, cfg)[0]))
-        stage_value = [_relative_sq_error_vec(approx.components[t][m].values(lattice),
-                                              exact.stage_values[t][m]) for m in masks]
-        stage_policy = [_relative_sq_error_vec(greedy[i], exact.stage_bids[t][m].astype(float))
+        stage_value = [relative_sq_error(approx.components[t][m].values(lattice),
+                                         exact.stage_values[t][m]) for m in masks]
+        stage_policy = [relative_sq_error(greedy[i], exact.stage_bids[t][m].astype(float))
                         for i, m in enumerate(masks)]
         if not stage_value:
             per_stage.append(StageErrors(t, 0.0, 0.0, 0.0, 0.0, 0))

@@ -15,10 +15,11 @@ import pytest
 
 from oracles import expectimax, random_micro_instance, random_small_instance
 from seqbid.continuous import (
+    MaximizerConfig,
     UniformFixed,
     Vg1,
+    _maximize_batch,
     error_bound,
-    maximize_bid_many,
     solve_grid,
 )
 from seqbid.core import ensure_valid, to_discrete
@@ -112,12 +113,10 @@ def test_criterion_3_one_stage_interpolation_bound(small_bank):
                 if (t, mask) in sol.settled:
                     continue
                 comp = sol.values.component(t, mask)
-                nxt = {
-                    mask: sol.values.component(t + 1, mask),
-                    mask | (1 << t): sol.values.component(t + 1, mask | (1 << t)),
-                }
-                _, exact = maximize_bid_many(
-                    mask, lattice, t, nxt, spec.distributions[t]
+                _, exact = _maximize_batch(
+                    sol.values.component(t + 1, mask | (1 << t)),
+                    sol.values.component(t + 1, mask),
+                    spec.distributions[t], lattice, MaximizerConfig(),
                 )
                 gap = float(np.max(np.abs(comp.values(lattice) - exact)))
                 delta, _ = comp.max_consecutive_delta()
@@ -187,12 +186,10 @@ def test_criterion_5_policy_loss_bound(scale_bank):
                         )
                     ),
                 )
-                nxt = {
-                    mask: sol.values.component(t + 1, mask),
-                    mask | (1 << t): sol.values.component(t + 1, mask | (1 << t)),
-                }
-                zs, _ = maximize_bid_many(
-                    mask, lattice, t, nxt, spec.distributions[t]
+                zs, _ = _maximize_batch(
+                    sol.values.component(t + 1, mask | (1 << t)),
+                    sol.values.component(t + 1, mask),
+                    spec.distributions[t], lattice, MaximizerConfig(),
                 )
                 bid_table[t, mask] = np.clip(np.rint(zs), 0, lattice).astype(int)
 

@@ -23,10 +23,6 @@ from seqbid.continuous import (
     _layout_groups,
     _maximize_batch,
     error_bound,
-    greedy_bid,
-    maximize_bid,
-    maximize_bid_many,
-    q_value,
     solve_grid,
 )
 from seqbid.core import Bundle, ProblemSpec, TruncatedGaussian, ensure_valid, to_discrete
@@ -59,54 +55,47 @@ def knot_backup_gap(spec: ProblemSpec, sol) -> float:
     return worst
 
 
-class TestQValue:
-    def test_c1_boundary_bid(self, c1):
-        sol = solve_grid(c1, UniformFixed(3))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
-        q = q_value(0, 2.0, 2.0, 0, nxt, c1.distributions[0])
-        assert q == pytest.approx(9.80, abs=5e-3)
-
-    def test_zero_bid_is_the_losing_value(self, c1):
-        sol = solve_grid(c1, UniformFixed(3))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
-        assert q_value(0, 2.0, 0.0, 0, nxt, c1.distributions[0]) == nxt[0](2.0)
+def c1_pair(c1, g: int):
+    """Stage-1 (win, lose) curves of c1's grid solve at g knots."""
+    sol = solve_grid(c1, UniformFixed(g))
+    return sol.values.component(1, 1), sol.values.component(1, 0)
 
 
 class TestMaximizeBid:
     def test_c1_maximum_is_the_full_endowment(self, c1):
-        sol = solve_grid(c1, UniformFixed(3))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
-        z, q = maximize_bid(0, 2.0, 0, nxt, c1.distributions[0])
-        assert z == pytest.approx(2.0, abs=1e-6)
-        assert q == pytest.approx(9.80, abs=5e-3)
+        win, lose = c1_pair(c1, 3)
+        zs, qs = _maximize_batch(win, lose, c1.distributions[0], np.array([2.0]),
+                                 MaximizerConfig())
+        assert zs[0] == pytest.approx(2.0, abs=1e-6)
+        assert qs[0] == pytest.approx(9.80, abs=5e-3)
 
     def test_settled_holdings_bid_zero(self, c1):
         curve = PwlFunction.linear(0.7, 0.0, 2.0).shift(10.0)
-        z, q = maximize_bid(1, 1.5, 0, {1: curve}, c1.distributions[0])
-        assert z == 0.0
-        assert q == curve(1.5)
+        zs, qs = _maximize_batch(curve, curve, c1.distributions[0], np.array([1.5]),
+                                 MaximizerConfig())
+        assert zs[0] == 0.0
+        assert qs[0] == curve(1.5)
 
     def test_zero_endowment_bids_zero(self, c1):
-        sol = solve_grid(c1, UniformFixed(3))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
-        z, q = maximize_bid(0, 0.0, 0, nxt, c1.distributions[0])
-        assert z == 0.0
-        assert q == nxt[0](0.0)
+        win, lose = c1_pair(c1, 3)
+        zs, qs = _maximize_batch(win, lose, c1.distributions[0], np.array([0.0]),
+                                 MaximizerConfig())
+        assert zs[0] == 0.0
+        assert qs[0] == lose(0.0)
 
     def test_batch_matches_scalar(self, c1):
-        sol = solve_grid(c1, UniformFixed(3))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
+        win, lose = c1_pair(c1, 3)
+        dist, cfg = c1.distributions[0], MaximizerConfig()
         ds = np.linspace(0.0, 2.0, 9)
-        zs, qs = maximize_bid_many(0, ds, 0, nxt, c1.distributions[0])
+        zs, qs = _maximize_batch(win, lose, dist, ds, cfg)
         for i, d in enumerate(ds):
-            z, q = maximize_bid(0, float(d), 0, nxt, c1.distributions[0])
-            assert zs[i] == z and qs[i] == q
+            z, q = _maximize_batch(win, lose, dist, np.array([d]), cfg)
+            assert zs[i] == z[0] and qs[i] == q[0]
 
     def test_never_exceeds_endowment(self, c1):
-        sol = solve_grid(c1, UniformFixed(5))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
+        win, lose = c1_pair(c1, 5)
         ds = np.linspace(0.0, 2.0, 21)
-        zs, _ = maximize_bid_many(0, ds, 0, nxt, c1.distributions[0])
+        zs, _ = _maximize_batch(win, lose, c1.distributions[0], ds, MaximizerConfig())
         assert np.all(zs >= 0.0) and np.all(zs <= ds + 1e-12)
 
 
@@ -206,13 +195,11 @@ class TestOneStageInterpolationError:
                     if (t, mask) in sol.settled:
                         continue
                     comp = sol.values.component(t, mask)
-                    nxt = {
-                        mask: sol.values.component(t + 1, mask),
-                        mask | (1 << t): sol.values.component(t + 1, mask | (1 << t)),
-                    }
                     lattice = np.linspace(0.0, spec.endowment, 201)
-                    _, exact = maximize_bid_many(
-                        mask, lattice, t, nxt, spec.distributions[t]
+                    _, exact = _maximize_batch(
+                        sol.values.component(t + 1, mask | (1 << t)),
+                        sol.values.component(t + 1, mask),
+                        spec.distributions[t], lattice, MaximizerConfig(),
                     )
                     gap = np.max(np.abs(comp.values(lattice) - exact))
                     delta, _ = comp.max_consecutive_delta()
@@ -301,9 +288,9 @@ class TestHybridValueFunction:
 
     def test_greedy_bid_matches_maximizer(self, c1):
         sol = solve_grid(c1, UniformFixed(5))
-        nxt = {0: sol.values.component(1, 0), 1: sol.values.component(1, 1)}
-        z, _ = maximize_bid(0, 2.0, 0, nxt, c1.distributions[0])
-        assert greedy_bid(sol.values, 0, 2.0, 0, c1.distributions[0]) == z
+        zs, _ = _maximize_batch(sol.values.component(1, 1), sol.values.component(1, 0),
+                                c1.distributions[0], np.array([2.0]), MaximizerConfig())
+        assert simulate.greedy_policy(sol.values, c1)(0, 0, 2.0) == zs[0]
 
 
 class TestGridSolutionIo:

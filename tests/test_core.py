@@ -19,7 +19,6 @@ from seqbid.core import (
     MODE_DISCRETE,
     ProblemSpec,
     TruncatedGaussian,
-    bundle_value,
     discretize_distribution,
     ensure_valid,
     holdings_mask,
@@ -28,7 +27,6 @@ from seqbid.core import (
     to_discrete,
     useful_resources,
     validate_problem,
-    win_probability,
 )
 from seqbid.io import spec_from_dict, spec_to_dict
 from seqbid.pwl import PwlFunction
@@ -72,22 +70,28 @@ class TestUsefulResources:
 class TestBundleValue:
     BUNDLES = (Bundle(frozenset({1, 2}), 15.0), Bundle(frozenset({3}), 8.0))
 
+    def value(self, held) -> float:
+        return BundleValueTable(self.BUNDLES).value(holdings_mask(held))
+
     def test_max_of_contained(self):
-        assert bundle_value({1, 2, 3}, self.BUNDLES) == 15.0
+        assert self.value({1, 2, 3}) == 15.0
 
     def test_empty_holdings(self):
-        assert bundle_value(frozenset(), self.BUNDLES) == 0.0
+        assert self.value(frozenset()) == 0.0
 
     def test_only_second_contained(self):
-        assert bundle_value({3}, self.BUNDLES) == 8.0
+        assert self.value({3}) == 8.0
 
     def test_partial_bundle_is_worthless(self):
-        assert bundle_value({1}, self.BUNDLES) == 0.0
+        assert self.value({1}) == 0.0
 
-    @given(st.integers(0, 15))
-    def test_table_matches_direct(self, mask):
-        table = BundleValueTable(self.BUNDLES)
-        assert table.value(mask) == bundle_value(mask, self.BUNDLES)
+    def test_table_matches_direct(self):
+        bundles = self.BUNDLES + (Bundle(frozenset({2, 3, 4}), 20.0), Bundle(frozenset({4}), 1.0))
+        table = BundleValueTable(bundles)
+        for mask in range(16):
+            held = {i + 1 for i in range(4) if mask >> i & 1}
+            brute = max([b.value for b in bundles if b.members <= held], default=0.0)
+            assert table.value(mask) == brute
 
 
 class TestTerminalValue:
@@ -139,7 +143,10 @@ class TestDiscreteMultinomial:
         d = DiscreteMultinomial((0.2, 0.3, 0.5))
         zs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
         expect = [d.win_probability(z) for z in zs]
-        assert np.allclose(d.win_probability_vec(zs), expect)
+        assert np.array_equal(d.win_probability_vec(zs), expect)
+        # the integer lattice the exact solver reads
+        ks = np.arange(5)
+        assert np.array_equal(d.win_probability_vec(ks), [d.win_probability(k) for k in ks])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -216,14 +223,14 @@ class TestDiscretization:
         g = TruncatedGaussian(4.0, 1.0)
         d = discretize_distribution(g)
         # interior cell k collects the truncated mass of (k - 1/2, k + 1/2]
-        for k in range(1, d.w_max):
+        for k in range(1, len(d.probs) - 1):
             expect = g.win_probability(k + 0.5) - g.win_probability(k - 0.5)
             assert d.probs[k] == pytest.approx(expect, abs=1e-12)
 
     def test_tail_cells_absorb_the_rest(self):
         g = TruncatedGaussian(4.0, 1.0)
         d = discretize_distribution(g)
-        assert d.w_max == 8  # ceil(mean + 4 std)
+        assert len(d.probs) == 9  # levels 0..ceil(mean + 4 std)
         assert d.probs[0] == pytest.approx(g.win_probability(0.5), abs=1e-12)
         assert sum(d.probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -234,7 +241,7 @@ class TestDiscretization:
 
     def test_explicit_w_max(self):
         d = discretize_distribution(TruncatedGaussian(3.0, 1.0), w_max=9)
-        assert d.w_max == 9
+        assert len(d.probs) == 10
         assert sum(d.probs) == pytest.approx(1.0)
 
     def test_w_max_below_support_rejected(self):
@@ -366,10 +373,3 @@ class TestValidation:
             Bundle(frozenset({1}), 0.0)
         with pytest.raises(ValueError):
             Bundle(frozenset({1}), -2.0)
-
-
-class TestWinProbabilityHelper:
-    def test_dispatches_to_either_kind(self):
-        assert win_probability(DiscreteMultinomial((0.5, 0.5)), 1.0) == 0.5
-        g = TruncatedGaussian(1.0, 0.5)
-        assert win_probability(g, 1.0) == g.win_probability(1.0)

@@ -13,12 +13,8 @@ from seqbid.core import (
     ProblemSpec,
     ensure_valid,
 )
-from seqbid.discrete import (
-    backup_state_discrete,
-    evaluate_policy_exact,
-    is_settled,
-    solve_discrete,
-)
+from seqbid import discrete
+from seqbid.discrete import _settled_test, evaluate_policy_exact, solve_discrete
 from seqbid.io import read_discrete_solution, write_discrete_solution
 from seqbid.pwl import PwlFunction
 
@@ -64,13 +60,6 @@ class TestT1:
         assert q0 == pytest.approx(1.4)
         assert q1 == pytest.approx(6.05)
 
-    def test_scalar_backup_agrees(self, t1):
-        sol = solve_discrete(t1)
-        value, bid = backup_state_discrete(0, 2, 0, sol.stage_values[1],
-                                           t1.distributions[0])
-        assert value == pytest.approx(10.0, abs=1e-12)
-        assert bid == 2
-
     def test_zero_endowment_is_the_losing_branch(self, t1):
         sol = solve_discrete(t1)
         assert sol.value(0, 0, 0) == pytest.approx(0.0)
@@ -99,15 +88,24 @@ class TestT2:
     def test_state_count(self, t2):
         assert solve_discrete(t2).state_count == 12
 
+    def test_oversized_lattice_refused(self, t2, monkeypatch):
+        assert 4_001**2 <= discrete._MAX_LATTICE_CELLS < 20_001**2
+        # (e + 1)^2 = 16 cells at endowment 3: refuse one cell below that.
+        monkeypatch.setattr(discrete, "_MAX_LATTICE_CELLS", 15)
+        with pytest.raises(ValueError, match=r"^endowment: 3 "):
+            solve_discrete(t2)
+        monkeypatch.setattr(discrete, "_MAX_LATTICE_CELLS", 16)
+        assert solve_discrete(t2).value(0, 0, 3) == pytest.approx(7.35, abs=1e-12)
+
 
 class TestSettled:
     def test_terminal_stage_is_always_settled(self, t2):
-        assert is_settled(0, 2, t2)
-        assert is_settled({1, 2}, 2, t2)
+        assert _settled_test(t2)(2, 0)
+        assert _settled_test(t2)(2, 0b11)
 
     def test_open_bundle_keeps_state_live(self, t2):
-        assert not is_settled(0, 1, t2)
-        assert not is_settled(0, 0, t2)
+        assert not _settled_test(t2)(1, 0)
+        assert not _settled_test(t2)(0, 0)
 
     def test_missed_resource_settles(self):
         spec = ProblemSpec(
@@ -118,8 +116,8 @@ class TestSettled:
             distributions=(DiscreteMultinomial((0.5, 0.5)),) * 2,
             mode=MODE_DISCRETE,
         )
-        assert is_settled(0, 1, spec)  # resource 1 lost, pair unreachable
-        assert not is_settled({1}, 1, spec)
+        assert _settled_test(spec)(1, 0)  # resource 1 lost, pair unreachable
+        assert not _settled_test(spec)(1, 0b1)
 
     def test_settled_states_use_closed_form_and_zero_bid(self):
         spec = ProblemSpec(

@@ -60,6 +60,16 @@ class TestEvaluation:
             assert f(x) == y
         assert np.array_equal(f.values(np.array(f.xs)), np.array(f.ys))
 
+    def test_knots_too_close_for_a_float_slope(self):
+        # rise / gap overflows to inf here; values must still lie on the segment
+        f = PwlFunction((0.0, 2.2250738585e-313, 1.0), (0.0, 1.0, 2.0))
+        xs = np.linspace(0.0, 2.2250738585e-313, 9)
+        vals = f.values(xs)
+        assert np.all(np.isfinite(vals)) and vals[0] == 0.0 and vals[-1] == 1.0
+        assert np.all(np.diff(vals) >= 0.0) and vals[4] == pytest.approx(0.5, abs=1e-9)
+        assert [f(float(x)) for x in xs] == list(vals)
+        assert f(0.5) == 1.5
+
     def test_no_extrapolation(self):
         f = PwlFunction.linear(0.7, 0.0, 2.0)
         with pytest.raises(ValueError):
@@ -87,19 +97,6 @@ class TestEvaluation:
 
 
 class TestKnotEdits:
-    def test_insert_interior(self):
-        f = PwlFunction.from_knots([(0.0, 0.0), (8.0, 12.0)])
-        g = f.insert_knot(4.0, 8.0)
-        assert g.knots == ((0.0, 0.0), (4.0, 8.0), (8.0, 12.0))
-        assert f.knots == ((0.0, 0.0), (8.0, 12.0))
-
-    def test_insert_rejects_duplicate_and_outside(self):
-        f = PwlFunction.from_knots([(0.0, 0.0), (8.0, 12.0)])
-        with pytest.raises(ValueError):
-            f.insert_knot(0.0, 1.0)
-        with pytest.raises(ValueError):
-            f.insert_knot(9.0, 1.0)
-
     def test_shift(self):
         f = PwlFunction.linear(0.7, 0.0, 2.0).shift(10.0)
         assert f.ys == (10.0, 11.4)
@@ -222,18 +219,6 @@ def test_eval_between_knot_values(f: PwlFunction):
 def test_scalar_matches_vector_eval(f: PwlFunction, frac: float):
     x = f.xs[0] + frac * (f.xs[-1] - f.xs[0])
     assert f(x) == pytest.approx(float(f.values(np.array([x]))[0]), abs=1e-12)
-
-
-@given(monotone_pwl(), st.floats(0.01, 0.99))
-@settings(max_examples=120, deadline=None)
-def test_insert_knot_preserves_other_values(f: PwlFunction, frac: float):
-    x = f.xs[0] + frac * (f.xs[-1] - f.xs[0])
-    if x in f.xs:
-        return
-    g = f.insert_knot(x, f(x))
-    assert len(g.xs) == len(f.xs) + 1
-    grid = np.linspace(f.xs[0], f.xs[-1], 23)
-    assert np.allclose(g.values(grid), f.values(grid), atol=1e-9)
 
 
 @given(monotone_pwl())

@@ -83,9 +83,22 @@ class TestSimulateRound:
                 terminal_value(tr.final_holdings, tr.endowments[-1], t2)
             )
 
+    def test_bidders_get_the_holdings_mask(self, t2):
+        seen = []
+
+        def bidder(t, mask, d):
+            seen.append(mask)
+            return min(2.0, d)
+
+        for seed in range(8):
+            seen.clear()
+            tr = simulate_round(t2, bidder, seed)
+            assert all(type(mask) is int for mask in seen)
+            assert seen == [sum(1 << i for i in range(t) if tr.won[i]) for t in range(t2.n)]
+
     def test_infeasible_bid_rejected(self, t1):
         with pytest.raises(ValueError):
-            simulate_round(t1, lambda t, held, d: d + 1.0, 0)
+            simulate_round(t1, lambda t, mask, d: d + 1.0, 0)
 
 
 class TestCollectRounds:
@@ -142,6 +155,13 @@ class TestGreedyPolicy:
         for tr in a:
             assert 0.0 <= tr.bids[0] <= c1.endowment
             assert 0.0 <= tr.utility <= 11.4 + 1e-9
+
+    def test_rejects_endowment_outside_domain(self, c1):
+        bidder = greedy_policy(solve_grid(c1, UniformFixed(5)).values, c1)
+        assert 0.0 <= bidder(0, 0, 2.0) <= 2.0
+        for d in (-0.5, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="endowment"):
+                bidder(0, 0, d)
 
     def test_beats_walking_away(self, c1):
         sol = solve_grid(c1, UniformFixed(9))
