@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +14,7 @@ from .core import MODE_CONTINUOUS, holdings_mask, to_discrete
 from .discrete import solve_discrete
 from .experiment import ExperimentConfig, config_from_dict, run_experiment_suite
 from .io import (
+    _write_csv,
     load_spec,
     read_discrete_solution,
     read_grid_solution,
@@ -44,22 +45,25 @@ def parse_grid_strategy(text: str):
     )
 
 
-def _load_spec_or_exit(path: str):
+@contextmanager
+def _bad_input_exits():
+    """Turn unreadable or invalid input into `error: ...` on stderr and exit status 2."""
     try:
-        return load_spec(path)
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+        yield
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_spec_or_exit(args.spec)
+    with _bad_input_exits():
+        spec = load_spec(args.spec)
+        if args.mode == "discrete" and spec.mode == MODE_CONTINUOUS:
+            spec = to_discrete(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = MaximizerConfig(args.samples_per_segment, args.refine_tolerance)
     if args.mode == "discrete":
-        if spec.mode == MODE_CONTINUOUS:
-            spec = to_discrete(spec)
         sol = solve_discrete(spec)
         write_discrete_solution(sol, out / "solution.csv")
         start = sol.value(0, 0, sol.endowment)
@@ -80,33 +84,30 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_spec_or_exit(args.spec)
-    with open(args.policy) as fh:
-        header = fh.readline().strip().split(",")
-    if "settled" in header:
-        if spec.mode == MODE_CONTINUOUS:
-            spec = to_discrete(spec)
-        bidder = table_policy(read_discrete_solution(args.policy))
-    else:
-        if spec.mode != MODE_CONTINUOUS:
+    with _bad_input_exits():
+        spec = load_spec(args.spec)
+        with open(args.policy) as fh:
+            header = fh.readline().strip().split(",")
+        if "settled" in header:
+            if spec.mode == MODE_CONTINUOUS:
+                spec = to_discrete(spec)
+            bidder = table_policy(read_discrete_solution(args.policy, spec))
+        elif spec.mode != MODE_CONTINUOUS:
             print("error: grid solutions simulate against continuous-mode specs",
                   file=sys.stderr)
             return 2
-        values, _ = read_grid_solution(args.policy)
-        bidder = greedy_policy(values, spec)
+        else:
+            bidder = greedy_policy(read_grid_solution(args.policy, spec).values, spec)
     traces = collect_rounds(spec, bidder, args.rounds, args.seed)
     mean, stderr = summarize_utilities([tr.utility for tr in traces])
     print(f"rounds {args.rounds}  mean utility {mean:.6f}  stderr {stderr:.6f}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "rounds.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["round", "utility", "final_endowment",
-                        "holdings_mask", "auctions_won"])
-            for r, tr in enumerate(traces):
-                w.writerow([r, tr.utility, tr.endowments[-1], holdings_mask(tr.final_holdings),
-                            sum(tr.won)])
+        _write_csv(out / "rounds.csv",
+                   ["round", "utility", "final_endowment", "holdings_mask", "auctions_won"],
+                   ([r, tr.utility, tr.endowments[-1], holdings_mask(tr.final_holdings),
+                     sum(tr.won)] for r, tr in enumerate(traces)))
     return 0
 
 
@@ -149,8 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default=parse_grid_strategy("fixed:15"),
                        help="fixed:<g> | vg1:<k>,<t> | vg2:<k>,<t> (grid mode)")
     solve.add_argument("--out", required=True, help="output directory")
-    solve.add_argument("--samples-per-segment", type=int, default=32)
-    solve.add_argument("--refine-tolerance", type=float, default=1e-4)
+    defaults = MaximizerConfig()
+    solve.add_argument("--samples-per-segment", type=int,
+                       default=defaults.samples_per_segment)
+    solve.add_argument("--refine-tolerance", type=float, default=defaults.refine_tolerance)
     solve.set_defaults(func=_cmd_solve)
 
     sim = sub.add_parser("simulate", help="Monte Carlo evaluation of a policy")

@@ -309,6 +309,31 @@ def _monotone(ys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(ys)
 
 
+def _closed_form(spec: ProblemSpec, caller: str):
+    """Settled component by mask: the residual curve shifted by the bundle value."""
+    ensure_valid(spec)
+    if spec.mode != MODE_CONTINUOUS:
+        raise ValueError(f"{caller} needs a continuous-mode spec")
+    table = BundleValueTable(spec.bundles)
+    return lambda mask: spec.residual.shift(table.value(mask))
+
+
+def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
+                   knot_bids: dict[tuple[int, int], np.ndarray]) -> GridSolution:
+    """The GridSolution that stores `layers`; knot_bids keys its unsettled components."""
+    deltas = [0.0] * spec.n + [spec.residual.max_consecutive_delta()[0]]
+    for t, mask in knot_bids:
+        deltas[t] = max(deltas[t], layers[t][mask].max_consecutive_delta()[0])
+    return GridSolution(
+        HybridValueFunction([Layer(layer, 1 << t, closed_form)
+                             for t, layer in enumerate(layers)], float(spec.endowment)),
+        DeltaLedger(deltas),
+        sum(len(zs) for zs in knot_bids.values()),
+        knot_bids,
+        Settled(spec.n, knot_bids),
+    )
+
+
 def solve_grid(
     spec: ProblemSpec,
     strategy: GridStrategy,
@@ -323,25 +348,14 @@ def solve_grid(
     set chosen by the strategy.  UniformFixed backs a stage up in one maximizer
     call per (win, lose) knot layout; Vg1 and Vg2 evaluate one knot per call.
     """
-    ensure_valid(spec)
-    if spec.mode != MODE_CONTINUOUS:
-        raise ValueError("solve_grid needs a continuous-mode spec")
-    n = spec.n
+    closed_form = _closed_form(spec, "solve_grid")
     m = float(spec.endowment)
-    table = BundleValueTable(spec.bundles)
     settled = _settled_test(spec)
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
-    deltas = [0.0] * n + [spec.residual.max_consecutive_delta()[0]]
-
-    def closed_form(mask):
-        return spec.residual.shift(table.value(mask))
 
     def component(t, mask, xs, zs, qs):
         knot_bids[(t, mask)] = zs
-        comp = PwlFunction(tuple(float(x) for x in xs),
-                           tuple(float(y) for y in _monotone(qs)))
-        deltas[t] = max(deltas[t], comp.max_consecutive_delta()[0])
-        return comp
+        return PwlFunction(tuple(float(x) for x in xs), tuple(float(y) for y in _monotone(qs)))
 
     def backup(t, jobs):
         dist = spec.distributions[t]
@@ -366,13 +380,6 @@ def solve_grid(
             out.append(component(t, mask, curve.xs, zs, np.asarray(curve.ys)))
         return out
 
-    layers = sweep(n, lambda t, mask: None if settled(t, mask) else True, backup, closed_form)
-    components = [Layer(layer, 1 << t, closed_form) for t, layer in enumerate(layers)]
-
-    return GridSolution(
-        HybridValueFunction(components, m),
-        DeltaLedger(deltas),
-        sum(len(zs) for zs in knot_bids.values()),
-        knot_bids,
-        Settled(n, knot_bids),
-    )
+    layers = sweep(spec.n, lambda t, mask: None if settled(t, mask) else True, backup,
+                   closed_form)
+    return _grid_solution(spec, closed_form, layers, knot_bids)

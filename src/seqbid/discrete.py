@@ -164,8 +164,6 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
         raise ValueError(f"endowment: {e} needs (e + 1)^2 = {(e + 1) ** 2:,} cells per lattice "
                          f"array, above the exact solver's limit of {_MAX_LATTICE_CELLS:,}")
     n = spec.n
-    no_bids = np.zeros(e + 1, dtype=np.int64)
-    no_bids.flags.writeable = False
     stage_bids: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
 
     # Lower-triangular index helpers shared by every state: IDX[d, z] = d - z
@@ -185,10 +183,19 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
     settled = _settled_test(spec)
     values = sweep(n, lambda t, mask: None if settled(t, mask) else True,
                    lambda t, jobs: [backup(t, *job) for job in jobs], closed_form)
-    unsettled = [(t, mask) for t, layer in enumerate(stage_bids) for mask in layer]
+    return _solution(n, e, closed_form, values, stage_bids)
+
+
+def _solution(n: int, e: int, closed_form: Callable, values: list[dict],
+              bids: list[dict]) -> DiscreteSolution:
+    """The DiscreteSolution that stores `values` and, for its unsettled components
+    only, `bids`; every other mask answers in closed form and bids 0."""
+    no_bids = np.zeros(e + 1, dtype=np.int64)
+    no_bids.flags.writeable = False
+    unsettled = [(t, mask) for t, layer in enumerate(bids) for mask in layer]
     return DiscreteSolution(
         n, e, [Layer(layer, 1 << t, closed_form) for t, layer in enumerate(values)],
-        [Layer(layer, 1 << t, lambda mask: no_bids) for t, layer in enumerate(stage_bids)],
+        [Layer(layer, 1 << t, lambda mask: no_bids) for t, layer in enumerate(bids)],
         Settled(n, unsettled), len(unsettled) * (e + 1))
 
 

@@ -14,7 +14,6 @@ reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field, fields, replace
@@ -41,6 +40,7 @@ from .core import (
 )
 from .discrete import DiscreteSolution, solve_discrete
 from .io import (
+    _write_csv,
     save_spec,
     write_delta_ledger,
     write_discrete_solution,
@@ -218,14 +218,8 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def _self_report(gold: DiscreteSolution) -> ErrorReport:
     """The gold standard compared against itself: zero everywhere."""
-    per_stage = []
-    for t in range(gold.n):
-        states = sum(
-            gold.endowment + 1
-            for mask in gold.stage_bids[t]
-            if (t, mask) not in gold.settled
-        )
-        per_stage.append(StageErrors(t, 0.0, 0.0, 0.0, 0.0, states))
+    per_stage = [StageErrors(t, 0.0, 0.0, 0.0, 0.0, len(bids) * (gold.endowment + 1))
+                 for t, bids in enumerate(gold.stage_bids)]
     return ErrorReport(per_stage, 0.0, 0.0, 0.0, 0.0, gold.state_count)
 
 
@@ -300,53 +294,33 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
             "mean_max_sq_policy_error": float(np.mean([r.max_policy_err for r in reports])),
         }
 
-    with open(out / "aggregate.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "states", "mean_sq_value_error", "mean_max_sq_value_error",
-                    "mean_sq_policy_error", "mean_max_sq_policy_error"])
-        for name in run_names:
-            if name in aggregate:
-                a = aggregate[name]
-                w.writerow([name, a["states"], a["mean_sq_value_error"],
-                            a["mean_max_sq_value_error"], a["mean_sq_policy_error"],
-                            a["mean_max_sq_policy_error"]])
+    _write_csv(out / "aggregate.csv",
+               ["run", "states", "mean_sq_value_error", "mean_max_sq_value_error",
+                "mean_sq_policy_error", "mean_max_sq_policy_error"],
+               ([name, *agg.values()] for name, agg in aggregate.items()))
 
-    with open(out / "per_stage_errors.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "stage", "mean_value_err", "max_value_err",
-                    "mean_policy_err", "max_policy_err", "experiments"])
-        for name in run_names:
-            by_stage: dict[int, list[StageErrors]] = {}
-            for report in report_acc[name]:
-                for s in report.per_stage:
-                    if s.states:
-                        by_stage.setdefault(s.stage, []).append(s)
-            for stage in sorted(by_stage):
-                rows = by_stage[stage]
-                w.writerow([
-                    name, stage,
-                    float(np.mean([r.mean_value_err for r in rows])),
-                    float(np.mean([r.max_value_err for r in rows])),
-                    float(np.mean([r.mean_policy_err for r in rows])),
-                    float(np.mean([r.max_policy_err for r in rows])),
-                    len(rows),
-                ])
+    errors = [f.name for f in fields(StageErrors)][1:-1]
+    rows = []
+    for name in run_names:
+        by_stage: dict[int, list[StageErrors]] = {}
+        for report in report_acc[name]:
+            for s in report.per_stage:
+                if s.states:
+                    by_stage.setdefault(s.stage, []).append(s)
+        for stage, reached in sorted(by_stage.items()):
+            rows.append([name, stage, *(float(np.mean([getattr(r, k) for r in reached]))
+                                        for k in errors), len(reached)])
+    _write_csv(out / "per_stage_errors.csv", ["run", "stage", *errors, "experiments"], rows)
 
-    with open(out / "bounds.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "stage", "mean_delta", "mean_cumulative_bound"])
-        for name in run_names:
-            ledgers = ledger_acc[name]
-            if not ledgers:
-                continue
-            max_n = max(led.n for led in ledgers)
-            for t in range(max_n + 1):
-                with_stage = [led for led in ledgers if led.n >= t]
-                w.writerow([
-                    name, t,
-                    float(np.mean([led.deltas[t] for led in with_stage])),
-                    float(np.mean([error_bound(led, t) for led in with_stage])),
-                ])
+    rows = []
+    for name in run_names:
+        ledgers = ledger_acc[name]
+        for t in range(max((led.n for led in ledgers), default=-1) + 1):
+            with_stage = [led for led in ledgers if led.n >= t]
+            rows.append([name, t,
+                         float(np.mean([led.deltas[t] for led in with_stage])),
+                         float(np.mean([error_bound(led, t) for led in with_stage]))])
+    _write_csv(out / "bounds.csv", ["run", "stage", "mean_delta", "mean_cumulative_bound"], rows)
 
     manifest = config_to_dict(config)
     manifest["experiments"] = manifest_experiments

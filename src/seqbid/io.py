@@ -19,22 +19,25 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import astuple, fields
+from itertools import repeat, zip_longest
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .continuous import DeltaLedger, GridSolution, HybridValueFunction, error_bound
+from .continuous import DeltaLedger, GridSolution, _closed_form, _grid_solution, error_bound
 from .core import (
+    _ENDOWMENT_SLACK,
     Bundle,
     DiscreteMultinomial,
     ProblemSpec,
     TruncatedGaussian,
     ensure_valid,
 )
-from .discrete import DiscreteSolution, Settled
+from .discrete import DiscreteSolution, _lattice, _settled_test, _solution
 from .pwl import PwlFunction
-from .simulate import ErrorReport
+from .simulate import ErrorReport, StageErrors
 
 PathLike = Union[str, Path]
 
@@ -112,114 +115,117 @@ def save_spec(spec: ProblemSpec, path: PathLike) -> None:
         fh.write("\n")
 
 
-def write_discrete_solution(
-    sol: DiscreteSolution, path: PathLike
-) -> None:
-    """Full state dump: one row per (stage, holdings mask, endowment).
-
-    Every mask below 2^t is written, settled ones from their closed form.
-    """
+def _write_csv(path: PathLike, header: list[str], rows: Iterable) -> None:
+    """A CSV file of one header row, then `rows`."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["stage", "holdings_mask", "endowment", "value", "bid", "settled"])
-        for t in range(sol.n + 1):
-            for mask in range(1 << t):
-                values = sol.stage_values[t][mask]
-                if t < sol.n:
-                    bids = sol.stage_bids[t][mask]
-                    flag = 1 if (t, mask) in sol.settled else 0
-                else:
-                    bids = np.zeros(sol.endowment + 1, dtype=np.int64)
-                    flag = 1
-                for d in range(sol.endowment + 1):
-                    out.writerow([t, mask, d, float(values[d]), int(bids[d]), flag])
+        out.writerow(header)
+        out.writerows(rows)
 
 
-def read_discrete_solution(path: PathLike) -> DiscreteSolution:
-    rows = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                (int(row["stage"]), int(row["holdings_mask"]), int(row["endowment"]),
-                 float(row["value"]), int(row["bid"]), int(row["settled"]))
-            )
-    if not rows:
-        raise ValueError(f"no solution rows in {path}")
-    n = max(r[0] for r in rows)
-    e = max(r[2] for r in rows)
-    stage_values: list[dict[int, np.ndarray]] = [dict() for _ in range(n + 1)]
-    stage_bids: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    unsettled: set[tuple[int, int]] = set()
-    for t, mask, d, value, bid, flag in rows:
-        stage_values[t].setdefault(mask, np.zeros(e + 1))[d] = value
-        if t < n:
-            stage_bids[t].setdefault(mask, np.zeros(e + 1, dtype=np.int64))[d] = bid
-            if not flag:
-                unsettled.add((t, mask))
-    return DiscreteSolution(n, e, stage_values, stage_bids, Settled(n, unsettled),
-                            len(unsettled) * (e + 1))
+_DISCRETE_HEADER = ["stage", "holdings_mask", "endowment", "value", "bid", "settled"]
+_GRID_HEADER = _DISCRETE_HEADER[:-1]
+
+
+def write_discrete_solution(sol: DiscreteSolution, path: PathLike) -> None:
+    """One row per (stage, holdings mask, endowment) of each stored component:
+    every unsettled one with its bids, and the settled and terminal ones the
+    sweep reached, flagged settled and bidding 0."""
+
+    def rows():
+        layers = zip_longest(sol.stage_values, sol.stage_bids, fillvalue={})
+        for t, (layer, stage_bids) in enumerate(layers):
+            for mask in sorted(layer):
+                bids = stage_bids.get(mask)
+                yield from zip(repeat(t), repeat(mask), range(sol.endowment + 1),
+                               layer[mask].tolist(), repeat(0) if bids is None else bids.tolist(),
+                               repeat(int(bids is None)))
+
+    _write_csv(path, _DISCRETE_HEADER, rows())
+
+
+def _components(path: PathLike, spec: ProblemSpec, header: list[str]) -> dict:
+    """A solution file's rows by (stage, mask) component, each row without its
+    stage and mask, once every stage and mask is checked against spec."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        groups: dict[tuple[int, int], list] = {}
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"not {len(header)}")
+            groups.setdefault((int(row[0]), int(row[1])), []).append(row[2:])
+    if (0, 0) not in groups:
+        raise ValueError(f"{path}: no rows for stage 0, holdings_mask 0")
+    for t, mask in groups:
+        if not 0 <= t <= spec.n:
+            raise ValueError(f"{path}: stage {t} is outside the spec's 0..{spec.n}")
+        if not 0 <= mask < 1 << t:
+            raise ValueError(f"{path}: holdings_mask {mask} at stage {t} is not below 2^{t}")
+    return groups
+
+
+def read_discrete_solution(path: PathLike, spec: ProblemSpec) -> DiscreteSolution:
+    """The solution a file of write_discrete_solution stores, for the discrete spec
+    it solves; every mask the file leaves out answers in closed form."""
+    e, closed_form, _ = _lattice(spec, "read_discrete_solution")
+    n, settled = spec.n, _settled_test(spec)
+    values: list[dict] = [dict() for _ in range(n + 1)]
+    bids: list[dict] = [dict() for _ in range(n)]
+    for (t, mask), rows in _components(path, spec, _DISCRETE_HEADER).items():
+        if [int(row[0]) for row in rows] != list(range(e + 1)):
+            raise ValueError(f"{path}: endowment rows of stage {t}, holdings_mask {mask} "
+                             f"are not the spec's 0..{e}")
+        is_settled = t == n or settled(t, mask)
+        if any(int(row[3]) != is_settled for row in rows):
+            raise ValueError(f"{path}: settled flag of stage {t}, holdings_mask {mask} "
+                             f"is not the spec's {int(is_settled)}")
+        values[t][mask] = np.array([float(row[1]) for row in rows])
+        if not is_settled:
+            bids[t][mask] = np.array([int(row[2]) for row in rows], dtype=np.int64)
+    return _solution(n, e, closed_form, values, bids)
 
 
 def write_grid_solution(sol: GridSolution, path: PathLike) -> None:
-    """Knot dump: one row per (stage, holdings mask, knot), every mask below 2^t."""
-    v = sol.values
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["stage", "holdings_mask", "endowment", "value", "bid"])
-        for t in range(v.n + 1):
-            for mask in range(1 << t):
-                comp = v.components[t][mask]
-                bids = sol.knot_bids.get((t, mask))
-                for j, (x, y) in enumerate(comp.knots):
-                    bid = float(bids[j]) if bids is not None else 0.0
-                    out.writerow([t, mask, x, y, bid])
+    """One row per (stage, holdings mask, knot) of each stored component; bid 0
+    at settled and terminal components."""
+
+    def rows():
+        for t, layer in enumerate(sol.values.components):
+            for mask in sorted(layer):
+                comp, bids = layer[mask], sol.knot_bids.get((t, mask))
+                yield from zip(repeat(t), repeat(mask), comp.xs, comp.ys,
+                               repeat(0.0) if bids is None else bids.tolist())
+
+    _write_csv(path, _GRID_HEADER, rows())
 
 
-def read_grid_solution(path: PathLike) -> tuple[HybridValueFunction, dict]:
-    knots: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    bids: dict[tuple[int, int], list[float]] = {}
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["stage"]), int(row["holdings_mask"]))
-            knots.setdefault(key, []).append(
-                (float(row["endowment"]), float(row["value"]))
-            )
-            bids.setdefault(key, []).append(float(row["bid"]))
-    if not knots:
-        raise ValueError(f"no solution rows in {path}")
-    n = max(t for t, _ in knots)
-    components: list[dict[int, PwlFunction]] = [dict() for _ in range(n + 1)]
+def read_grid_solution(path: PathLike, spec: ProblemSpec) -> GridSolution:
+    """The solution a file of write_grid_solution stores, for the continuous spec
+    it solves; every mask the file leaves out answers in closed form."""
+    closed_form = _closed_form(spec, "read_grid_solution")
+    settled = _settled_test(spec)
+    layers: list[dict] = [dict() for _ in range(spec.n + 1)]
     knot_bids = {}
-    for (t, mask), pairs in knots.items():
-        components[t][mask] = PwlFunction.from_knots(sorted(pairs))
-        knot_bids[(t, mask)] = np.array(bids[(t, mask)])
-    m = components[0][0].domain[1] if components[0] else max(
-        comp.domain[1] for layer in components for comp in layer.values()
-    )
-    return HybridValueFunction(components, m), knot_bids
+    for (t, mask), rows in _components(path, spec, _GRID_HEADER).items():
+        comp = PwlFunction.from_knots((float(x), float(y)) for x, y, _ in rows)
+        lo, hi = comp.domain
+        if abs(lo) > _ENDOWMENT_SLACK or abs(hi - spec.endowment) > _ENDOWMENT_SLACK:
+            raise ValueError(f"{path}: endowment knots of stage {t}, holdings_mask {mask} "
+                             f"span [{lo}, {hi}], not the spec's [0, {spec.endowment}]")
+        layers[t][mask] = comp
+        if t < spec.n and not settled(t, mask):
+            knot_bids[t, mask] = np.array([float(row[2]) for row in rows])
+    return _grid_solution(spec, closed_form, layers, knot_bids)
 
 
 def write_delta_ledger(ledger: DeltaLedger, path: PathLike) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["stage", "delta", "cumulative_bound"])
-        for t, delta in enumerate(ledger.deltas):
-            out.writerow([t, delta, error_bound(ledger, t)])
+    _write_csv(path, ["stage", "delta", "cumulative_bound"],
+               ([t, delta, error_bound(ledger, t)] for t, delta in enumerate(ledger.deltas)))
 
 
 def write_error_report(report: ErrorReport, path: PathLike) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            ["stage", "mean_value_err", "max_value_err",
-             "mean_policy_err", "max_policy_err", "states"]
-        )
-        for s in report.per_stage:
-            out.writerow(
-                [s.stage, s.mean_value_err, s.max_value_err,
-                 s.mean_policy_err, s.max_policy_err, s.states]
-            )
-        out.writerow(
-            ["all", report.mean_value_err, report.max_value_err,
-             report.mean_policy_err, report.max_policy_err, report.states]
-        )
+    names = [f.name for f in fields(StageErrors)]
+    _write_csv(path, names, [*(astuple(s) for s in report.per_stage),
+                             ["all", *(getattr(report, name) for name in names[1:])]])

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from seqbid.cli import main, parse_grid_strategy
-from seqbid.continuous import UniformFixed, Vg1, Vg2
+from seqbid.cli import build_parser, main, parse_grid_strategy
+from seqbid.continuous import MaximizerConfig, UniformFixed, Vg1, Vg2
 from seqbid.core import to_discrete
 from seqbid.discrete import solve_discrete
 from seqbid.io import read_discrete_solution, save_spec
+from seqbid.pwl import PwlFunction
 
 
 @pytest.fixture
@@ -59,7 +61,7 @@ class TestSolveCommand:
         assert main(["solve", str(t2_file), "--mode", "discrete",
                      "--out", str(out)]) == 0
         assert "start value 7.35" in capsys.readouterr().out
-        back = read_discrete_solution(out / "solution.csv")
+        back = read_discrete_solution(out / "solution.csv", t2)
         direct = solve_discrete(t2)
         assert back.value(0, 0, 3) == pytest.approx(direct.value(0, 0, 3), abs=1e-12)
         assert back.bid(0, 0, 3) == direct.bid(0, 0, 3)
@@ -68,7 +70,7 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", str(c1_file), "--mode", "discrete",
                      "--out", str(out)]) == 0
-        back = read_discrete_solution(out / "solution.csv")
+        back = read_discrete_solution(out / "solution.csv", to_discrete(c1))
         direct = solve_discrete(to_discrete(c1))
         assert back.value(0, 0, 2) == pytest.approx(direct.value(0, 0, 2), abs=1e-12)
 
@@ -91,6 +93,19 @@ class TestSolveCommand:
         rc = main(["solve", str(t2_file), "--mode", "grid", "--out", str(out)])
         assert rc == 2
         assert "continuous" in capsys.readouterr().err
+
+    def test_fractional_endowment_in_discrete_mode(self, c1, tmp_path, capsys):
+        spec = tmp_path / "c.json"
+        save_spec(replace(c1, endowment=2.5, residual=PwlFunction.linear(0.7, 0.0, 2.5)), spec)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_maximizer_defaults_come_from_the_config(self):
+        args = build_parser().parse_args(["solve", "s.json", "--mode", "grid", "--out", "o"])
+        for f in fields(MaximizerConfig):
+            assert getattr(args, f.name) == getattr(MaximizerConfig(), f.name)
 
     def test_missing_spec_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -130,6 +145,28 @@ class TestSimulateCommand:
         rc = main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
                    "--rounds", "10"])
         assert rc == 2
+
+    @pytest.mark.parametrize("endowment", [3, 5])
+    def test_solution_of_another_spec_refused(self, t2_file, tmp_path, capsys, endowment):
+        out = tmp_path / "solved"
+        main(["solve", str(t2_file), "--mode", "discrete", "--out", str(out)])
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({
+            "n": 1, "bundles": [{"members": [1], "value": 50.0}], "endowment": endowment,
+            "residual": {"linear_slope": 0.7}, "mode": "discrete",
+            "distributions": [{"kind": "multinomial", "probs": [0.1, 0.2, 0.3, 0.4]}]}))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(one), "--policy", str(out / "solution.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "solution.csv" in err and "stage 2" in err
+
+    def test_missing_policy_file(self, t2_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(t2_file), "--policy", str(tmp_path / "missing.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExperimentCommand:

@@ -298,7 +298,8 @@ class TestGridSolutionIo:
         sol = solve_grid(c1, UniformFixed(4))
         path = tmp_path / "grid.csv"
         write_grid_solution(sol, path)
-        values, bids = read_grid_solution(path)
+        back = read_grid_solution(path, c1)
+        values, bids = back.values, back.knot_bids
         assert values.m == sol.values.m
         for t in (0, 1):
             for mask in range(1 << min(t, 1)):
@@ -313,7 +314,7 @@ class TestGridSolutionIo:
         sol = solve_grid(spec, UniformFixed(6))
         path = tmp_path / "grid.csv"
         write_grid_solution(sol, path)
-        values, _ = read_grid_solution(path)
+        values = read_grid_solution(path, spec).values
         lattice = np.linspace(0.0, spec.endowment, 17)
         for t in range(spec.n + 1):
             for mask in range(1 << min(t, spec.n)):

@@ -236,7 +236,7 @@ class TestSolutionIo:
         sol = solve_discrete(t2)
         path = tmp_path / "solution.csv"
         write_discrete_solution(sol, path)
-        back = read_discrete_solution(path)
+        back = read_discrete_solution(path, t2)
         assert back.n == sol.n and back.endowment == sol.endowment
         assert back.settled == sol.settled
         assert back.state_count == sol.state_count

@@ -1,0 +1,236 @@
+"""Solution files: which rows they hold, what reading them back gives, what they refuse."""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from seqbid.continuous import UniformFixed, Vg1, solve_grid
+from seqbid.core import (
+    Bundle,
+    DiscreteMultinomial,
+    MODE_CONTINUOUS,
+    MODE_DISCRETE,
+    ProblemSpec,
+    TruncatedGaussian,
+    to_discrete,
+)
+from seqbid.discrete import solve_discrete
+from seqbid.experiment import GeneratorParams, generate_instance
+from seqbid.io import (
+    read_discrete_solution,
+    read_grid_solution,
+    write_discrete_solution,
+    write_grid_solution,
+)
+from seqbid.pwl import PwlFunction, RefinementBudget
+
+
+def every_mask(n: int):
+    return [(t, mask) for t in range(n + 1) for mask in range(1 << t)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def data_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def assert_same_discrete(back, sol):
+    assert (back.n, back.endowment, back.state_count) == (sol.n, sol.endowment, sol.state_count)
+    assert back.settled == sol.settled
+    for t, mask in every_mask(sol.n):
+        assert same_bits(back.stage_values[t][mask], sol.stage_values[t][mask])
+        if t < sol.n:
+            assert same_bits(back.stage_bids[t][mask], sol.stage_bids[t][mask])
+            assert ((t, mask) in back.settled) == ((t, mask) in sol.settled)
+
+
+def assert_same_grid(back, sol):
+    assert back.values.m == sol.values.m
+    assert back.state_count == sol.state_count and back.settled == sol.settled
+    assert back.ledger.deltas == sol.ledger.deltas
+    assert back.knot_bids.keys() == sol.knot_bids.keys()
+    for key, zs in sol.knot_bids.items():
+        assert same_bits(back.knot_bids[key], zs)
+    for t, mask in every_mask(sol.values.n):
+        got, want = back.values.components[t][mask], sol.values.components[t][mask]
+        assert same_bits(got.xs, want.xs) and same_bits(got.ys, want.ys)
+
+
+def one_bundle(n: int) -> ProblemSpec:
+    """n resources in one bundle worth 100, endowment 2, the wide benchmark's Gaussians."""
+    return ProblemSpec(
+        n=n,
+        bundles=(Bundle(frozenset(range(1, n + 1)), 100.0),),
+        endowment=2.0,
+        residual=PwlFunction.linear(0.7, 0.0, 2.0),
+        distributions=tuple(TruncatedGaussian(0.2 + 0.05 * (t % 5), 0.3) for t in range(n)),
+        mode=MODE_CONTINUOUS,
+    )
+
+
+def one_auction(endowment: float) -> ProblemSpec:
+    return ProblemSpec(
+        n=1,
+        bundles=(Bundle(frozenset({1}), 50.0),),
+        endowment=endowment,
+        residual=PwlFunction.linear(0.7, 0.0, endowment),
+        distributions=(DiscreteMultinomial((0.1, 0.2, 0.3, 0.4)),),
+        mode=MODE_DISCRETE,
+    )
+
+
+def continuous_twin(spec: ProblemSpec) -> ProblemSpec:
+    return replace(spec, mode=MODE_CONTINUOUS,
+                   distributions=tuple(TruncatedGaussian(1.0, 0.5) for _ in range(spec.n)))
+
+
+@pytest.fixture(scope="module")
+def instance_1000():
+    return generate_instance(GeneratorParams(seed=1000))
+
+
+class TestStoredRows:
+    def test_one_bundle_files_hold_only_stored_components(self, tmp_path):
+        spec = one_bundle(16)
+        exact = solve_discrete(to_discrete(spec))
+        write_discrete_solution(exact, tmp_path / "discrete.csv")
+        # stage 0's start, the live and the just-lost mask at stages 1..16
+        assert len(data_rows(tmp_path / "discrete.csv")) == 33 * 3
+        grid = solve_grid(spec, UniformFixed(15))
+        write_grid_solution(grid, tmp_path / "grid.csv")
+        # 16 unsettled components of 15 knots, 17 settled or terminal ones of 2
+        assert len(data_rows(tmp_path / "grid.csv")) == 16 * 15 + 17 * 2
+
+    def test_rows_ascend_and_flag_the_settled(self, t2, tmp_path):
+        sol = solve_discrete(t2)
+        write_discrete_solution(sol, tmp_path / "s.csv")
+        rows = [tuple(int(x) for x in (r[0], r[1], r[2], r[5]))
+                for r in data_rows(tmp_path / "s.csv")]
+        assert [r[:3] for r in rows] == sorted(r[:3] for r in rows)
+        for t, mask, _, flag in rows:
+            assert flag == int(t == sol.n or (t, mask) in sol.settled)
+
+
+class TestRoundTrip:
+    """read(write(sol), spec) is the solver's answer at every mask of every stage."""
+
+    def test_discrete(self, t2, c1, instance_1000, tmp_path):
+        for spec in (t2, to_discrete(c1), to_discrete(instance_1000)):
+            sol = solve_discrete(spec)
+            write_discrete_solution(sol, tmp_path / "s.csv")
+            back = read_discrete_solution(tmp_path / "s.csv", spec)
+            assert [set(layer) for layer in back.stage_values] == \
+                [set(layer) for layer in sol.stage_values]
+            assert_same_discrete(back, sol)
+
+    def test_grid(self, c1, instance_1000, tmp_path):
+        budget = RefinementBudget(9, 0.01)
+        for spec, strategy in ((c1, UniformFixed(4)), (c1, Vg1(budget)),
+                               (instance_1000, UniformFixed(15))):
+            sol = solve_grid(spec, strategy)
+            write_grid_solution(sol, tmp_path / "g.csv")
+            back = read_grid_solution(tmp_path / "g.csv", spec)
+            assert [set(layer) for layer in back.values.components] == \
+                [set(layer) for layer in sol.values.components]
+            assert_same_grid(back, sol)
+
+
+def write_every_mask_discrete(sol, path):
+    """The earlier discrete format: every mask below 2^t, settled ones in closed form."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["stage", "holdings_mask", "endowment", "value", "bid", "settled"])
+        for t, mask in every_mask(sol.n):
+            values = sol.stage_values[t][mask]
+            bids = sol.stage_bids[t][mask] if t < sol.n else np.zeros(sol.endowment + 1, int)
+            flag = 1 if t == sol.n or (t, mask) in sol.settled else 0
+            for d in range(sol.endowment + 1):
+                out.writerow([t, mask, d, float(values[d]), int(bids[d]), flag])
+
+
+def write_every_mask_grid(sol, path):
+    """The earlier grid format: every mask below 2^t, bid 0 at settled knots."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["stage", "holdings_mask", "endowment", "value", "bid"])
+        for t, mask in every_mask(sol.values.n):
+            bids = sol.knot_bids.get((t, mask))
+            for j, (x, y) in enumerate(sol.values.components[t][mask].knots):
+                out.writerow([t, mask, x, y, float(bids[j]) if bids is not None else 0.0])
+
+
+class TestEveryMaskFiles:
+    """Files that list every mask still read to the solution they came from."""
+
+    def test_discrete(self, t2, instance_1000, tmp_path):
+        for spec in (t2, to_discrete(instance_1000)):
+            sol = solve_discrete(spec)
+            write_every_mask_discrete(sol, tmp_path / "s.csv")
+            assert_same_discrete(read_discrete_solution(tmp_path / "s.csv", spec), sol)
+
+    def test_grid(self, c1, instance_1000, tmp_path):
+        for spec in (c1, instance_1000):
+            sol = solve_grid(spec, UniformFixed(5))
+            write_every_mask_grid(sol, tmp_path / "g.csv")
+            assert_same_grid(read_grid_solution(tmp_path / "g.csv", spec), sol)
+
+
+class TestSpecMismatch:
+    """A file is refused, naming the file and the field, unless it fits the spec."""
+
+    @pytest.fixture
+    def t2_file(self, t2, tmp_path):
+        path = tmp_path / "t2.csv"
+        write_discrete_solution(solve_discrete(t2), path)
+        return path
+
+    def refused(self, read, path, spec, field):
+        with pytest.raises(ValueError, match=field) as err:
+            read(path, spec)
+        assert str(path) in str(err.value)
+
+    def test_stage_beyond_the_spec(self, t2_file):
+        self.refused(read_discrete_solution, t2_file, one_auction(3.0), "stage 2")
+
+    def test_endowments_other_than_the_spec(self, t2, t2_file):
+        self.refused(read_discrete_solution, t2_file, one_auction(5.0), "endowment")
+        small = replace(t2, endowment=2.0, residual=PwlFunction.linear(0.7, 0.0, 2.0))
+        self.refused(read_discrete_solution, t2_file, small, "endowment")
+
+    def test_mask_not_below_2_to_the_stage(self, t2, t2_file):
+        with open(t2_file, "a", newline="") as fh:
+            fh.write("1,2,0,0.0,0,1\n")
+        self.refused(read_discrete_solution, t2_file, t2, "holdings_mask 2")
+
+    def test_settled_flag_other_than_the_spec(self, t2, t2_file):
+        # without the bundle {2}, losing auction 1 settles (1, 0), which t2 leaves open
+        pair_only = replace(t2, bundles=t2.bundles[:1])
+        self.refused(read_discrete_solution, t2_file, pair_only, "settled")
+
+    def test_grid_knot_domain_and_stages(self, c1, t2, tmp_path):
+        path = tmp_path / "c1.csv"
+        write_grid_solution(solve_grid(c1, UniformFixed(4)), path)
+        wider = replace(c1, endowment=3.0, residual=PwlFunction.linear(0.7, 0.0, 3.0))
+        self.refused(read_grid_solution, path, wider, "endowment")
+        two = continuous_twin(t2)
+        write_grid_solution(solve_grid(two, UniformFixed(4)), path)
+        self.refused(read_grid_solution, path, c1, "stage 2")
+
+    def test_no_start_component(self, t2, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("stage,holdings_mask,endowment,value,bid,settled\n")
+        self.refused(read_discrete_solution, path, t2, "stage 0, holdings_mask 0")
+
+    def test_short_row(self, t2, t2_file):
+        with open(t2_file, "a", newline="") as fh:
+            fh.write("2,3,0,7.0\n")
+        self.refused(read_discrete_solution, t2_file, t2, "line 30 has 4 fields")
