@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .continuous import MaximizerConfig, UniformFixed, Vg1, Vg2, error_bound, solve_grid
-from .core import MODE_CONTINUOUS, holdings_mask, to_discrete
+from .core import holdings_mask, to_discrete
 from .discrete import solve_discrete
 from .experiment import ExperimentConfig, config_from_dict, run_experiment_suite
 from .io import (
@@ -58,22 +58,17 @@ def _bad_input_exits():
 def _cmd_solve(args) -> int:
     with _bad_input_exits():
         spec = load_spec(args.spec)
-        if args.mode == "discrete" and spec.mode == MODE_CONTINUOUS:
-            spec = to_discrete(spec)
+        cfg = MaximizerConfig(args.samples_per_segment, args.refine_tolerance)
+        sol = (solve_discrete(to_discrete(spec)) if args.mode == "discrete"
+               else solve_grid(spec, args.grid, cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = MaximizerConfig(args.samples_per_segment, args.refine_tolerance)
     if args.mode == "discrete":
-        sol = solve_discrete(spec)
         write_discrete_solution(sol, out / "solution.csv")
         start = sol.value(0, 0, sol.endowment)
         print(f"discrete solve: {sol.state_count} states, "
               f"start value {start:.6f}, bid {sol.bid(0, 0, sol.endowment)}")
     else:
-        if spec.mode != MODE_CONTINUOUS:
-            print("error: grid mode needs a continuous-mode spec", file=sys.stderr)
-            return 2
-        sol = solve_grid(spec, args.grid, cfg)
         write_grid_solution(sol, out / "solution.csv")
         write_delta_ledger(sol.ledger, out / "ledger.csv")
         start = sol.values.value(0, 0, spec.endowment)
@@ -89,13 +84,8 @@ def _cmd_simulate(args) -> int:
         with open(args.policy) as fh:
             header = fh.readline().strip().split(",")
         if "settled" in header:
-            if spec.mode == MODE_CONTINUOUS:
-                spec = to_discrete(spec)
+            spec = to_discrete(spec)
             bidder = table_policy(read_discrete_solution(args.policy, spec))
-        elif spec.mode != MODE_CONTINUOUS:
-            print("error: grid solutions simulate against continuous-mode specs",
-                  file=sys.stderr)
-            return 2
         else:
             bidder = greedy_policy(read_grid_solution(args.policy, spec).values, spec)
     traces = collect_rounds(spec, bidder, args.rounds, args.seed)

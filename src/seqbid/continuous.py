@@ -22,15 +22,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import (
-    BidDistribution,
-    BundleValueTable,
-    MODE_CONTINUOUS,
-    ProblemSpec,
-    ensure_valid,
-    holdings_mask,
-)
-from .discrete import Layer, Settled, _settled_test, sweep
+from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, holdings_mask
+from .discrete import Layer, Settled, sweep
 from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
 
@@ -311,11 +304,9 @@ def _monotone(ys: np.ndarray) -> np.ndarray:
 
 def _closed_form(spec: ProblemSpec, caller: str):
     """Settled component by mask: the residual curve shifted by the bundle value."""
-    ensure_valid(spec)
     if spec.mode != MODE_CONTINUOUS:
         raise ValueError(f"{caller} needs a continuous-mode spec")
-    table = BundleValueTable(spec.bundles)
-    return lambda mask: spec.residual.shift(table.value(mask))
+    return lambda mask: spec.residual.shift(spec.bundle_value(mask))
 
 
 def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
@@ -350,7 +341,6 @@ def solve_grid(
     """
     closed_form = _closed_form(spec, "solve_grid")
     m = float(spec.endowment)
-    settled = _settled_test(spec)
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
 
     def component(t, mask, xs, zs, qs):
@@ -380,6 +370,6 @@ def solve_grid(
             out.append(component(t, mask, curve.xs, zs, np.asarray(curve.ys)))
         return out
 
-    layers = sweep(spec.n, lambda t, mask: None if settled(t, mask) else True, backup,
+    layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
                    closed_form)
     return _grid_solution(spec, closed_form, layers, knot_bids)

@@ -173,6 +173,10 @@ class ProblemSpec:
     integers and every distribution is multinomial; in continuous mode bids
     are reals in [0, endowment] and every distribution is a truncated
     Gaussian.
+
+    A spec checks itself when it is constructed (dataclasses.replace
+    included) and raises ensure_valid's field-tagged ValueError, so every
+    ProblemSpec in existence is valid.
     """
 
     n: int
@@ -181,6 +185,28 @@ class ProblemSpec:
     residual: PwlFunction
     distributions: tuple[BidDistribution, ...]
     mode: str
+
+    def __post_init__(self) -> None:
+        ensure_valid(self)
+
+    @cached_property
+    def _bundle_masks(self) -> list[tuple[int, float]]:
+        return [(b.mask, b.value) for b in self.bundles]
+
+    def bundle_value(self, mask: int) -> float:
+        """The best value among the bundles a holdings mask contains, or 0."""
+        best = 0.0
+        for bmask, bvalue in self._bundle_masks:
+            if bmask & mask == bmask and bvalue > best:
+                best = bvalue
+        return best
+
+    def settled(self, t: int, mask: int) -> bool:
+        """True when no bundle still completable from stage t beats mask's value."""
+        reachable = mask | (((1 << self.n) - 1) & ~((1 << t) - 1))
+        current = self.bundle_value(mask)
+        return all(v <= current or bmask & reachable != bmask
+                   for bmask, v in self._bundle_masks)
 
 
 def useful_resources(bundles: Iterable[Bundle]) -> frozenset[int]:
@@ -199,7 +225,7 @@ def terminal_value(held: Union[int, Iterable[int]], d: float, spec: ProblemSpec)
     if d < -_ENDOWMENT_SLACK or d > spec.endowment + _ENDOWMENT_SLACK:
         raise ValueError(f"endowment {d!r} outside [0, {spec.endowment}]")
     d = min(max(d, 0.0), spec.endowment)
-    return BundleValueTable(spec.bundles).value(holdings_mask(held)) + spec.residual(d)
+    return spec.bundle_value(holdings_mask(held)) + spec.residual(d)
 
 
 _ENDOWMENT_SLACK = 1e-9
@@ -312,25 +338,3 @@ def ensure_valid(spec: ProblemSpec) -> ProblemSpec:
         raise ValueError("invalid problem spec:\n  " + "\n  ".join(problems))
     return spec
 
-
-class BundleValueTable:
-    """Memoized holdings-mask -> bundle value lookup for one spec.
-
-    A holdings set is worth the best value among the bundles it contains in
-    full, or 0 if it contains none.
-    """
-
-    def __init__(self, bundles: Iterable[Bundle]):
-        self._pairs = [(b.mask, b.value) for b in bundles]
-        self._cache: dict[int, float] = {}
-
-    def value(self, mask: int) -> float:
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        best = 0.0
-        for bmask, bvalue in self._pairs:
-            if bmask & mask == bmask and bvalue > best:
-                best = bvalue
-        self._cache[mask] = best
-        return best

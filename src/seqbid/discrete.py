@@ -17,13 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import (
-    BundleValueTable,
-    MODE_DISCRETE,
-    ProblemSpec,
-    ensure_valid,
-    holdings_mask,
-)
+from .core import MODE_DISCRETE, ProblemSpec, holdings_mask
 
 Policy = Callable[[int, int, int], int]
 
@@ -101,20 +95,6 @@ class DiscreteSolution:
         return bidder
 
 
-def _settled_test(spec: ProblemSpec) -> Callable[[int, int], bool]:
-    """settled(t, mask): no still-completable bundle beats the current bundle value."""
-    table = BundleValueTable(spec.bundles)
-    pairs = [(b.mask, b.value) for b in spec.bundles]
-    every = (1 << spec.n) - 1
-
-    def settled(t: int, mask: int) -> bool:
-        reachable = mask | (every & ~((1 << t) - 1))
-        current = table.value(mask)
-        return all(v <= current or bmask & reachable != bmask for bmask, v in pairs)
-
-    return settled
-
-
 def sweep(n: int, grow, backup, leaf) -> list[dict]:
     """Results for the components reachable from (0, 0), last stage first.
 
@@ -147,14 +127,12 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
 
 def _lattice(spec: ProblemSpec, caller: str):
     """Endowment e, closed-form value by mask, and win probabilities per stage."""
-    ensure_valid(spec)
     if spec.mode != MODE_DISCRETE:
         raise ValueError(f"{caller} needs a discrete-mode spec")
     e = int(round(spec.endowment))
-    table = BundleValueTable(spec.bundles)
     f_vals = spec.residual.values(np.arange(e + 1, dtype=float))
     ws = [dist.win_probability_vec(np.arange(e + 1)) for dist in spec.distributions]
-    return e, lambda mask: table.value(mask) + f_vals, ws
+    return e, lambda mask: spec.bundle_value(mask) + f_vals, ws
 
 
 def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
@@ -180,8 +158,7 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
         stage_bids[t][mask] = bids.astype(np.int64)
         return q[zs, bids]
 
-    settled = _settled_test(spec)
-    values = sweep(n, lambda t, mask: None if settled(t, mask) else True,
+    values = sweep(n, lambda t, mask: None if spec.settled(t, mask) else True,
                    lambda t, jobs: [backup(t, *job) for job in jobs], closed_form)
     return _solution(n, e, closed_form, values, stage_bids)
 
@@ -212,7 +189,6 @@ def evaluate_policy_exact(
     which include every component a solve_discrete result stores.
     """
     e, closed_form, ws = _lattice(spec, "evaluate_policy_exact")
-    settled = _settled_test(spec)
     ds = np.arange(e + 1)
     bids: dict[tuple[int, int], np.ndarray] = {}
 
@@ -226,7 +202,7 @@ def evaluate_policy_exact(
                 )
             zs.append(int(z))
         bids[t, mask] = np.array(zs, dtype=np.int64)
-        return any(zs) or not settled(t, mask)
+        return any(zs) or not spec.settled(t, mask)
 
     def backup(t, mask, win_next, lose_next):
         z = bids[t, mask]

@@ -35,7 +35,6 @@ from .core import (
     MODE_CONTINUOUS,
     ProblemSpec,
     TruncatedGaussian,
-    ensure_valid,
     to_discrete,
 )
 from .discrete import DiscreteSolution, solve_discrete
@@ -106,7 +105,7 @@ def generate_instance(params: GeneratorParams) -> ProblemSpec:
         TruncatedGaussian(float(bid_means[old - 1]), sqrt(params.bid_var))
         for old in kept
     )
-    spec = ProblemSpec(
+    return ProblemSpec(
         n=len(kept),
         bundles=bundles,
         endowment=float(params.endowment),
@@ -114,7 +113,6 @@ def generate_instance(params: GeneratorParams) -> ProblemSpec:
         distributions=dists,
         mode=MODE_CONTINUOUS,
     )
-    return ensure_valid(spec)
 
 
 @dataclass(frozen=True)
@@ -255,21 +253,24 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
             gold = solve_discrete(twin)
             exp_dir.mkdir(exist_ok=True)
             save_spec(instance, exp_dir / "instance.json")
+            done = []  # counted in the aggregates only once every run has succeeded
             for run in config.runs:
                 if run.kind == "discrete":
                     write_discrete_solution(gold, exp_dir / "Discrete_solution.csv")
-                    report = _self_report(gold)
-                    states_acc[run.name].append(float(gold.state_count))
+                    states, report, ledger = gold.state_count, _self_report(gold), None
                 else:
                     sol = solve_grid(instance, run.strategy(), config.maximizer)
                     write_grid_solution(sol, exp_dir / f"{run.name}_solution.csv")
                     write_delta_ledger(sol.ledger, exp_dir / f"{run.name}_ledger.csv")
-                    report = compare_solutions(gold, sol.values, instance,
-                                               config.maximizer)
-                    states_acc[run.name].append(float(sol.state_count))
-                    ledger_acc[run.name].append(sol.ledger)
+                    report = compare_solutions(gold, sol.values, instance, config.maximizer)
+                    states, ledger = sol.state_count, sol.ledger
                 write_error_report(report, exp_dir / f"{run.name}_errors.csv")
-                report_acc[run.name].append(report)
+                done.append((run.name, states, report, ledger))
+            for name, states, report, ledger in done:
+                states_acc[name].append(float(states))
+                report_acc[name].append(report)
+                if ledger is not None:
+                    ledger_acc[name].append(ledger)
             manifest_experiments.append(
                 {"index": i, "seed": seed, "n": instance.n, "status": "ok"}
             )

@@ -33,9 +33,8 @@ from .core import (
     DiscreteMultinomial,
     ProblemSpec,
     TruncatedGaussian,
-    ensure_valid,
 )
-from .discrete import DiscreteSolution, _lattice, _settled_test, _solution
+from .discrete import DiscreteSolution, _lattice, _solution
 from .pwl import PwlFunction
 from .simulate import ErrorReport, StageErrors
 
@@ -105,8 +104,7 @@ def spec_from_dict(data: dict) -> ProblemSpec:
 
 def load_spec(path: PathLike) -> ProblemSpec:
     with open(path) as fh:
-        spec = spec_from_dict(json.load(fh))
-    return ensure_valid(spec)
+        return spec_from_dict(json.load(fh))
 
 
 def save_spec(spec: ProblemSpec, path: PathLike) -> None:
@@ -146,7 +144,8 @@ def write_discrete_solution(sol: DiscreteSolution, path: PathLike) -> None:
 
 def _components(path: PathLike, spec: ProblemSpec, header: list[str]) -> dict:
     """A solution file's rows by (stage, mask) component, each row without its
-    stage and mask, once every stage and mask is checked against spec."""
+    stage and mask, once every stage and mask is checked against spec and every
+    unsettled component's two successors are found in the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -163,6 +162,10 @@ def _components(path: PathLike, spec: ProblemSpec, header: list[str]) -> dict:
             raise ValueError(f"{path}: stage {t} is outside the spec's 0..{spec.n}")
         if not 0 <= mask < 1 << t:
             raise ValueError(f"{path}: holdings_mask {mask} at stage {t} is not below 2^{t}")
+        for succ in () if spec.settled(t, mask) else (mask, mask | 1 << t):
+            if (t + 1, succ) not in groups:
+                raise ValueError(f"{path}: no rows for stage {t + 1}, holdings_mask {succ}, "
+                                 f"a successor of unsettled stage {t}, holdings_mask {mask}")
     return groups
 
 
@@ -170,14 +173,14 @@ def read_discrete_solution(path: PathLike, spec: ProblemSpec) -> DiscreteSolutio
     """The solution a file of write_discrete_solution stores, for the discrete spec
     it solves; every mask the file leaves out answers in closed form."""
     e, closed_form, _ = _lattice(spec, "read_discrete_solution")
-    n, settled = spec.n, _settled_test(spec)
+    n = spec.n
     values: list[dict] = [dict() for _ in range(n + 1)]
     bids: list[dict] = [dict() for _ in range(n)]
     for (t, mask), rows in _components(path, spec, _DISCRETE_HEADER).items():
         if [int(row[0]) for row in rows] != list(range(e + 1)):
             raise ValueError(f"{path}: endowment rows of stage {t}, holdings_mask {mask} "
                              f"are not the spec's 0..{e}")
-        is_settled = t == n or settled(t, mask)
+        is_settled = spec.settled(t, mask)
         if any(int(row[3]) != is_settled for row in rows):
             raise ValueError(f"{path}: settled flag of stage {t}, holdings_mask {mask} "
                              f"is not the spec's {int(is_settled)}")
@@ -205,7 +208,6 @@ def read_grid_solution(path: PathLike, spec: ProblemSpec) -> GridSolution:
     """The solution a file of write_grid_solution stores, for the continuous spec
     it solves; every mask the file leaves out answers in closed form."""
     closed_form = _closed_form(spec, "read_grid_solution")
-    settled = _settled_test(spec)
     layers: list[dict] = [dict() for _ in range(spec.n + 1)]
     knot_bids = {}
     for (t, mask), rows in _components(path, spec, _GRID_HEADER).items():
@@ -215,7 +217,7 @@ def read_grid_solution(path: PathLike, spec: ProblemSpec) -> GridSolution:
             raise ValueError(f"{path}: endowment knots of stage {t}, holdings_mask {mask} "
                              f"span [{lo}, {hi}], not the spec's [0, {spec.endowment}]")
         layers[t][mask] = comp
-        if t < spec.n and not settled(t, mask):
+        if not spec.settled(t, mask):
             knot_bids[t, mask] = np.array([float(row[2]) for row in rows])
     return _grid_solution(spec, closed_form, layers, knot_bids)
 

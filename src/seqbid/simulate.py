@@ -16,12 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .continuous import HybridValueFunction, MaximizerConfig, _layout_groups, _maximize_batch
-from .core import (
-    ProblemSpec,
-    ensure_valid,
-    mask_holdings,
-    terminal_value,
-)
+from .core import ProblemSpec, mask_holdings, terminal_value
 from .discrete import DiscreteSolution
 
 Bidder = Callable[[int, int, float], float]
@@ -52,7 +47,6 @@ def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> RoundTrace:
     bidder(t, holdings_mask, endowment) must return a bid in [0, endowment].
     A bid wins only by strictly exceeding the sampled high bid.
     """
-    ensure_valid(spec)
     rng = np.random.default_rng(seed)
     held = 0
     d = float(spec.endowment)

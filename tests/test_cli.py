@@ -90,9 +90,23 @@ class TestSolveCommand:
 
     def test_grid_mode_rejects_discrete_specs(self, t2_file, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main(["solve", str(t2_file), "--mode", "grid", "--out", str(out)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(t2_file), "--mode", "grid", "--out", str(out)])
+        assert exc.value.code == 2
         assert "continuous" in capsys.readouterr().err
+
+    def test_lattice_limit_is_bad_input(self, tmp_path, capsys):
+        # The solver refuses (e + 1)^2 cells above its limit before allocating any.
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({
+            "n": 1, "bundles": [{"members": [1], "value": 50.0}], "endowment": 5000,
+            "residual": {"linear_slope": 0.7}, "mode": "discrete",
+            "distributions": [{"kind": "multinomial", "probs": [0.5, 0.5]}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: endowment: 5000 needs")
+        assert not (tmp_path / "out").exists()
 
     def test_fractional_endowment_in_discrete_mode(self, c1, tmp_path, capsys):
         spec = tmp_path / "c.json"
@@ -142,9 +156,10 @@ class TestSimulateCommand:
                                                capsys):
         out = tmp_path / "solved"
         main(["solve", str(c1_file), "--mode", "grid", "--out", str(out)])
-        rc = main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
-                   "--rounds", "10"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
+                  "--rounds", "10"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("endowment", [3, 5])
     def test_solution_of_another_spec_refused(self, t2_file, tmp_path, capsys, endowment):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scipy.special import ndtr
 from oracles import quad_win_probability
 from seqbid.core import (
     Bundle,
-    BundleValueTable,
     DiscreteMultinomial,
     MODE_CONTINUOUS,
     MODE_DISCRETE,
@@ -67,11 +67,18 @@ class TestUsefulResources:
         assert useful_resources(bundles) == frozenset({1, 2, 3, 4})
 
 
+def bundles_spec(bundles) -> ProblemSpec:
+    """The smallest valid discrete spec over these bundles."""
+    n = max(useful_resources(bundles))
+    return ProblemSpec(n, tuple(bundles), 1.0, PwlFunction.linear(0.7, 0.0, 1.0),
+                       (DiscreteMultinomial((1.0,)),) * n, MODE_DISCRETE)
+
+
 class TestBundleValue:
     BUNDLES = (Bundle(frozenset({1, 2}), 15.0), Bundle(frozenset({3}), 8.0))
 
     def value(self, held) -> float:
-        return BundleValueTable(self.BUNDLES).value(holdings_mask(held))
+        return bundles_spec(self.BUNDLES).bundle_value(holdings_mask(held))
 
     def test_max_of_contained(self):
         assert self.value({1, 2, 3}) == 15.0
@@ -87,11 +94,11 @@ class TestBundleValue:
 
     def test_table_matches_direct(self):
         bundles = self.BUNDLES + (Bundle(frozenset({2, 3, 4}), 20.0), Bundle(frozenset({4}), 1.0))
-        table = BundleValueTable(bundles)
+        spec = bundles_spec(bundles)
         for mask in range(16):
             held = {i + 1 for i in range(4) if mask >> i & 1}
             brute = max([b.value for b in bundles if b.members <= held], default=0.0)
-            assert table.value(mask) == brute
+            assert spec.bundle_value(mask) == brute
 
 
 class TestTerminalValue:
@@ -262,103 +269,77 @@ class TestToDiscrete:
         assert to_discrete(t2) == t2
 
 
+def refused(base: ProblemSpec, tagged: str, **changes) -> None:
+    """base with `changes` is refused at construction and at replace, with an
+    error line that starts with the field-tagged message `tagged` (a regex)."""
+    data = {f.name: getattr(base, f.name) for f in fields(base)}
+    with pytest.raises(ValueError, match="\n  " + tagged):
+        ProblemSpec(**{**data, **changes})
+    with pytest.raises(ValueError, match="\n  " + tagged):
+        replace(base, **changes)
+
+
 class TestValidation:
     def test_well_formed(self, t2):
         assert validate_problem(t2) == []
 
     def test_member_out_of_range(self, t2):
-        bad = ProblemSpec(
-            n=3,
-            bundles=(Bundle(frozenset({5}), 1.0), Bundle(frozenset({1, 2, 3}), 2.0)),
-            endowment=3.0,
-            residual=PwlFunction.linear(0.7, 0.0, 3.0),
-            distributions=(DiscreteMultinomial((1.0,)),) * 3,
-            mode=MODE_DISCRETE,
-        )
-        assert any("out of range" in msg for msg in validate_problem(bad))
+        refused(t2, r"bundles\[0\]\.members: member 5 out of range 1\.\.3", n=3,
+                bundles=(Bundle(frozenset({5}), 1.0), Bundle(frozenset({1, 2, 3}), 2.0)),
+                distributions=(DiscreteMultinomial((1.0,)),) * 3)
 
     def test_mode_distribution_mismatch(self, t1, c1):
-        bad_discrete = ProblemSpec(
-            t1.n, t1.bundles, t1.endowment, t1.residual,
-            (TruncatedGaussian(1.0, 0.5),), MODE_DISCRETE,
-        )
-        assert any("mismatch" in msg for msg in validate_problem(bad_discrete))
-        bad_continuous = ProblemSpec(
-            c1.n, c1.bundles, c1.endowment, c1.residual,
-            (DiscreteMultinomial((0.5, 0.5)),), MODE_CONTINUOUS,
-        )
-        assert any("mismatch" in msg for msg in validate_problem(bad_continuous))
+        mismatch = r"distributions\[0\]: mode/distribution mismatch"
+        refused(t1, mismatch, distributions=(TruncatedGaussian(1.0, 0.5),))
+        refused(c1, mismatch, distributions=(DiscreteMultinomial((0.5, 0.5)),))
 
     def test_residual_must_start_at_zero(self, t1):
-        bad = ProblemSpec(
-            t1.n, t1.bundles, t1.endowment,
-            PwlFunction((0.0, 2.0), (0.5, 1.4)), t1.distributions, t1.mode,
-        )
-        assert validate_problem(bad)
+        refused(t1, r"residual: value at 0 must be 0, got 0\.5",
+                residual=PwlFunction((0.0, 2.0), (0.5, 1.4)))
 
     def test_residual_must_be_nondecreasing(self, t1):
-        bad = ProblemSpec(
-            t1.n, t1.bundles, t1.endowment,
-            PwlFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.5)), t1.distributions, t1.mode,
-        )
-        assert validate_problem(bad)
+        refused(t1, "residual: knot values must be nondecreasing",
+                residual=PwlFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.5)))
 
     def test_residual_domain_must_cover_endowment(self, t1):
-        bad = ProblemSpec(
-            t1.n, t1.bundles, t1.endowment,
-            PwlFunction.linear(0.7, 0.0, 1.0), t1.distributions, t1.mode,
-        )
-        assert validate_problem(bad)
+        refused(t1, re.escape("residual: domain [0.0, 1.0] must span [0, 2.0]"),
+                residual=PwlFunction.linear(0.7, 0.0, 1.0))
 
-    def test_every_resource_in_some_bundle(self):
-        bad = ProblemSpec(
-            n=2,
-            bundles=(Bundle(frozenset({1}), 5.0),),
-            endowment=2.0,
-            residual=PwlFunction.linear(0.7, 0.0, 2.0),
-            distributions=(DiscreteMultinomial((1.0,)),) * 2,
-            mode=MODE_DISCRETE,
-        )
-        assert any("bundle" in msg for msg in validate_problem(bad))
+    def test_every_resource_in_some_bundle(self, t2):
+        refused(t2, "n: resource 2 appears in no bundle", bundles=(Bundle(frozenset({1}), 5.0),))
 
     def test_distribution_count(self, t2):
-        bad = ProblemSpec(
-            t2.n, t2.bundles, t2.endowment, t2.residual,
-            t2.distributions[:1], t2.mode,
-        )
-        assert validate_problem(bad)
+        refused(t2, "distributions: expected 2 entries, got 1",
+                distributions=t2.distributions[:1])
 
     def test_ensure_valid(self, t2):
         assert ensure_valid(t2) is t2
-        bad = ProblemSpec(
-            t2.n, t2.bundles, t2.endowment, t2.residual,
-            t2.distributions[:1], t2.mode,
-        )
-        with pytest.raises(ValueError):
-            ensure_valid(bad)
+        # One line per problem, in validate_problem's order.
+        refused(t2, "n: resource 2 appears in no bundle[^\n]*\n  distributions: expected 2",
+                bundles=(Bundle(frozenset({1}), 5.0),), distributions=t2.distributions[:1])
 
     def test_infinite_endowment_rejected(self, t1, c1):
         inf = float("inf")
         for spec in (c1, t1):
-            bad = replace(spec, endowment=inf, residual=PwlFunction.linear(0.7, 0.0, inf))
-            problems = validate_problem(bad)
-            assert any(msg.startswith("endowment: must be finite") for msg in problems)
+            refused(spec, "endowment: must be finite", endowment=inf,
+                    residual=PwlFunction.linear(0.7, 0.0, inf))
 
     def test_infinite_bundle_value_rejected(self, c1):
-        bad = replace(c1, bundles=(Bundle(frozenset({1}), float("inf")),))
-        assert any(msg.startswith("bundles[0].value:") for msg in validate_problem(bad))
+        refused(c1, r"bundles\[0\]\.value: must be finite",
+                bundles=(Bundle(frozenset({1}), float("inf")),))
 
     def test_nan_residual_rejected(self, c1):
-        bad = replace(c1, residual=PwlFunction.linear(float("nan"), 0.0, 2.0))
-        assert any(msg.startswith("residual: knots must be finite")
-                   for msg in validate_problem(bad))
+        refused(c1, "residual: knots must be finite",
+                residual=PwlFunction.linear(float("nan"), 0.0, 2.0))
 
     def test_deep_tail_gaussian_rejected(self, c1):
         # P(w > 0) is 0.0 at mean -50 std 0.5, 2.9e-7 at -5 std, 3.4e-6 at -4.5 std.
         for mean, bad in ((-50.0, True), (-2.5, True), (-2.25, False), (1.0, False)):
-            spec = replace(c1, distributions=(TruncatedGaussian(mean, 0.5),))
-            tagged = [msg for msg in validate_problem(spec) if msg.startswith("distributions[0]:")]
-            assert bool(tagged) == bad
+            dists = (TruncatedGaussian(mean, 0.5),)
+            if bad:
+                refused(c1, r"distributions\[0\]: P\(w > 0\) = ", distributions=dists)
+            else:
+                assert validate_problem(replace(c1, distributions=dists)) == []
 
     def test_spec_file_member_must_be_integral(self, t2):
         data = spec_to_dict(t2)

@@ -11,19 +11,15 @@ from seqbid.core import (
     DiscreteMultinomial,
     MODE_DISCRETE,
     ProblemSpec,
-    ensure_valid,
 )
 from seqbid import discrete
-from seqbid.discrete import _settled_test, evaluate_policy_exact, solve_discrete
+from seqbid.discrete import evaluate_policy_exact, solve_discrete
 from seqbid.io import read_discrete_solution, write_discrete_solution
 from seqbid.pwl import PwlFunction
 
 
 def make_instances(count: int, seed0: int = 0) -> list[ProblemSpec]:
-    return [
-        ensure_valid(random_micro_instance(np.random.default_rng(seed0 + i)))
-        for i in range(count)
-    ]
+    return [random_micro_instance(np.random.default_rng(seed0 + i)) for i in range(count)]
 
 
 def every_mask(n: int):
@@ -100,12 +96,12 @@ class TestT2:
 
 class TestSettled:
     def test_terminal_stage_is_always_settled(self, t2):
-        assert _settled_test(t2)(2, 0)
-        assert _settled_test(t2)(2, 0b11)
+        assert t2.settled(2, 0)
+        assert t2.settled(2, 0b11)
 
     def test_open_bundle_keeps_state_live(self, t2):
-        assert not _settled_test(t2)(1, 0)
-        assert not _settled_test(t2)(0, 0)
+        assert not t2.settled(1, 0)
+        assert not t2.settled(0, 0)
 
     def test_missed_resource_settles(self):
         spec = ProblemSpec(
@@ -116,8 +112,8 @@ class TestSettled:
             distributions=(DiscreteMultinomial((0.5, 0.5)),) * 2,
             mode=MODE_DISCRETE,
         )
-        assert _settled_test(spec)(1, 0)  # resource 1 lost, pair unreachable
-        assert not _settled_test(spec)(1, 0b1)
+        assert spec.settled(1, 0)  # resource 1 lost, pair unreachable
+        assert not spec.settled(1, 0b1)
 
     def test_settled_states_use_closed_form_and_zero_bid(self):
         spec = ProblemSpec(

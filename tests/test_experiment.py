@@ -185,3 +185,45 @@ class TestSuite:
             a = (result.output_dir / rel).read_bytes()
             b = (again.output_dir / rel).read_bytes()
             assert a == b, rel
+
+
+def csv_rows(path) -> list[dict]:
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestFailedExperiment:
+    def test_left_out_of_every_aggregate(self, tmp_path, monkeypatch):
+        from seqbid import experiment
+        from seqbid.continuous import UniformFixed
+
+        solve_grid, g10_calls = experiment.solve_grid, []
+
+        def failing_second_g10(spec, strategy, cfg):
+            if strategy == UniformFixed(10):
+                g10_calls.append(spec)
+                if len(g10_calls) == 2:
+                    raise RuntimeError("injected failure")
+            return solve_grid(spec, strategy, cfg)
+
+        monkeypatch.setattr(experiment, "solve_grid", failing_second_g10)
+        out = tmp_path / "suite"
+        result = run_experiment_suite(ExperimentConfig(n_experiments=3, master_seed=42,
+                                                       output_dir=str(out)))
+        assert result.failures == [1]
+        names = [run.name for run in default_runs()]
+        stage0 = {r["run"]: r for r in csv_rows(out / "per_stage_errors.csv") if r["stage"] == "0"}
+        assert {name: stage0[name]["experiments"] for name in names} == dict.fromkeys(names, "2")
+        aggregate = {r["run"]: r for r in csv_rows(out / "aggregate.csv")}
+        bounds = {(r["run"], r["stage"]): r for r in csv_rows(out / "bounds.csv")}
+        for name in names:
+            ok = [csv_rows(out / f"exp_{i:02d}" / f"{name}_errors.csv")[-1] for i in (0, 2)]
+            assert float(aggregate[name]["mean_sq_value_error"]) == pytest.approx(
+                sum(float(r["mean_value_err"]) for r in ok) / 2, rel=1e-12, abs=0.0)
+            if name == "Discrete":
+                assert float(aggregate[name]["states"]) == sum(int(r["states"]) for r in ok) / 2
+                continue
+            deltas = [float(csv_rows(out / f"exp_{i:02d}" / f"{name}_ledger.csv")[0]["delta"])
+                      for i in (0, 2)]
+            assert float(bounds[name, "0"]["mean_delta"]) == pytest.approx(
+                sum(deltas) / 2, rel=1e-12, abs=0.0)

@@ -225,6 +225,27 @@ class TestSpecMismatch:
         write_grid_solution(solve_grid(two, UniformFixed(4)), path)
         self.refused(read_grid_solution, path, c1, "stage 2")
 
+    def drop_component(self, path, t, mask):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(r for r in rows if r[:2] != [str(t), str(mask)])
+
+    def test_missing_successor_discrete(self, t2, t2_file):
+        # (1, 0) is the lose successor of (0, 0); read from its closed form it
+        # would give value(1, 0, 3) = 2.1 instead of 4.7
+        self.drop_component(t2_file, 1, 0)
+        self.refused(read_discrete_solution, t2_file, t2, "stage 1, holdings_mask 0, "
+                     "a successor of unsettled stage 0, holdings_mask 0")
+
+    def test_missing_successor_grid(self, t2, tmp_path):
+        two = continuous_twin(t2)
+        path = tmp_path / "two.csv"
+        write_grid_solution(solve_grid(two, UniformFixed(4)), path)
+        self.drop_component(path, 2, 0b11)
+        self.refused(read_grid_solution, path, two, "stage 2, holdings_mask 3, "
+                     "a successor of unsettled stage 1, holdings_mask 1")
+
     def test_no_start_component(self, t2, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("stage,holdings_mask,endowment,value,bid,settled\n")

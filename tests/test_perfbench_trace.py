@@ -1,0 +1,41 @@
+"""The benchmark tracer (perfbench/spans.py) patches seqbid's entry points by
+name; a rename under src must fail here, not only under `run.py --trace 1`."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_patched_layer_records_a_span(c1, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    from seqbid import continuous, core, discrete, experiment, simulate
+    from seqbid.pwl import RefinementBudget
+
+    tracer = Tracer("guard.op")
+    tracer.install()
+    try:
+        layers = set(tracer.names) - {"guard.op"}
+        # Every call goes through the module attribute the tracer patched.
+        g5 = continuous.solve_grid(c1, continuous.UniformFixed(5))
+        continuous.solve_grid(c1, continuous.Vg1(RefinementBudget(5, 0.0)))
+        twin = core.to_discrete(c1)
+        exact = discrete.solve_discrete(twin)
+        simulate.compare_solutions(exact, g5.values, c1)
+        discrete.evaluate_policy_exact(twin, exact.policy())
+        bidder = tracer.wrap_bidder(simulate.table_policy(exact))
+        simulate.collect_rounds(twin, bidder, 10, seed=0)
+        experiment.generate_instance(experiment.GeneratorParams(n_resources=3, n_bundles=1))
+        experiment.save_spec(c1, tmp_path / "c1.json")
+        last, counts = tracer.mark()
+        _, by_name = tracer.layer_metrics(0, last, counts)
+    finally:
+        tracer.uninstall()
+    assert {"core.validate", "continuous.maximize", "pwl.refine", "simulate.round"} <= layers
+    assert sorted(layers - set(by_name)) == []
+    assert by_name["simulate.bidder"]["calls"] == 10
+    assert counts["discrete.policy_calls"] > 0
+    assert continuous.solve_grid.__module__ == "seqbid.continuous"  # patches undone

@@ -120,6 +120,27 @@ class TestCollectRounds:
         b = collect_rounds(t2, bidder, 50, seed=1)
         assert a != b
 
+    def test_spec_is_not_validated_again(self, t2, monkeypatch):
+        import sys
+        from dataclasses import replace
+
+        from seqbid import core
+
+        bidder = table_policy(solve_discrete(t2))
+        calls = []
+
+        def counted(spec, _original=core.ensure_valid):
+            calls.append(spec)
+            return _original(spec)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("seqbid")]:
+            if "ensure_valid" in vars(module):
+                monkeypatch.setattr(module, "ensure_valid", counted)
+        collect_rounds(t2, bidder, 200, seed=0)
+        assert len(calls) == 0
+        replace(t2)  # a new spec checks itself, once
+        assert len(calls) == 1
+
 
 class TestSummarize:
     def test_degenerate_outcome(self, t1):
