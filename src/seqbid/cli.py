@@ -88,7 +88,7 @@ def _cmd_simulate(args) -> int:
             bidder = table_policy(read_discrete_solution(args.policy, spec))
         else:
             bidder = greedy_policy(read_grid_solution(args.policy, spec).values, spec)
-    traces = collect_rounds(spec, bidder, args.rounds, args.seed)
+        traces = collect_rounds(spec, bidder, args.rounds, args.seed)
     mean, stderr = summarize_utilities([tr.utility for tr in traces])
     print(f"rounds {args.rounds}  mean utility {mean:.6f}  stderr {stderr:.6f}")
     if args.out:

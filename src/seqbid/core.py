@@ -15,6 +15,7 @@ Winning requires strictly outbidding the high bid; ties lose.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Union
@@ -110,8 +111,18 @@ class DiscreteMultinomial:
     def mean(self) -> float:
         return float(np.dot(np.arange(len(self.probs)), self.probs))
 
+    @cached_property
+    def _sample_cdf(self) -> list[float]:
+        # Generator.choice(len(p), p=p)'s own table, normalized as numpy
+        # normalizes it; kept apart from _cum, whose bits the win
+        # probabilities read.
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(len(self.probs), p=self.probs))
+        """The draw of rng.choice(len(probs), p=probs), from the same one double."""
+        return bisect_right(self._sample_cdf, rng.random())
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,11 @@ def collect_rounds(
 ) -> list[RoundTrace]:
     """Traces of `rounds` independent simulations.
 
-    Round r runs on its own substream derived from (seed, r), so results are
-    reproducible and insensitive to batching.
+    Round r runs on its own generator, default_rng(SeedSequence((seed, r))),
+    so results are reproducible and insensitive to batching.  It draws one
+    double per stage, in stage order.  A multinomial stage inverts it through
+    the table numpy's Generator.choice builds from the stage's probabilities,
+    so every draw equals that of earlier versions, which called choice itself.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -117,10 +120,10 @@ def constant_bid_policy(z: float) -> Bidder:
 
 def table_policy(solution: DiscreteSolution) -> Bidder:
     """Bidder backed by a discrete solution's bid tables (integer endowments)."""
-    bid = solution.bid
+    stage_bids = solution.stage_bids
 
     def bidder(t, mask, d):
-        return bid(t, mask, int(round(d)))
+        return stage_bids[t][mask][int(round(d))]
 
     return bidder
 

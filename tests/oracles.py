@@ -21,6 +21,7 @@ from seqbid.core import (
     TruncatedGaussian,
 )
 from seqbid.pwl import PwlFunction
+from seqbid.simulate import RoundTrace
 
 
 def _raw(spec: ProblemSpec):
@@ -98,6 +99,38 @@ def policy_values(spec: ProblemSpec, policy) -> dict:
                 values[t, mask, d] = (pw * values[t + 1, mask | (1 << t), d - z]
                                       + (1.0 - pw) * values[t + 1, mask, d])
     return values
+
+
+def reference_rounds(spec: ProblemSpec, solution, rounds: int, seed: int) -> list[RoundTrace]:
+    """Monte Carlo traces of a discrete solution's bid tables, drawn as seqbid
+    has always drawn them.
+
+    Round r runs on default_rng(SeedSequence((seed, r))).  Each stage draws
+    its high bid with rng.choice(len(probs), p=probs), then bids
+    solution.bid(t, holdings, round(d)); a bid wins by strictly exceeding the
+    high bid.  The utility is rebuilt from the raw bundle and residual data.
+    """
+    n, _, terminal, _ = _raw(spec)
+    traces = []
+    for r in range(rounds):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
+        held, d = 0, float(spec.endowment)
+        high_bids, bids, won, endowments = [], [], [], []
+        for t, dist in enumerate(spec.distributions):
+            w = float(rng.choice(len(dist.probs), p=dist.probs))
+            z = float(solution.bid(t, held, int(round(d))))
+            win = z > w
+            if win:
+                held |= 1 << t
+                d -= min(z, d)
+            high_bids.append(w)
+            bids.append(z)
+            won.append(win)
+            endowments.append(d)
+        traces.append(RoundTrace(
+            tuple(high_bids), tuple(bids), tuple(won), tuple(endowments),
+            frozenset(i + 1 for i in range(n) if held >> i & 1), terminal(held, d)))
+    return traces
 
 
 def dense_q_max(

@@ -183,6 +183,16 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_zero_rounds_is_bad_input(self, t2_file, tmp_path, capsys):
+        out = tmp_path / "solved"
+        main(["solve", str(t2_file), "--mode", "discrete", "--out", str(out)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
+                  "--rounds", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: need at least one round\n"
+
 
 class TestExperimentCommand:
     def test_tiny_config_runs(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from seqbid.core import (
     useful_resources,
     validate_problem,
 )
+from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.io import spec_from_dict, spec_to_dict
 from seqbid.pwl import PwlFunction
 
@@ -174,6 +175,72 @@ class TestDiscreteMultinomial:
     def test_negative_bid_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMultinomial((1.0,)).win_probability(-0.5)
+
+
+def _generator_distributions():
+    for seed in range(1000, 1004):
+        spec = to_discrete(generate_instance(GeneratorParams(seed=seed)))
+        for t, dist in enumerate(spec.distributions):
+            yield pytest.param(dist.probs, id=f"G{seed}-stage{t}")
+
+
+# Sums 1 - 9e-13 and 1 + 9e-13: within validation's tolerance, but off 1 by
+# enough that numpy's normalization of the table moves its last bits.
+_SHORT = (0.25, 0.25, 0.5 - 9e-13)
+_LONG = (0.1, 0.2, 0.7 + 9e-13)
+
+
+_STREAM_CASES = [
+    *_generator_distributions(),
+    pytest.param((1.0,), id="one-level"),
+    pytest.param((0.3, 0.0, 0.0, 0.7), id="zero-interior"),
+    pytest.param((0.6, 0.4, 0.0, 0.0), id="zero-trailing"),
+    pytest.param((0.0, 0.5, 0.0, 0.5, 0.0), id="zero-everywhere"),
+    pytest.param(_SHORT, id="sum-below-one"),
+    pytest.param(_LONG, id="sum-above-one"),
+]
+
+
+class _Replay(np.random.Generator):
+    """A generator whose random() returns the given doubles in turn;
+    Generator.choice draws its uniform through that same method."""
+
+    def __init__(self, us):
+        super().__init__(np.random.PCG64(0))
+        self.us = list(us)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.us.pop(0)
+
+
+class TestSampleStream:
+    """sample draws what rng.choice(len(p), p=p) draws, from the same doubles."""
+
+    @pytest.mark.parametrize("probs", _STREAM_CASES)
+    def test_draw_for_draw_equal_to_choice(self, probs):
+        d = DiscreteMultinomial(probs)
+        rng_a, rng_b = np.random.default_rng(2024), np.random.default_rng(2024)
+        ours = [d.sample(rng_a) for _ in range(10_000)]
+        numpy_draws = [int(rng_b.choice(len(probs), p=probs)) for _ in range(10_000)]
+        assert ours == numpy_draws
+        assert all(type(k) is int for k in ours)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("probs", _STREAM_CASES)
+    def test_equal_to_choice_at_every_table_edge(self, probs):
+        # Random doubles almost never land within 1e-12 of an edge, so feed
+        # both sides every cumulative sum, raw and normalized, and its neighbours.
+        cdf = np.cumsum(probs)
+        edges = {float(u) for c in (cdf, cdf / cdf[-1]) for u in c}
+        us = sorted(u for e in edges for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))
+                    if 0.0 <= u < 1.0)
+        d = DiscreteMultinomial(probs)
+        ours = [d.sample(_Replay([u])) for u in us]
+        assert ours == [int(_Replay([u]).choice(len(probs), p=probs)) for u in us]
+
+    def test_off_by_rounding_sums_are_exercised(self):
+        assert sum(_SHORT) < 1.0 < sum(_LONG)
+        assert abs(sum(_SHORT) - 1.0) <= 1e-12 and abs(sum(_LONG) - 1.0) <= 1e-12
 
 
 class TestTruncatedGaussian:

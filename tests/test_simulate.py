@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import reference_rounds
 from seqbid.continuous import HybridValueFunction, UniformFixed, solve_grid
-from seqbid.core import terminal_value
+from seqbid.core import terminal_value, to_discrete
 from seqbid.discrete import solve_discrete
+from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.simulate import (
     collect_rounds,
     compare_solutions,
@@ -140,6 +142,25 @@ class TestCollectRounds:
         assert len(calls) == 0
         replace(t2)  # a new spec checks itself, once
         assert len(calls) == 1
+
+
+class TestStreamPin:
+    """collect_rounds draws, bids and scores every round exactly as the
+    reference loop does: any change to the random stream fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2**31])
+    def test_t2(self, t2, seed):
+        exact = solve_discrete(t2)
+        assert collect_rounds(t2, table_policy(exact), 200, seed) == reference_rounds(
+            t2, exact, 200, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 100])
+    def test_generator_instance_1000(self, seed):
+        spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
+        exact = solve_discrete(spec)
+        traces = collect_rounds(spec, table_policy(exact), 200, seed)
+        assert traces == reference_rounds(spec, exact, 200, seed)
+        assert {won for tr in traces for won in tr.won} == {True, False}
 
 
 class TestSummarize:
