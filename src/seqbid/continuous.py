@@ -325,6 +325,25 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
     )
 
 
+class _Unsolved(Exception):
+    """A refiner asked for knot d, which no maximizer call has solved yet."""
+
+    def __init__(self, d: float):
+        super().__init__(d)
+        self.d = d
+
+
+def _answer_from(memo: dict[float, tuple[float, float]]):
+    """A refiner's evaluate that reads knot values from memo; _Unsolved at a miss."""
+    def evaluate(d: float) -> float:
+        d = float(d)
+        if d not in memo:
+            raise _Unsolved(d)
+        return memo[d][1]
+
+    return evaluate
+
+
 def solve_grid(
     spec: ProblemSpec,
     strategy: GridStrategy,
@@ -337,7 +356,10 @@ def solve_grid(
     holdings' bundle value, contributing neither evaluations nor ledger delta;
     every unsettled component is built from exact knot backups, with the knot
     set chosen by the strategy.  UniformFixed backs a stage up in one maximizer
-    call per (win, lose) knot layout; Vg1 and Vg2 evaluate one knot per call.
+    call per (win, lose) knot layout.  Vg1 and Vg2 refine a stage's components
+    in lockstep rounds: each round re-runs every unfinished refiner until it
+    asks for a knot not solved yet, then solves those knots in one maximizer
+    call per knot layout, one endowment row per component.
     """
     closed_form = _closed_form(spec, "solve_grid")
     m = float(spec.endowment)
@@ -355,20 +377,27 @@ def solve_grid(
                 ds = np.broadcast_to(xs, (len(idx), len(xs)))
                 solved.update(zip(idx, zip(*_maximize_batch(win, lose, dist, ds, cfg))))
             return [component(t, mask, xs, *solved[i]) for i, (mask, _, _) in enumerate(jobs)]
-        out = []
-        for mask, win, lose in jobs:
-            recorded: dict[float, float] = {}
-
-            def evaluate(d: float) -> float:
-                z, q = _maximize_batch(win, lose, dist, np.array([d]), cfg)
-                recorded[float(d)] = float(z[0])
-                return float(q[0])
-
-            refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
-            curve = refine(evaluate, (0.0, m), strategy.budget)
-            zs = np.array([recorded[x] for x in curve.xs])
-            out.append(component(t, mask, curve.xs, zs, np.asarray(curve.ys)))
-        return out
+        # Lockstep rounds: each unfinished refiner replays against its memo of
+        # solved knots (d -> bid, value) up to the first knot it lacks, then one
+        # maximizer call per knot layout solves those knots, one row per pair.
+        refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
+        memos: list[dict[float, tuple[float, float]]] = [{} for _ in jobs]
+        curves: dict[int, PwlFunction] = {}
+        while len(curves) < len(jobs):
+            wanted = []
+            for i in range(len(jobs)):
+                if i not in curves:
+                    try:
+                        curves[i] = refine(_answer_from(memos[i]), (0.0, m), strategy.budget)
+                    except _Unsolved as miss:
+                        wanted.append((i, miss.d))
+            for idx, win, lose in _layout_groups([jobs[i][1:] for i, _ in wanted]):
+                asked = [wanted[j] for j in idx]
+                zs, qs = _maximize_batch(win, lose, dist, np.array([[d] for _, d in asked]), cfg)
+                for (i, d), z, q in zip(asked, zs[:, 0], qs[:, 0]):
+                    memos[i][d] = float(z), float(q)
+        return [component(t, mask, curves[i].xs, np.array([memos[i][x][0] for x in curves[i].xs]),
+                          np.asarray(curves[i].ys)) for i, (mask, _, _) in enumerate(jobs)]
 
     layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
                    closed_form)

@@ -39,6 +39,7 @@ from .core import (
 )
 from .discrete import DiscreteSolution, solve_discrete
 from .io import (
+    _integer,
     _write_csv,
     save_spec,
     write_delta_ledger,
@@ -167,10 +168,14 @@ class ExperimentConfig:
     maximizer: MaximizerConfig = field(default_factory=MaximizerConfig)
 
 
-def _cast_fields(default, data: dict, skip: tuple = ()) -> dict:
-    """data's entries for default's fields, each cast to the type of default's value."""
-    return {f.name: type(getattr(default, f.name))(data[f.name])
-            for f in fields(default) if f.name in data and f.name not in skip}
+def _cast_fields(default, data: dict, skip: tuple = (), where: str = "") -> dict:
+    """data's entries for default's fields, each cast to the type of default's value;
+    an int field refuses a non-integral value, tagged with `where` and the field name."""
+    def cast(name):
+        kind = type(getattr(default, name))
+        return _integer(data[name], where + name) if kind is int else kind(data[name])
+
+    return {f.name: cast(f.name) for f in fields(default) if f.name in data and f.name not in skip}
 
 
 def _plain_fields(obj, skip: tuple = ()) -> dict:
@@ -187,14 +192,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     cfg = replace(base, **_cast_fields(base, data, ("runs", "generator", "maximizer")))
     if "runs" in data:
         cfg = replace(cfg, runs=tuple(
-            RunSpec(r["kind"], **_cast_fields(RunSpec("discrete"), r, ("kind",)))
-            for r in data["runs"]
+            RunSpec(r["kind"], **_cast_fields(RunSpec("discrete"), r, ("kind",), f"runs[{i}]."))
+            for i, r in enumerate(data["runs"])
         ))
     return replace(
         cfg,
         generator=GeneratorParams(
-            **_cast_fields(base.generator, data.get("generator", {}), ("seed",))),
-        maximizer=MaximizerConfig(**_cast_fields(base.maximizer, data.get("maximizer", {}))),
+            **_cast_fields(base.generator, data.get("generator", {}), ("seed",), "generator.")),
+        maximizer=MaximizerConfig(
+            **_cast_fields(base.maximizer, data.get("maximizer", {}), where="maximizer.")),
     )
 
 

@@ -121,7 +121,7 @@ class RefinementBudget:
     def __post_init__(self) -> None:
         if self.max_knots < 2:
             raise ValueError("max_knots must be at least 2")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError("threshold must be nonnegative")
 
 

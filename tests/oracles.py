@@ -3,7 +3,8 @@
 Everything here recomputes results from raw problem data (bundle member
 lists, residual knot arrays, scipy's normal CDF) without going through the
 solver code under test, so agreement between the two is evidence rather
-than tautology.
+than tautology.  The one exception is per_knot_grid, a reference loop that
+reuses the solver's parts to pin how solve_grid schedules its refiners.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from seqbid import continuous
+from seqbid.continuous import GridSolution, MaximizerConfig, Vg1
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
     ProblemSpec,
     TruncatedGaussian,
 )
-from seqbid.pwl import PwlFunction
+from seqbid.discrete import sweep
+from seqbid.pwl import PwlFunction, vg1_refine, vg2_refine
 from seqbid.simulate import RoundTrace
 
 
@@ -224,3 +228,38 @@ def random_small_instance(rng: np.random.Generator) -> ProblemSpec:
     slope = float(np.round(rng.uniform(0.2, 1.0), 2))
     residual = PwlFunction.linear(slope, 0.0, e)
     return ProblemSpec(n, bundles, e, residual, dists, "continuous")
+
+
+def per_knot_grid(spec: ProblemSpec, strategy, cfg: MaximizerConfig = MaximizerConfig()
+                  ) -> GridSolution:
+    """solve_grid under Vg1 or Vg2, driven one knot at a time.
+
+    Not independent of the solver: this is the reference the lockstep rounds
+    must match bit for bit.  Each component runs its refiner once, against an
+    evaluate that solves the asked knot on the spot in a one-row
+    _maximize_batch call.
+    """
+    closed_form = continuous._closed_form(spec, "per_knot_grid")
+    refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
+    knot_bids: dict[tuple[int, int], np.ndarray] = {}
+
+    def backup(t, jobs):
+        out = []
+        for mask, win, lose in jobs:
+            bids: dict[float, float] = {}
+
+            def evaluate(d: float) -> float:
+                z, q = continuous._maximize_batch(win, lose, spec.distributions[t],
+                                                  np.array([d]), cfg)
+                bids[float(d)] = float(z[0])
+                return float(q[0])
+
+            curve = refine(evaluate, (0.0, float(spec.endowment)), strategy.budget)
+            knot_bids[(t, mask)] = np.array([bids[x] for x in curve.xs])
+            ys = continuous._monotone(np.asarray(curve.ys))
+            out.append(PwlFunction(curve.xs, tuple(float(y) for y in ys)))
+        return out
+
+    layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
+                   closed_form)
+    return continuous._grid_solution(spec, closed_form, layers, knot_bids)

@@ -54,6 +54,13 @@ class TestParseGridStrategy:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_grid_strategy(text)
 
+    def test_nan_threshold_is_an_argument_error(self, c1_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(c1_file), "--mode", "grid", "--grid", "vg1:15,nan",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "bad grid spec 'vg1:15,nan': threshold must be nonnegative" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_discrete_solution_round_trips(self, t2, t2_file, tmp_path, capsys):
@@ -230,3 +237,12 @@ class TestExperimentCommand:
         rc = main(["experiment", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "bad experiment config" in capsys.readouterr().err
+
+    def test_non_integral_count_is_a_bad_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_experiments": 2.7}))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bad experiment config: n_experiments: 2.7 is not an integer\n")
+        assert not (tmp_path / "x").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_q_max, random_small_instance
+from oracles import dense_q_max, per_knot_grid, random_small_instance
 from seqbid import continuous, simulate
 from seqbid.continuous import (
     CurveStack,
@@ -456,18 +456,27 @@ def instance_1000():
 class TestStageBatchedCalls:
     """One maximizer call per stage and (win, lose) knot layout, not per component."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    @staticmethod
+    def record(monkeypatch, entry):
         seen = []
         inner = continuous._maximize_batch
 
         def counted(win, lose, dist, ds, cfg):
-            seen.append(np.size(ds))
+            seen.append(entry(win, ds))
             return inner(win, lose, dist, ds, cfg)
 
         monkeypatch.setattr(continuous, "_maximize_batch", counted)
         monkeypatch.setattr(simulate, "_maximize_batch", counted)
         return seen
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return self.record(monkeypatch, lambda win, ds: np.size(ds))
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """Per call: the number of curve pairs and the shape of the endowments."""
+        return self.record(monkeypatch, lambda win, ds: (len(np.atleast_2d(win._ay)), np.shape(ds)))
 
     @staticmethod
     def layouts(values, components):
@@ -489,3 +498,29 @@ class TestStageBatchedCalls:
                      if (t, mask) not in exact.settled]
         assert len(unsettled) == 161 and sum(calls) == report.states == 4991
         assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
+
+    @pytest.mark.parametrize("kind, knots, n_calls", [(Vg1, 2415, 315), (Vg2, 2291, 279)])
+    def test_lockstep_refiners(self, instance_1000, shapes, kind, knots, n_calls):
+        # A round solves the next knot of every unfinished component of a stage, one
+        # call per knot layout; one knot per call would make `knots` calls.
+        sol = solve_grid(instance_1000[0], kind(RefinementBudget(15, 0.01)))
+        assert sol.state_count == knots and len(shapes) == n_calls
+        assert all(shape == (pairs, 1) for pairs, shape in shapes)
+        assert sum(pairs for pairs, _ in shapes) == knots
+
+
+class TestLockstepRefiners:
+    """solve_grid's lockstep rounds give exactly what one call per knot gives."""
+
+    @pytest.mark.parametrize("kind", [Vg1, Vg2])
+    @pytest.mark.parametrize("budget", [(15, 0.01), (25, 0.0), (9, 0.0)])
+    @pytest.mark.parametrize("instance", ["c1", "generator 1000"])
+    def test_matches_per_knot_reference(self, c1, instance_1000, instance, kind, budget):
+        spec = c1 if instance == "c1" else instance_1000[0]
+        strategy = kind(RefinementBudget(*budget))
+        sol, ref = solve_grid(spec, strategy), per_knot_grid(spec, strategy)
+        assert sol.values.components == ref.values.components
+        assert sorted(sol.knot_bids) == sorted(ref.knot_bids)
+        assert all(np.array_equal(sol.knot_bids[key], ref.knot_bids[key]) for key in ref.knot_bids)
+        assert np.array_equal(sol.ledger.deltas, ref.ledger.deltas)
+        assert sol.state_count == ref.state_count

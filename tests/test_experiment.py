@@ -106,6 +106,22 @@ class TestConfigDict:
         back = config_from_dict(json.loads(json.dumps(data)))
         assert config_to_dict(back) == data
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n_experiments": 2.7}, "n_experiments: 2.7 is not an integer"),
+        ({"runs": [{"kind": "fixed", "g": 10.9}]}, r"runs\[0\]\.g: 10\.9 is not an integer"),
+        ({"maximizer": {"samples_per_segment": 3.9}},
+         "maximizer.samples_per_segment: 3.9 is not an integer"),
+        ({"generator": {"n_resources": 4.5}}, "generator.n_resources: 4.5 is not an integer"),
+    ])
+    def test_non_integral_int_fields_refused(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(data)
+
+    def test_integral_floats_load_as_ints(self):
+        cfg = config_from_dict({"n_experiments": 3.0, "runs": [{"kind": "fixed", "g": 10.0}]})
+        assert cfg.n_experiments == 3 and type(cfg.n_experiments) is int
+        assert cfg.runs[0].name == "G10"
+
     def test_defaults_fill_missing_fields(self):
         cfg = config_from_dict({"n_experiments": 3})
         assert cfg.n_experiments == 3

@@ -122,6 +122,17 @@ class TestMaxConsecutiveDelta:
             f.max_consecutive_delta()
 
 
+class TestRefinementBudget:
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_threshold_must_be_nonnegative(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            RefinementBudget(15, threshold)
+
+    def test_max_knots_at_least_two(self):
+        with pytest.raises(ValueError, match="max_knots"):
+            RefinementBudget(1, 0.0)
+
+
 class TestVg1:
     def test_budget_two_returns_endpoints(self):
         f = vg1_refine(kink_oracle, (0.0, 8.0), RefinementBudget(2, 0.0))
