@@ -9,10 +9,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .continuous import MaximizerConfig, UniformFixed, Vg1, Vg2, error_bound, solve_grid
+from .continuous import MaximizerConfig, error_bound, solve_grid
 from .core import holdings_mask, to_discrete
 from .discrete import solve_discrete
-from .experiment import ExperimentConfig, config_from_dict, run_experiment_suite
+from .experiment import ExperimentConfig, RunSpec, config_from_dict, run_experiment_suite
 from .io import (
     _write_csv,
     load_spec,
@@ -22,27 +22,21 @@ from .io import (
     write_discrete_solution,
     write_grid_solution,
 )
-from .pwl import RefinementBudget
 from .simulate import collect_rounds, greedy_policy, summarize_utilities, table_policy
 
 
 def parse_grid_strategy(text: str):
     """fixed:<g> | vg1:<max_knots>,<threshold> | vg2:<max_knots>,<threshold>"""
     kind, _, rest = text.partition(":")
+    knots, comma, threshold = rest.partition(",")
+    if kind not in ("fixed", "vg1", "vg2") or (comma and kind == "fixed"):
+        raise argparse.ArgumentTypeError(
+            f"bad grid spec {text!r}; expected fixed:<g>, vg1:<k>,<t> or vg2:<k>,<t>")
     try:
-        if kind == "fixed":
-            return UniformFixed(int(rest))
-        if kind in ("vg1", "vg2"):
-            knots_text, _, threshold_text = rest.partition(",")
-            budget = RefinementBudget(
-                int(knots_text), float(threshold_text) if threshold_text else 0.0
-            )
-            return Vg1(budget) if kind == "vg1" else Vg2(budget)
+        return RunSpec(kind, g=int(knots), max_knots=int(knots),
+                       threshold=float(threshold or 0.0)).strategy()
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {err}") from None
-    raise argparse.ArgumentTypeError(
-        f"bad grid spec {text!r}; expected fixed:<g>, vg1:<k>,<t> or vg2:<k>,<t>"
-    )
 
 
 @contextmanager

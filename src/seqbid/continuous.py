@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -41,6 +42,12 @@ class MaximizerConfig:
             raise ValueError("refine_tolerance must be positive")
 
 
+@lru_cache(maxsize=64)
+def _even_knots(g: int, m: float) -> tuple[float, ...]:
+    """g evenly spaced knots over [0, m]; each component of a solve asks twice."""
+    return tuple(np.linspace(0.0, m, g).tolist())
+
+
 @dataclass(frozen=True)
 class UniformFixed:
     """Evaluate every component at g evenly spaced knots."""
@@ -51,6 +58,11 @@ class UniformFixed:
         if self.g < 2:
             raise ValueError("a fixed grid needs at least 2 knots")
 
+    def refine(self, evaluate, m: float) -> PwlFunction:
+        """The curve through all g knots, asked for as one tuple."""
+        xs = _even_knots(self.g, m)
+        return PwlFunction(xs, evaluate(xs))
+
 
 @dataclass(frozen=True)
 class Vg1:
@@ -58,12 +70,18 @@ class Vg1:
 
     budget: RefinementBudget
 
+    def refine(self, evaluate, m: float) -> PwlFunction:
+        return vg1_refine(evaluate, (0.0, m), self.budget)
+
 
 @dataclass(frozen=True)
 class Vg2:
     """Adaptive grid driven by worst chord prediction (paired insertion)."""
 
     budget: RefinementBudget
+
+    def refine(self, evaluate, m: float) -> PwlFunction:
+        return vg2_refine(evaluate, (0.0, m), self.budget)
 
 
 GridStrategy = Union[UniformFixed, Vg1, Vg2]
@@ -161,13 +179,6 @@ def _groups(keys) -> list[list[int]]:
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return list(groups.values())
-
-
-def _layout_groups(pairs: list[tuple[PwlFunction, PwlFunction]]):
-    """Indices, win stack and lose stack of each knot-layout group of (win, lose) pairs."""
-    for idx in _groups((win.xs, lose.xs) for win, lose in pairs):
-        yield (idx, CurveStack([pairs[i][0] for i in idx]),
-               CurveStack([pairs[i][1] for i in idx]))
 
 
 def _interp_table(curves: Union[PwlFunction, CurveStack]) -> tuple:
@@ -325,20 +336,34 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
     )
 
 
-class _Unsolved(Exception):
-    """A refiner asked for knot d, which no maximizer call has solved yet."""
+def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: BidDistribution,
+                    cfg: MaximizerConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Best bids and values of each (win, lose) pair at its own endowment row, in one
+    _maximize_batch call per knot layout; the rows of one layout share a length."""
+    out: dict = {}
+    for idx in _groups((win.xs, lose.xs) for win, lose in pairs):
+        zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
+                                 CurveStack([pairs[i][1] for i in idx]), dist,
+                                 np.array([rows[i] for i in idx], dtype=float), cfg)
+        out.update(zip(idx, zip(zs, qs)))
+    return [out[i] for i in range(len(pairs))]
 
-    def __init__(self, d: float):
-        super().__init__(d)
-        self.d = d
+
+class _Unsolved(Exception):
+    """A refine asked for knots, args[0], that no maximizer call has solved yet."""
 
 
 def _answer_from(memo: dict[float, tuple[float, float]]):
-    """A refiner's evaluate that reads knot values from memo; _Unsolved at a miss."""
-    def evaluate(d: float) -> float:
+    """A refine's evaluate: the value at one knot, or the values at a tuple of knots,
+    read from memo (knot -> bid, value); _Unsolved with the knots asked at a miss."""
+    def evaluate(d):
+        if isinstance(d, tuple):
+            if all(map(memo.__contains__, d)):
+                return tuple(memo[x][1] for x in d)
+            raise _Unsolved(d)
         d = float(d)
         if d not in memo:
-            raise _Unsolved(d)
+            raise _Unsolved((d,))
         return memo[d][1]
 
     return evaluate
@@ -355,49 +380,36 @@ def solve_grid(
     stages every settled component is the residual curve shifted by the
     holdings' bundle value, contributing neither evaluations nor ledger delta;
     every unsettled component is built from exact knot backups, with the knot
-    set chosen by the strategy.  UniformFixed backs a stage up in one maximizer
-    call per (win, lose) knot layout.  Vg1 and Vg2 refine a stage's components
-    in lockstep rounds: each round re-runs every unfinished refiner until it
-    asks for a knot not solved yet, then solves those knots in one maximizer
-    call per knot layout, one endowment row per component.
+    set chosen by the strategy's refine.  A stage's components refine in
+    lockstep rounds: each round re-runs every unfinished refine against its
+    memo of solved knots until it asks for knots not solved yet, then solves
+    those in one maximizer call per (win, lose) knot layout, one endowment row
+    per component.  UniformFixed asks for all g knots at once and finishes in
+    the second round; Vg1 and Vg2 ask for one knot at a time.
     """
     closed_form = _closed_form(spec, "solve_grid")
     m = float(spec.endowment)
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
 
-    def component(t, mask, xs, zs, qs):
-        knot_bids[(t, mask)] = zs
-        return PwlFunction(tuple(float(x) for x in xs), tuple(float(y) for y in _monotone(qs)))
-
     def backup(t, jobs):
-        dist = spec.distributions[t]
-        if isinstance(strategy, UniformFixed):
-            xs, solved = np.linspace(0.0, m, strategy.g), {}
-            for idx, win, lose in _layout_groups([job[1:] for job in jobs]):
-                ds = np.broadcast_to(xs, (len(idx), len(xs)))
-                solved.update(zip(idx, zip(*_maximize_batch(win, lose, dist, ds, cfg))))
-            return [component(t, mask, xs, *solved[i]) for i, (mask, _, _) in enumerate(jobs)]
-        # Lockstep rounds: each unfinished refiner replays against its memo of
-        # solved knots (d -> bid, value) up to the first knot it lacks, then one
-        # maximizer call per knot layout solves those knots, one row per pair.
-        refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
         memos: list[dict[float, tuple[float, float]]] = [{} for _ in jobs]
-        curves: dict[int, PwlFunction] = {}
-        while len(curves) < len(jobs):
+        curves: list = [None] * len(jobs)
+        while None in curves:
             wanted = []
-            for i in range(len(jobs)):
-                if i not in curves:
+            for i, memo in enumerate(memos):
+                if curves[i] is None:
                     try:
-                        curves[i] = refine(_answer_from(memos[i]), (0.0, m), strategy.budget)
+                        curves[i] = strategy.refine(_answer_from(memo), m)
                     except _Unsolved as miss:
-                        wanted.append((i, miss.d))
-            for idx, win, lose in _layout_groups([jobs[i][1:] for i, _ in wanted]):
-                asked = [wanted[j] for j in idx]
-                zs, qs = _maximize_batch(win, lose, dist, np.array([[d] for _, d in asked]), cfg)
-                for (i, d), z, q in zip(asked, zs[:, 0], qs[:, 0]):
-                    memos[i][d] = float(z), float(q)
-        return [component(t, mask, curves[i].xs, np.array([memos[i][x][0] for x in curves[i].xs]),
-                          np.asarray(curves[i].ys)) for i, (mask, _, _) in enumerate(jobs)]
+                        wanted.append((i, miss.args[0]))
+            solved = _maximize_pairs([jobs[i][1:] for i, _ in wanted], [ds for _, ds in wanted],
+                                     spec.distributions[t], cfg)
+            for (i, ds), (zs, qs) in zip(wanted, solved):
+                memos[i].update(zip(ds, zip(zs.tolist(), qs.tolist())))
+        for (mask, _, _), memo, curve in zip(jobs, memos, curves):
+            knot_bids[(t, mask)] = np.array([memo[x][0] for x in curve.xs])
+        return [PwlFunction(c.xs, tuple(float(y) for y in _monotone(np.asarray(c.ys))))
+                for c in curves]
 
     layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
                    closed_form)

@@ -76,6 +76,21 @@ class GeneratorParams:
     residual_slope: float = 0.7
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        means = self.bid_mean_range
+        for name, ok, rule in (
+            ("n_resources", self.n_resources >= 1, "at least 1"),
+            ("n_bundles", self.n_bundles >= 1, "at least 1"),
+            ("bundle_size_std", self.bundle_size_std >= 0, "nonnegative"),
+            ("value_var", self.value_var >= 0, "nonnegative"),
+            ("bid_mean_range", len(means) == 2 and means[0] <= means[1], "a (low, high) pair"),
+            ("bid_var", self.bid_var > 0, "positive"),
+            ("endowment", 0 < self.endowment < float("inf"), "positive and finite"),
+            ("residual_slope", self.residual_slope >= 0, "nonnegative"),
+        ):
+            if not ok:
+                raise ValueError(f"generator.{name}: {getattr(self, name)!r} must be {rule}")
+
 
 def generate_instance(params: GeneratorParams) -> ProblemSpec:
     """One random continuous-mode instance; same params give the same spec."""
@@ -128,10 +143,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "fixed", "vg1", "vg2"):
             raise ValueError(f"unknown run kind {self.kind!r}")
-        if self.kind == "fixed" and self.g < 2:
-            raise ValueError("fixed-grid runs need g >= 2")
-        if self.kind in ("vg1", "vg2") and self.max_knots < 2:
-            raise ValueError("adaptive runs need max_knots >= 2")
+        self.strategy()  # the strategy refuses a bad g, max_knots or threshold
 
     @property
     def name(self) -> str:
@@ -143,6 +155,9 @@ class RunSpec:
         return f"{tag}-{self.threshold:g}" if self.threshold else tag
 
     def strategy(self):
+        """The grid strategy this run solves with; None for the discrete run."""
+        if self.kind == "discrete":
+            return None
         if self.kind == "fixed":
             return UniformFixed(self.g)
         budget = RefinementBudget(self.max_knots, self.threshold)
@@ -166,6 +181,13 @@ class ExperimentConfig:
     master_seed: int = 0
     generator: GeneratorParams = field(default_factory=GeneratorParams)
     maximizer: MaximizerConfig = field(default_factory=MaximizerConfig)
+
+    def __post_init__(self) -> None:
+        if self.n_experiments < 0:
+            raise ValueError(f"n_experiments: {self.n_experiments} must be nonnegative")
+        for i, run in enumerate(self.runs):
+            if run.name in (r.name for r in self.runs[:i]):
+                raise ValueError(f"runs[{i}]: duplicate run name {run.name}")
 
 
 def _cast_fields(default, data: dict, skip: tuple = (), where: str = "") -> dict:
@@ -191,10 +213,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     base = ExperimentConfig()
     cfg = replace(base, **_cast_fields(base, data, ("runs", "generator", "maximizer")))
     if "runs" in data:
-        cfg = replace(cfg, runs=tuple(
-            RunSpec(r["kind"], **_cast_fields(RunSpec("discrete"), r, ("kind",), f"runs[{i}]."))
-            for i, r in enumerate(data["runs"])
-        ))
+        runs = []
+        for i, r in enumerate(data["runs"]):
+            cast = _cast_fields(RunSpec("discrete"), r, ("kind",), f"runs[{i}].")
+            try:
+                runs.append(RunSpec(r["kind"], **cast))
+            except ValueError as err:
+                raise ValueError(f"runs[{i}]: {err}") from None
+        cfg = replace(cfg, runs=tuple(runs))
     return replace(
         cfg,
         generator=GeneratorParams(
@@ -243,10 +269,8 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run_names = [r.name for r in config.runs]
-    states_acc: dict[str, list[float]] = {name: [] for name in run_names}
-    report_acc: dict[str, list[ErrorReport]] = {name: [] for name in run_names}
-    ledger_acc: dict[str, list] = {name: [] for name in run_names}
+    # Per run name, one (states, report, ledger) record per experiment that succeeded.
+    records: dict[str, list[tuple]] = {r.name: [] for r in config.runs}
     manifest_experiments = []
     failures: list[int] = []
 
@@ -271,12 +295,9 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
                     report = compare_solutions(gold, sol.values, instance, config.maximizer)
                     states, ledger = sol.state_count, sol.ledger
                 write_error_report(report, exp_dir / f"{run.name}_errors.csv")
-                done.append((run.name, states, report, ledger))
-            for name, states, report, ledger in done:
-                states_acc[name].append(float(states))
-                report_acc[name].append(report)
-                if ledger is not None:
-                    ledger_acc[name].append(ledger)
+                done.append((run.name, (float(states), report, ledger)))
+            for name, record in done:
+                records[name].append(record)
             manifest_experiments.append(
                 {"index": i, "seed": seed, "n": instance.n, "status": "ok"}
             )
@@ -288,46 +309,37 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
                  "status": f"error: {type(err).__name__}: {err}"}
             )
 
-    aggregate: dict[str, dict[str, float]] = {}
-    for name in run_names:
-        reports = report_acc[name]
-        if not reports:
-            continue
-        aggregate[name] = {
-            "states": float(np.mean(states_acc[name])),
-            "mean_sq_value_error": float(np.mean([r.mean_value_err for r in reports])),
-            "mean_max_sq_value_error": float(np.mean([r.max_value_err for r in reports])),
-            "mean_sq_policy_error": float(np.mean([r.mean_policy_err for r in reports])),
-            "mean_max_sq_policy_error": float(np.mean([r.max_policy_err for r in reports])),
-        }
-
-    _write_csv(out / "aggregate.csv",
-               ["run", "states", "mean_sq_value_error", "mean_max_sq_value_error",
-                "mean_sq_policy_error", "mean_max_sq_policy_error"],
-               ([name, *agg.values()] for name, agg in aggregate.items()))
-
+    # The four error fields of ErrorReport and StageErrors, averaged over rows.
     errors = [f.name for f in fields(StageErrors)][1:-1]
-    rows = []
-    for name in run_names:
-        by_stage: dict[int, list[StageErrors]] = {}
-        for report in report_acc[name]:
-            for s in report.per_stage:
-                if s.states:
-                    by_stage.setdefault(s.stage, []).append(s)
-        for stage, reached in sorted(by_stage.items()):
-            rows.append([name, stage, *(float(np.mean([getattr(r, k) for r in reached]))
-                                        for k in errors), len(reached)])
-    _write_csv(out / "per_stage_errors.csv", ["run", "stage", *errors, "experiments"], rows)
 
-    rows = []
-    for name in run_names:
-        ledgers = ledger_acc[name]
+    def means(rows) -> list[float]:
+        return [float(np.mean([getattr(r, k) for r in rows])) for k in errors]
+
+    columns = ["states", "mean_sq_value_error", "mean_max_sq_value_error",
+               "mean_sq_policy_error", "mean_max_sq_policy_error"]
+    aggregate: dict[str, dict[str, float]] = {}
+    stage_rows, bound_rows = [], []
+    for name, recs in records.items():
+        if not recs:
+            continue
+        states, reports, ledgers = zip(*recs)
+        aggregate[name] = dict(zip(columns, [float(np.mean(states)), *means(reports)]))
+        by_stage: dict[int, list[StageErrors]] = {}
+        for s in (s for report in reports for s in report.per_stage if s.states):
+            by_stage.setdefault(s.stage, []).append(s)
+        stage_rows += ([name, stage, *means(reached), len(reached)]
+                       for stage, reached in sorted(by_stage.items()))
+        ledgers = [led for led in ledgers if led is not None]
         for t in range(max((led.n for led in ledgers), default=-1) + 1):
             with_stage = [led for led in ledgers if led.n >= t]
-            rows.append([name, t,
-                         float(np.mean([led.deltas[t] for led in with_stage])),
-                         float(np.mean([error_bound(led, t) for led in with_stage]))])
-    _write_csv(out / "bounds.csv", ["run", "stage", "mean_delta", "mean_cumulative_bound"], rows)
+            bound_rows.append([name, t, float(np.mean([led.deltas[t] for led in with_stage])),
+                               float(np.mean([error_bound(led, t) for led in with_stage]))])
+
+    _write_csv(out / "aggregate.csv", ["run", *columns],
+               ([name, *agg.values()] for name, agg in aggregate.items()))
+    _write_csv(out / "per_stage_errors.csv", ["run", "stage", *errors, "experiments"], stage_rows)
+    _write_csv(out / "bounds.csv", ["run", "stage", "mean_delta", "mean_cumulative_bound"],
+               bound_rows)
 
     manifest = config_to_dict(config)
     manifest["experiments"] = manifest_experiments

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import HybridValueFunction, MaximizerConfig, _layout_groups, _maximize_batch
+from .continuous import HybridValueFunction, MaximizerConfig, _maximize_batch, _maximize_pairs
 from .core import ProblemSpec, mask_holdings, terminal_value
 from .discrete import DiscreteSolution
 
@@ -48,30 +48,19 @@ def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> RoundTrace:
     A bid wins only by strictly exceeding the sampled high bid.
     """
     rng = np.random.default_rng(seed)
-    held = 0
-    d = float(spec.endowment)
-    high_bids, bids, won, endowments = [], [], [], []
+    held, d, stages = 0, float(spec.endowment), []
     for t in range(spec.n):
         w = float(spec.distributions[t].sample(rng))
         z = float(bidder(t, held, d))
-        if z < 0 or z > d + 1e-9:
+        if not 0 <= z <= d + 1e-9:
             raise ValueError(f"bidder returned infeasible bid {z!r} at stage {t}")
         win = z > w
         if win:
             held |= 1 << t
             d -= min(z, d)
-        high_bids.append(w)
-        bids.append(z)
-        won.append(win)
-        endowments.append(d)
-    return RoundTrace(
-        tuple(high_bids),
-        tuple(bids),
-        tuple(won),
-        tuple(endowments),
-        mask_holdings(held),
-        terminal_value(held, d, spec),
-    )
+        stages.append((w, z, win, d))
+    # Transposed, the stages give the high bids, bids, wins and endowments.
+    return RoundTrace(*zip(*stages), mask_holdings(held), terminal_value(held, d, spec))
 
 
 def collect_rounds(
@@ -187,38 +176,29 @@ def compare_solutions(
     """
     if exact.n != approx.n:
         raise ValueError("stage counts differ between exact and approximate solutions")
-    n = exact.n
-    e = exact.endowment
-    lattice = np.arange(e + 1, dtype=float)
-
-    per_stage: list[StageErrors] = []
-    all_value: list[np.ndarray] = []
-    all_policy: list[np.ndarray] = []
-    for t in range(n):
-        dist = spec.distributions[t]
+    lattice = np.arange(exact.endowment + 1, dtype=float)
+    value_errs: list[list[np.ndarray]] = []
+    policy_errs: list[list[np.ndarray]] = []
+    for t in range(exact.n):
         nxt = approx.components[t + 1]
         masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
-        greedy = {}
-        for idx, win, lose in _layout_groups([(nxt[m | 1 << t], nxt[m]) for m in masks]):
-            ds = np.broadcast_to(lattice, (len(idx), e + 1))
-            greedy.update(zip(idx, _maximize_batch(win, lose, dist, ds, cfg)[0]))
-        stage_value = [relative_sq_error(approx.components[t][m].values(lattice),
-                                         exact.stage_values[t][m]) for m in masks]
-        stage_policy = [relative_sq_error(greedy[i], exact.stage_bids[t][m].astype(float))
-                        for i, m in enumerate(masks)]
-        if not stage_value:
-            per_stage.append(StageErrors(t, 0.0, 0.0, 0.0, 0.0, 0))
-            continue
-        sv = np.concatenate(stage_value)
-        sp = np.concatenate(stage_policy)
-        per_stage.append(StageErrors(t, float(sv.mean()), float(sv.max()),
-                                     float(sp.mean()), float(sp.max()), len(sv)))
-        all_value.append(sv)
-        all_policy.append(sp)
+        greedy = _maximize_pairs([(nxt[m | 1 << t], nxt[m]) for m in masks],
+                                 [lattice] * len(masks), spec.distributions[t], cfg)
+        value_errs.append([relative_sq_error(approx.components[t][m].values(lattice),
+                                             exact.stage_values[t][m]) for m in masks])
+        policy_errs.append([relative_sq_error(zs, exact.stage_bids[t][m].astype(float))
+                            for (zs, _), m in zip(greedy, masks)])
+    per_stage = [StageErrors(t, *_pooled(v, p))
+                 for t, (v, p) in enumerate(zip(value_errs, policy_errs))]
+    return ErrorReport(per_stage, *_pooled(sum(value_errs, []), sum(policy_errs, [])))
 
-    if all_value:
-        av = np.concatenate(all_value)
-        ap = np.concatenate(all_policy)
-        return ErrorReport(per_stage, float(av.mean()), float(av.max()),
-                           float(ap.mean()), float(ap.max()), len(av))
-    return ErrorReport(per_stage, 0.0, 0.0, 0.0, 0.0, 0)
+
+def _pooled(value_errs: list[np.ndarray], policy_errs: list[np.ndarray]) -> tuple:
+    """Mean and max of the pooled value errors, the same for the policy errors, and
+    their count; nothing pooled gives zeros, as every error is nonnegative."""
+    count = sum(map(len, value_errs))
+    stats = []
+    for errs in (value_errs, policy_errs):
+        pooled = np.concatenate([[], *errs])
+        stats += [float(pooled.sum() / max(count, 1)), float(np.max(pooled, initial=0.0))]
+    return (*stats, count)

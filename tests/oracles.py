@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from seqbid import continuous
-from seqbid.continuous import GridSolution, MaximizerConfig, Vg1
+from seqbid.continuous import GridSolution, MaximizerConfig, UniformFixed, Vg1
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
@@ -232,30 +232,39 @@ def random_small_instance(rng: np.random.Generator) -> ProblemSpec:
 
 def per_knot_grid(spec: ProblemSpec, strategy, cfg: MaximizerConfig = MaximizerConfig()
                   ) -> GridSolution:
-    """solve_grid under Vg1 or Vg2, driven one knot at a time.
+    """solve_grid driven one component at a time (UniformFixed) or one knot at a
+    time (Vg1, Vg2).
 
     Not independent of the solver: this is the reference the lockstep rounds
-    must match bit for bit.  Each component runs its refiner once, against an
-    evaluate that solves the asked knot on the spot in a one-row
-    _maximize_batch call.
+    must match bit for bit.  Under UniformFixed each component solves its g
+    evenly spaced knots in one _maximize_batch call of its own.  Under Vg1 and
+    Vg2 each component runs its refiner once, against an evaluate that solves
+    the asked knot on the spot in a one-row _maximize_batch call.
     """
     closed_form = continuous._closed_form(spec, "per_knot_grid")
-    refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
+    m = float(spec.endowment)
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
 
     def backup(t, jobs):
         out = []
         for mask, win, lose in jobs:
-            bids: dict[float, float] = {}
+            dist = spec.distributions[t]
+            if isinstance(strategy, UniformFixed):
+                xs = np.linspace(0.0, m, strategy.g)
+                zs, qs = continuous._maximize_batch(win, lose, dist, xs, cfg)
+                curve = PwlFunction(tuple(float(x) for x in xs), tuple(float(q) for q in qs))
+                knot_bids[(t, mask)] = zs
+            else:
+                bids: dict[float, float] = {}
 
-            def evaluate(d: float) -> float:
-                z, q = continuous._maximize_batch(win, lose, spec.distributions[t],
-                                                  np.array([d]), cfg)
-                bids[float(d)] = float(z[0])
-                return float(q[0])
+                def evaluate(d: float) -> float:
+                    z, q = continuous._maximize_batch(win, lose, dist, np.array([d]), cfg)
+                    bids[float(d)] = float(z[0])
+                    return float(q[0])
 
-            curve = refine(evaluate, (0.0, float(spec.endowment)), strategy.budget)
-            knot_bids[(t, mask)] = np.array([bids[x] for x in curve.xs])
+                refine = vg1_refine if isinstance(strategy, Vg1) else vg2_refine
+                curve = refine(evaluate, (0.0, m), strategy.budget)
+                knot_bids[(t, mask)] = np.array([bids[x] for x in curve.xs])
             ys = continuous._monotone(np.asarray(curve.ys))
             out.append(PwlFunction(curve.xs, tuple(float(y) for y in ys)))
         return out

@@ -246,3 +246,14 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == (
             "error: bad experiment config: n_experiments: 2.7 is not an integer\n")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", "NaN"])
+    def test_bad_threshold_is_a_bad_config(self, tmp_path, capsys, threshold):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"runs": [{"kind": "vg1", "max_knots": 5, "threshold": %s}]}'
+                            % threshold)
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bad experiment config: runs[0]: threshold must be nonnegative\n")
+        assert not (tmp_path / "x").exists()

@@ -20,8 +20,8 @@ from seqbid.continuous import (
     _interp_rows,
     _interp_table,
     _knot_positions,
-    _layout_groups,
     _maximize_batch,
+    _maximize_pairs,
     error_bound,
     solve_grid,
 )
@@ -368,12 +368,10 @@ def stage_pools():
 
 def assert_stack_matches_pairs(pairs, dist, rows, cfg):
     """Stacked calls per knot-layout group equal one-pair calls bit for bit."""
-    for idx, win, lose in _layout_groups(pairs):
-        zs, qs = _maximize_batch(win, lose, dist, rows[idx], cfg)
-        assert zs.shape == qs.shape == rows[idx].shape
-        for i, z, q in zip(idx, zs, qs):
-            z1, q1 = _maximize_batch(*pairs[i], dist, rows[i], cfg)
-            assert np.array_equal(z, z1) and np.array_equal(q, q1)
+    for pair, row, (z, q) in zip(pairs, rows, _maximize_pairs(pairs, rows, dist, cfg)):
+        assert z.shape == q.shape == row.shape
+        z1, q1 = _maximize_batch(*pair, dist, row, cfg)
+        assert np.array_equal(z, z1) and np.array_equal(q, q1)
 
 
 class TestStackedMaximizer:
@@ -510,14 +508,17 @@ class TestStageBatchedCalls:
 
 
 class TestLockstepRefiners:
-    """solve_grid's lockstep rounds give exactly what one call per knot gives."""
+    """solve_grid's lockstep rounds give exactly what one call per component (UniformFixed)
+    or per knot (Vg1, Vg2) gives."""
 
-    @pytest.mark.parametrize("kind", [Vg1, Vg2])
-    @pytest.mark.parametrize("budget", [(15, 0.01), (25, 0.0), (9, 0.0)])
+    @pytest.mark.parametrize("strategy", [
+        *(pytest.param(kind(RefinementBudget(*budget)), id=f"budget{i}-{kind.__name__}")
+          for i, budget in enumerate([(15, 0.01), (25, 0.0), (9, 0.0)]) for kind in (Vg1, Vg2)),
+        *(pytest.param(UniformFixed(g), id=f"G{g}") for g in (5, 15)),
+    ])
     @pytest.mark.parametrize("instance", ["c1", "generator 1000"])
-    def test_matches_per_knot_reference(self, c1, instance_1000, instance, kind, budget):
+    def test_matches_per_knot_reference(self, c1, instance_1000, instance, strategy):
         spec = c1 if instance == "c1" else instance_1000[0]
-        strategy = kind(RefinementBudget(*budget))
         sol, ref = solve_grid(spec, strategy), per_knot_grid(spec, strategy)
         assert sol.values.components == ref.values.components
         assert sorted(sol.knot_bids) == sorted(ref.knot_bids)

@@ -117,6 +117,33 @@ class TestConfigDict:
         with pytest.raises(ValueError, match=message):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"runs": [{"kind": "vg1", "max_knots": 5, "threshold": -1}]},
+         r"runs\[0\]: threshold must be nonnegative"),
+        ({"runs": [{"kind": "discrete"}, {"kind": "vg2", "max_knots": 5, "threshold": math.nan}]},
+         r"runs\[1\]: threshold must be nonnegative"),
+        ({"runs": [{"kind": "fixed", "g": 5}, {"kind": "fixed", "g": 5}]},
+         r"runs\[1\]: duplicate run name G5"),
+        ({"n_experiments": -1}, "n_experiments: -1 must be nonnegative"),
+        ({"generator": {"n_resources": 0}}, "generator.n_resources: 0 must be at least 1"),
+        ({"generator": {"n_bundles": 0}}, "generator.n_bundles: 0 must be at least 1"),
+        ({"generator": {"bid_var": 0}}, "generator.bid_var: 0.0 must be positive"),
+        ({"generator": {"bid_var": -1}}, "generator.bid_var: -1.0 must be positive"),
+        ({"generator": {"value_var": -1}}, "generator.value_var: -1.0 must be nonnegative"),
+        ({"generator": {"bundle_size_std": -0.5}}, "generator.bundle_size_std: -0.5 must be"),
+        ({"generator": {"bid_mean_range": [6, 3]}}, r"generator.bid_mean_range: \(6, 3\) must"),
+        ({"generator": {"endowment": 0}}, "generator.endowment: 0.0 must be positive"),
+        ({"generator": {"endowment": -1}}, "generator.endowment: -1.0 must be positive"),
+        ({"generator": {"residual_slope": -0.1}}, "generator.residual_slope: -0.1 must be"),
+    ])
+    def test_values_every_experiment_would_fail_on_are_refused(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(data)
+
+    def test_duplicate_run_names_refused_in_code_too(self):
+        with pytest.raises(ValueError, match=r"runs\[2\]: duplicate run name G5"):
+            replace(TINY, runs=TINY.runs + (RunSpec("fixed", g=5),))
+
     def test_integral_floats_load_as_ints(self):
         cfg = config_from_dict({"n_experiments": 3.0, "runs": [{"kind": "fixed", "g": 10.0}]})
         assert cfg.n_experiments == 3 and type(cfg.n_experiments) is int

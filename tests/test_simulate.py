@@ -102,6 +102,10 @@ class TestSimulateRound:
         with pytest.raises(ValueError):
             simulate_round(t1, lambda t, mask, d: d + 1.0, 0)
 
+    def test_nan_bid_rejected(self, t1):
+        with pytest.raises(ValueError, match="infeasible bid nan at stage 0"):
+            simulate_round(t1, lambda t, mask, d: float("nan"), 0)
+
 
 class TestCollectRounds:
     def test_deterministic(self, t2):
