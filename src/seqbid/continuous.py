@@ -17,6 +17,7 @@ curve, so the maximizer works on the pieces cut at those points.
 from __future__ import annotations
 
 from collections.abc import Set
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -28,6 +29,17 @@ from .discrete import Layer, Settled, sweep
 from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
 
+# The candidate lattice covers [0, d] with a density equivalent to
+# samples_per_segment per win-curve piece, capped at this many pieces so fine
+# grids do not blow up the candidate count; the piece boundaries themselves
+# are always candidates.
+_LATTICE_SEGMENT_CAP = 8
+_MAX_CHUNK_CELLS = 2_000_000
+# Most lattice samples per piece: beyond it one endowment's candidates alone
+# would fill a whole chunk.
+_MAX_SAMPLES_PER_SEGMENT = _MAX_CHUNK_CELLS // _LATTICE_SEGMENT_CAP
+
+
 @dataclass(frozen=True)
 class MaximizerConfig:
     """Sampling density and polish tolerance for the bid maximizer."""
@@ -36,10 +48,13 @@ class MaximizerConfig:
     refine_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.samples_per_segment < 2:
-            raise ValueError("samples_per_segment must be at least 2")
-        if not self.refine_tolerance > 0:
-            raise ValueError("refine_tolerance must be positive")
+        for name, ok, rule in (
+            ("samples_per_segment", 2 <= self.samples_per_segment <= _MAX_SAMPLES_PER_SEGMENT,
+             f"between 2 and {_MAX_SAMPLES_PER_SEGMENT}"),
+            ("refine_tolerance", 0 < self.refine_tolerance < float("inf"), "positive and finite"),
+        ):
+            if not ok:
+                raise ValueError(f"maximizer.{name}: {getattr(self, name)!r} must be {rule}")
 
 
 @lru_cache(maxsize=64)
@@ -153,23 +168,27 @@ class GridSolution:
     settled: Set
 
 
-# The candidate lattice covers [0, d] with a density equivalent to
-# samples_per_segment per win-curve piece, capped at this many pieces so fine
-# grids do not blow up the candidate count; the piece boundaries themselves
-# are always candidates.
-_LATTICE_SEGMENT_CAP = 8
-_MAX_CHUNK_CELLS = 2_000_000
 # Cells of per-pair scan temporaries in one stacked block: bigger blocks save
 # no time and raise peak memory.
 _MAX_STACK_CELLS = 16_384
+# Candidates per block of _scan_cells, which keeps several arrays of this size.
+_MAX_CELL_BLOCK = 4_096
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class CurveStack:
-    """Piecewise-linear curves on shared knot abscissae xs; row c of _ay is curve c."""
+    """Piecewise-linear curves with one knot count; row c of _ay is curve c.
+
+    xs is the first curve's abscissae.  _ax is the abscissae every curve shares,
+    or, when they differ, a row per curve; layout[c] numbers curve c's abscissae
+    among the distinct ones.
+    """
 
     def __init__(self, curves: list[PwlFunction]):
-        self.xs, self._ax = curves[0].xs, curves[0]._ax
+        ids: dict = {}
+        self.xs, self.layout = curves[0].xs, np.array([ids.setdefault(c.xs, len(ids))
+                                                       for c in curves])
+        self._ax = curves[0]._ax if len(ids) == 1 else np.array(list(ids))[self.layout]
         self._ay = np.array([c.ys for c in curves])
 
 
@@ -184,19 +203,27 @@ def _groups(keys) -> list[list[int]]:
 def _interp_table(curves: Union[PwlFunction, CurveStack]) -> tuple:
     """Knots xp, edges, values and slopes that replay np.interp(., xp, ys[c]) bit
     for bit (finite slopes): with k = searchsorted(xp, x, "right"), np.interp(x) is
-    slopes[c, k] * (x - edges[k]) + values[c, k] if x > edges[k], else values[c, k]."""
+    slopes[c, k] * (x - edges[k]) + values[c, k] if x > edges[k], else values[c, k].
+    xp and edges are one row shared by every curve, or a row per curve."""
     xp, fp = curves._ax, np.atleast_2d(curves._ay)
     zero = np.zeros((len(fp), 1))
-    return (xp, np.concatenate((xp[:1], xp[:-1], [np.inf])),
+    return (xp, np.concatenate((xp[..., :1], xp[..., :-1], xp[..., :1] + np.inf), axis=-1),
             np.concatenate((fp[:, :1], fp), axis=1),
-            np.concatenate((zero, (fp[:, 1:] - fp[:, :-1]) / (xp[1:] - xp[:-1]), zero), axis=1))
+            np.concatenate((zero, (fp[:, 1:] - fp[:, :-1]) / (xp[..., 1:] - xp[..., :-1]), zero),
+                           axis=1))
 
 
 def _knot_positions(x: np.ndarray, xp: np.ndarray, edges: np.ndarray) -> tuple:
     """Value column, slope column and offset of each point x for _interp_rows; at a
-    knot value, zero slope (column 0) times offset -0.0 adds -0.0, changing nothing."""
-    k = np.searchsorted(xp, x, side="right")
-    off = x - edges[k]
+    knot value, zero slope (column 0) times offset -0.0 adds -0.0, changing nothing.
+    xp and edges are shared, or 2-D with one row per row of x."""
+    if xp.ndim == 1:
+        k = np.searchsorted(xp, x, side="right")
+        off = x - edges[k]
+    else:
+        # searchsorted(xp[i], x[i], "right"): the count of row i's knots at or below x[i]
+        k = (xp.reshape(len(xp), *(1,) * (x.ndim - 1), -1) <= x[..., None]).sum(axis=-1)
+        off = x - np.take_along_axis(edges, k.reshape(len(k), -1), axis=1).reshape(k.shape)
     snap = off <= 0
     return k, np.where(snap, 0, k), np.where(snap, -0.0, off)
 
@@ -205,6 +232,129 @@ def _interp_rows(at: tuple, values: np.ndarray, slopes: np.ndarray, rows=slice(N
     """Each curve at every point of `at`; with rows = arange(C)[:, None], curve c at row c."""
     k, js, off = at
     return slopes[rows, js] * off + values[rows, k]
+
+
+def _values_at(table: tuple, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """Curve first + c of an _interp_table at the points x[c], or every curve from
+    first on at x when x is 1-D: np.interp's bits."""
+    xp, edges, values, slopes = table
+    if len(values) == 1 and xp.ndim == 1:
+        return np.interp(x, xp, values[0, 1:])
+    if xp.ndim > 1:
+        xp, edges = xp[first:], edges[first:]
+    rows = np.arange(first, len(values))[:, None] if x.ndim > 1 else slice(first, None)
+    return _interp_rows(_knot_positions(x, xp, edges), values, slopes, rows)
+
+
+def _candidates(d: np.ndarray, xp: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Sorted candidate bids per endowment d[i] (a column) against win knots xp (shared
+    or row i): 0, d, the piece boundaries d - xp clipped to [0, d] and the lattice d * base."""
+    return np.sort(np.concatenate([np.zeros_like(d), d, np.clip(d - xp, 0.0, None), d * base],
+                                  axis=1), axis=1)
+
+
+def _bracket(q: np.ndarray, z: np.ndarray) -> tuple:
+    """Best objective, best bid and bracketing candidates of each row of q over the
+    sorted bids z, row i of z serving q's rows [..., i, :].  A sorted row's first
+    maximum is the smallest best bid; it is bracketed by the column before and by
+    the first candidate above it, if any."""
+    r, best = np.arange(len(z)), q.argmax(axis=-1)
+    zbest = z[r, best]
+    above = np.count_nonzero(z <= zbest[..., None], axis=-1)
+    return (q.max(axis=-1), zbest, z[r, np.maximum(best - 1, 0)],
+            z[r, np.minimum(above, z.shape[1] - 1)])
+
+
+def _scan_shared(win: tuple, dist: BidDistribution, d: np.ndarray, base: np.ndarray,
+                 lv: np.ndarray) -> np.ndarray:
+    """_bracket of every pair at the endowments d that all pairs share, the pairs'
+    win curves sharing their knots: candidates, win probabilities and knot
+    positions are computed once and broadcast over blocks of pairs."""
+    win_x, win_e, win_y, win_s = win
+    dcol = d[:, None]
+    z = _candidates(dcol, win_x, base)
+    p = dist.win_probability_vec(z)
+    if len(win_y) > 1:
+        scan_at = _knot_positions(dcol - z, win_x, win_e)
+    found = np.empty((4,) + lv.shape)
+    step = max(1, _MAX_STACK_CELLS // z.size)
+    for i in range(0, len(win_y), step):
+        part = slice(i, i + step)
+        q = (_interp_rows(scan_at, win_y[part], win_s[part]) if len(win_y) > 1
+             else np.interp(dcol - z, win_x, win_y[0, 1:])[None]) * p
+        q += (1.0 - p) * lv[part, :, None]
+        found[:, part] = _bracket(q, z)
+    return found
+
+
+def _scan_cells(win: tuple, layout: np.ndarray, dist: BidDistribution, d: np.ndarray,
+                base: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """_bracket of pair c at each endowment d[c, j], pairs differing in endowments or
+    in win knots: candidates, win probabilities and knot positions are computed
+    once per distinct (win knots, endowment) and read per pair by index."""
+    win_x, win_e, win_y, win_s = win
+    pair, dc, lvc = np.repeat(np.arange(len(d)), d.shape[1]), d.ravel(), lv.ravel()
+    keys = (dc.view(np.int64), layout[pair])
+    order = np.lexsort(keys)
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
+    key, first = np.cumsum(fresh) - 1, order[fresh]
+    found = np.empty((4, len(dc)))
+    step = max(1, _MAX_CELL_BLOCK // (win_x.shape[-1] + len(base) + 2))
+    for i in range(0, len(order), step):
+        cells, ks = order[i : i + step], key[i : i + step]
+        reps = first[ks[0] : ks[-1] + 1]
+        dk = dc[reps, None]
+        xk, ek = (win_x, win_e) if win_x.ndim == 1 else (win_x[pair[reps]], win_e[pair[reps]])
+        z = _candidates(dk, xk, base)
+        p = dist.win_probability_vec(z)
+        at = _knot_positions(dk - z, xk, ek)
+        if len(reps) < len(cells):  # some cells share a key: read theirs by index
+            r = ks - ks[0]
+            z, p, at = z[r], p[r], tuple(a[r] for a in at)
+        q = _interp_rows(at, win_y, win_s, pair[cells, None]) * p
+        q += (1.0 - p) * lvc[cells, None]
+        found[:, cells] = _bracket(q, z)
+    return found.reshape((4,) + d.shape)
+
+
+def _polish(win: tuple, dist: BidDistribution, d: np.ndarray, lv: np.ndarray,
+            found: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section polish of every pair's best candidate inside its bracket, for
+    as many steps as the pair's widest bracket over its endowments needs."""
+    qbest, zbest, lo, hi = found
+    span = (hi - lo).max(axis=1)
+    sel = np.flatnonzero(span > tol)
+    if not len(sel):
+        return zbest, qbest
+    iters = np.ceil(np.log(span[sel] / tol) / np.log(1.0 / _INVPHI)).astype(int)
+    sel, iters = sel[np.argsort(iters, kind="stable")], np.sort(iters)
+    xp, edges, values, slopes = win
+    table = ((xp, edges) if xp.ndim == 1 else (xp[sel], edges[sel])) + (values[sel], slopes[sel])
+    a, b, d, lv = lo[sel], hi[sel], d[sel], lv[sel]
+
+    def q_of(zz, d, lv, s):
+        pz = dist.win_probability_vec(zz)
+        return pz * _values_at(table, d[s:] - zz, s) + (1.0 - pz) * lv[s:]
+
+    # A step evaluates both probes side by side in a row (d and lv hold each pair's
+    # endowments and lose values twice).  Pairs run in ascending step count: those
+    # still polishing are a suffix.
+    r, d2, lv2 = d.shape[1], np.concatenate((d, d), axis=1), np.concatenate((lv, lv), axis=1)
+    for s in np.searchsorted(iters, np.arange(iters[-1]), side="right"):
+        av, bv = a[s:], b[s:]
+        h = _INVPHI * (bv - av)
+        x = np.concatenate((bv - h, av + h), axis=1)
+        q = q_of(x, d2, lv2, s)
+        keep_left = q[:, :r] >= q[:, r:]
+        np.copyto(av, x[:, :r], where=~keep_left)
+        np.copyto(bv, x[:, r:], where=keep_left)
+    zc = 0.5 * (a + b)
+    qc = q_of(zc, d, lv, 0)
+    better = qc > qbest[sel]
+    zbest[sel] = np.where(better, zc, zbest[sel])
+    qbest[sel] = np.where(better, qc, qbest[sel])
+    return zbest, qbest
 
 
 def _maximize_batch(
@@ -218,83 +368,35 @@ def _maximize_batch(
 
     win and lose are single curves with ds a vector of endowments, or stacks
     of C curves with ds of shape (C, rows), pair c taking win and lose curve c
-    and endowments ds[c].  For endowment d the candidates are the piece
-    boundaries {d - x : x a win-curve knot} clipped to [0, d], a uniform
-    lattice over [0, d], and 0 and d; candidates, win probabilities and knot
-    positions are shared by the pairs of an endowment row, and stacks read
-    curves through an exact replica of np.interp.  The best candidate is then
-    polished by golden section inside its bracketing candidates, for as many
-    steps as the pair's widest bracket needs, so no pair depends on the pairs
-    stacked with it.  Exact objective ties resolve to the smallest bid.
+    and endowments ds[c]; a stack's curves share a knot count, not necessarily
+    their knots.  For endowment d the candidates are the piece boundaries
+    {d - x : x a win-curve knot} clipped to [0, d], a uniform lattice over
+    [0, d], and 0 and d.  Candidates, win probabilities and knot positions are
+    computed once per distinct (win knots, endowment): broadcast over the pairs
+    when they all share one endowment row and one set of win knots, else read
+    per pair by index.  Stacks read curves through an exact replica of
+    np.interp.  The best candidate is then polished by golden section inside
+    its bracketing candidates, for as many steps as the pair's widest bracket
+    needs, so no pair depends on the pairs stacked with it.  Exact objective
+    ties resolve to the smallest bid.
     """
-    win_x, win_e, win_y, win_s = _interp_table(win)
-    lose_x, lose_e, lose_y, lose_s = _interp_table(lose)
+    win_t, lose_t = _interp_table(win), _interp_table(lose)
     ds = np.atleast_1d(np.asarray(ds, dtype=float))
-    rows = ds.reshape(len(win_y), -1)
-    segments = min(max(len(win_x) - 1, 1), _LATTICE_SEGMENT_CAP)
-    base = np.linspace(0.0, 1.0, cfg.samples_per_segment * segments)
+    rows = ds.reshape(len(win_t[2]), -1)
+    knots = win_t[0].shape[-1]
+    base = np.linspace(0.0, 1.0, cfg.samples_per_segment
+                       * min(max(knots - 1, 1), _LATTICE_SEGMENT_CAP))
     out_z, out_q = np.empty((2,) + rows.shape)
-    tol = cfg.refine_tolerance
-    chunk = max(1, _MAX_CHUNK_CELLS // (len(win_x) + len(base) + 2))
-    for pairs, start in ((np.array(p), s) for p in _groups(row.tobytes() for row in rows)
-                         for s in range(0, rows.shape[1], chunk)):
-        d = rows[pairs[0], start : start + chunk]
-        dcol = d[:, None]
-        z = np.sort(np.concatenate([np.zeros((len(d), 1)), dcol, np.clip(dcol - win_x, 0.0, None),
-                                    dcol * base], axis=1), axis=1)
-        r_ix, p = np.arange(len(d)), dist.win_probability_vec(z)
-        if len(rows) > 1:
-            scan_at = _knot_positions(dcol - z, win_x, win_e)
-            lose_at = _knot_positions(d, lose_x, lose_e)
-        qbest, zbest, lo, hi, lv = np.empty((5, len(pairs), len(d)))
-        step = max(1, _MAX_STACK_CELLS // z.size)
-        for i in range(0, len(pairs), step):
-            cs, part = pairs[i : i + step], slice(i, i + step)
-            if len(rows) > 1:
-                q = _interp_rows(scan_at, win_y[cs], win_s[cs]) * p
-                lv[part] = _interp_rows(lose_at, lose_y[cs], lose_s[cs])
-            else:
-                q = np.interp(dcol - z, win_x, win_y[0, 1:])[None] * p
-                lv[part] = np.interp(d, lose_x, lose_y[0, 1:])
-            q += (1.0 - p) * lv[part, :, None]
-            # A sorted row's first maximum is the smallest best bid; it is bracketed
-            # by the column before and by the first candidate above it, if any.
-            best = q.argmax(axis=2)
-            qbest[part], zbest[part] = q.max(axis=2), z[r_ix, best]
-            above = np.count_nonzero(z <= zbest[part, :, None], axis=2)
-            lo[part] = z[r_ix, np.maximum(best - 1, 0)]
-            hi[part] = z[r_ix, np.minimum(above, z.shape[1] - 1)]
-        span = (hi - lo).max(axis=1)
-        sel = np.flatnonzero(span > tol)
-        if len(sel):
-            iters = np.ceil(np.log(span[sel] / tol) / np.log(1.0 / _INVPHI)).astype(int)
-            sel, iters = sel[np.argsort(iters, kind="stable")], np.sort(iters)
-            a, b, fp, slopes, lv = lo[sel], hi[sel], win_y[pairs[sel]], win_s[pairs[sel]], lv[sel]
-
-            def q_of(zz, d, s):
-                pz = dist.win_probability_vec(zz)
-                wv = (_interp_rows(_knot_positions(d - zz, win_x, win_e), fp[s:], slopes[s:],
-                                   np.arange(len(zz))[:, None]) if len(rows) > 1
-                      else np.interp(d - zz, win_x, win_y[0, 1:]))
-                return pz * wv + (1.0 - pz) * lv[s:, : len(d)]
-
-            # A step evaluates both probes side by side in a row (lv holds the lose values
-            # twice).  Pairs run in ascending step count: those still polishing are a suffix.
-            r, d2, lv = len(d), np.concatenate((d, d)), np.concatenate((lv, lv), axis=1)
-            for s in np.searchsorted(iters, np.arange(iters[-1]), side="right"):
-                av, bv = a[s:], b[s:]
-                h = _INVPHI * (bv - av)
-                x = np.concatenate((bv - h, av + h), axis=1)
-                q = q_of(x, d2, s)
-                keep_left = q[:, :r] >= q[:, r:]
-                np.copyto(av, x[:, :r], where=~keep_left)
-                np.copyto(bv, x[:, r:], where=keep_left)
-            zc = 0.5 * (a + b)
-            qc = q_of(zc, d, 0)
-            better = qc > qbest[sel]
-            zbest[sel] = np.where(better, zc, zbest[sel])
-            qbest[sel] = np.where(better, qc, qbest[sel])
-        out_z[pairs, start : start + chunk], out_q[pairs, start : start + chunk] = zbest, qbest
+    chunk = max(1, _MAX_CHUNK_CELLS // (knots + len(base) + 2))
+    for start in range(0, rows.shape[1], chunk):
+        d = rows[:, start : start + chunk]
+        bits = d.view(np.int64)
+        shared = win_t[0].ndim == 1 and (len(d) == 1 or (bits == bits[0]).all())
+        lv = np.atleast_2d(_values_at(lose_t, d[0] if shared and lose_t[0].ndim == 1 else d))
+        found = (_scan_shared(win_t, dist, d[0], base, lv) if shared
+                 else _scan_cells(win_t, win.layout, dist, d, base, lv))
+        out_z[:, start : start + chunk], out_q[:, start : start + chunk] = _polish(
+            win_t, dist, d, lv, found, cfg.refine_tolerance)
     return out_z.reshape(ds.shape), out_q.reshape(ds.shape)
 
 
@@ -339,9 +441,10 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
 def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: BidDistribution,
                     cfg: MaximizerConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Best bids and values of each (win, lose) pair at its own endowment row, in one
-    _maximize_batch call per knot layout; the rows of one layout share a length."""
+    _maximize_batch call per (win, lose) knot count; the rows of one count share a
+    length."""
     out: dict = {}
-    for idx in _groups((win.xs, lose.xs) for win, lose in pairs):
+    for idx in _groups((len(win.xs), len(lose.xs)) for win, lose in pairs):
         zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
                                  CurveStack([pairs[i][1] for i in idx]), dist,
                                  np.array([rows[i] for i in idx], dtype=float), cfg)
@@ -350,23 +453,44 @@ def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: Bi
 
 
 class _Unsolved(Exception):
-    """A refine asked for knots, args[0], that no maximizer call has solved yet."""
+    """A refine asked for knots that no maximizer call has solved and that it may
+    not guess."""
 
 
-def _answer_from(memo: dict[float, tuple[float, float]]):
-    """A refine's evaluate: the value at one knot, or the values at a tuple of knots,
-    read from memo (knot -> bid, value); _Unsolved with the knots asked at a miss."""
+def _answer_from(memo: dict[float, tuple[float, float]], asked: list[tuple[float, ...]]):
+    """A refine's evaluate: values read from memo (knot -> bid, value), every miss
+    appended to `asked` as one endowment row.
+
+    A tuple of knots is one row: its values once all are solved, else _Unsolved.
+    A single knot not solved yet is guessed, as its own row: the chord between
+    its nearest solved neighbours, the nearest solved value beyond them, or 0
+    with nothing solved.  The max(2, solved knots)-th guess raises _Unsolved.
+    """
+    solved = sorted(memo)
+    values, limit = [memo[x][1] for x in solved] or [0.0], max(2, len(memo))
+
     def evaluate(d):
         if isinstance(d, tuple):
             if all(map(memo.__contains__, d)):
                 return tuple(memo[x][1] for x in d)
-            raise _Unsolved(d)
+            asked.append(d)
+            raise _Unsolved
         d = float(d)
-        if d not in memo:
-            raise _Unsolved((d,))
-        return memo[d][1]
+        if d in memo:
+            return memo[d][1]
+        asked.append((d,))
+        if len(asked) == limit:
+            raise _Unsolved
+        return float(np.interp(d, solved or [d], values))
 
     return evaluate
+
+
+def _stored(curve: PwlFunction) -> PwlFunction:
+    """The curve made monotone, itself when it already is."""
+    ys = _monotone(curve._ay)
+    same = ys.tobytes() == curve._ay.tobytes()
+    return curve if same else PwlFunction(curve.xs, tuple(ys.tolist()))
 
 
 def solve_grid(
@@ -382,10 +506,13 @@ def solve_grid(
     every unsettled component is built from exact knot backups, with the knot
     set chosen by the strategy's refine.  A stage's components refine in
     lockstep rounds: each round re-runs every unfinished refine against its
-    memo of solved knots until it asks for knots not solved yet, then solves
-    those in one maximizer call per (win, lose) knot layout, one endowment row
-    per component.  UniformFixed asks for all g knots at once and finishes in
-    the second round; Vg1 and Vg2 ask for one knot at a time.
+    memo of solved knots, then solves the knots it asked for and lacked in one
+    maximizer call per (win, lose) knot count, one endowment row per ask.
+    UniformFixed asks for all g knots as one tuple and finishes in the second
+    round.  Vg1 and Vg2 ask for one knot at a time and run ahead on guessed
+    values for up to max(2, solved knots) unsolved knots per round; a refine
+    is final only once it runs against solved values alone, so its curve is
+    the one that solving each knot as it is asked would give.
     """
     closed_form = _closed_form(spec, "solve_grid")
     m = float(spec.endowment)
@@ -398,18 +525,20 @@ def solve_grid(
             wanted = []
             for i, memo in enumerate(memos):
                 if curves[i] is None:
-                    try:
-                        curves[i] = strategy.refine(_answer_from(memo), m)
-                    except _Unsolved as miss:
-                        wanted.append((i, miss.args[0]))
+                    asked: list = []
+                    with suppress(_Unsolved):
+                        curve = strategy.refine(_answer_from(memo, asked), m)
+                    if asked:
+                        wanted += [(i, ds) for ds in asked]
+                    else:
+                        curves[i] = curve
             solved = _maximize_pairs([jobs[i][1:] for i, _ in wanted], [ds for _, ds in wanted],
                                      spec.distributions[t], cfg)
             for (i, ds), (zs, qs) in zip(wanted, solved):
                 memos[i].update(zip(ds, zip(zs.tolist(), qs.tolist())))
         for (mask, _, _), memo, curve in zip(jobs, memos, curves):
             knot_bids[(t, mask)] = np.array([memo[x][0] for x in curve.xs])
-        return [PwlFunction(c.xs, tuple(float(y) for y in _monotone(np.asarray(c.ys))))
-                for c in curves]
+        return [_stored(c) for c in curves]
 
     layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
                    closed_form)

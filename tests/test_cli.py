@@ -62,7 +62,25 @@ class TestParseGridStrategy:
         assert "bad grid spec 'vg1:15,nan': threshold must be nonnegative" in capsys.readouterr().err
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("a maximizer config this large must be refused before any solve")
+
+
 class TestSolveCommand:
+    @pytest.mark.parametrize("flag, value", [("--samples-per-segment", "1000000000"),
+                                             ("--refine-tolerance", "inf")])
+    def test_huge_or_infinite_maximizer_setting_exits_2(self, c1_file, tmp_path, capsys,
+                                                       monkeypatch, flag, value):
+        # The solver is replaced, so a setting that got through would fail here
+        # instead of allocating a lattice of 8e9 candidates.
+        monkeypatch.setattr("seqbid.cli.solve_grid", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(c1_file), "--mode", "grid", "--grid", "fixed:5", flag, value,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        field = flag[2:].replace("-", "_")
+        assert f"error: maximizer.{field}: " in capsys.readouterr().err
+
     def test_discrete_solution_round_trips(self, t2, t2_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["solve", str(t2_file), "--mode", "discrete",
@@ -246,6 +264,15 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == (
             "error: bad experiment config: n_experiments: 2.7 is not an integer\n")
         assert not (tmp_path / "x").exists()
+
+    def test_huge_lattice_is_a_bad_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"maximizer": {"samples_per_segment": 10**9}}))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad experiment config: maximizer.samples_per_segment: 1000000000 must be")
 
     @pytest.mark.parametrize("threshold", ["-1", "NaN"])
     def test_bad_threshold_is_a_bad_config(self, tmp_path, capsys, threshold):

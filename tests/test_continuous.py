@@ -17,11 +17,14 @@ from seqbid.continuous import (
     UniformFixed,
     Vg1,
     Vg2,
+    _Unsolved,
+    _answer_from,
     _interp_rows,
     _interp_table,
     _knot_positions,
     _maximize_batch,
     _maximize_pairs,
+    _stored,
     error_bound,
     solve_grid,
 )
@@ -330,6 +333,21 @@ class TestMaximizerConfig:
         with pytest.raises(ValueError):
             MaximizerConfig(refine_tolerance=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples_per_segment", 10**9),
+        ("samples_per_segment", continuous._MAX_SAMPLES_PER_SEGMENT + 1),
+        ("refine_tolerance", float("inf")),
+        ("refine_tolerance", float("nan")),
+    ])
+    def test_refuses_a_lattice_too_big_or_a_polish_skipped(self, field, value):
+        # Constructing only: a config that got through would allocate on first use.
+        with pytest.raises(ValueError, match=f"^maximizer.{field}: "):
+            MaximizerConfig(**{field: value})
+
+    def test_the_largest_lattice_is_accepted(self):
+        most = continuous._MAX_SAMPLES_PER_SEGMENT
+        assert MaximizerConfig(samples_per_segment=most).samples_per_segment == most
+
     def test_finer_sampling_never_hurts_c1(self, c1):
         coarse = solve_grid(c1, UniformFixed(5), MaximizerConfig(4, 1e-3))
         fine = solve_grid(c1, UniformFixed(5), MaximizerConfig(64, 1e-6))
@@ -354,11 +372,14 @@ class CountingDist:
 @pytest.fixture(scope="module")
 def stage_pools():
     """(distribution, endowment, next-stage curves) per stage of two generator
-    instances: stored grid and closed-form curves, plus closed forms looked up."""
+    instances: stored grid and closed-form curves, plus closed forms looked up.
+    The Vg-solved stages hold curves with one knot count but different knots."""
     pools = []
-    for seed, g in ((1000, 7), (1001, 5)):
+    for seed, strategy in ((1000, UniformFixed(7)), (1001, UniformFixed(5)),
+                           (1000, Vg1(RefinementBudget(9, 0.0))),
+                           (1001, Vg2(RefinementBudget(9, 0.01)))):
         spec = generate_instance(GeneratorParams(seed=seed))
-        sol = solve_grid(spec, UniformFixed(g))
+        sol = solve_grid(spec, strategy)
         for t in range(spec.n):
             layer = sol.values.components[t + 1]
             curves = list(layer.values()) + [layer[mask] for mask in range(min(2 << t, 8))]
@@ -397,6 +418,7 @@ class TestStackedMaximizer:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_grid_and_closed_form_stacks_match_one_pair_calls(self, stage_pools, data):
+        # Vg pools stack curves that share a knot count but not their knots.
         dist, m, curves = data.draw(st.sampled_from(stage_pools))
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(curves), st.sampled_from(curves)),
                                    min_size=1, max_size=12))
@@ -452,7 +474,8 @@ def instance_1000():
 
 
 class TestStageBatchedCalls:
-    """One maximizer call per stage and (win, lose) knot layout, not per component."""
+    """One maximizer call per stage and (win, lose) knot layout or knot count, not per
+    component."""
 
     @staticmethod
     def record(monkeypatch, entry):
@@ -497,14 +520,22 @@ class TestStageBatchedCalls:
         assert len(unsettled) == 161 and sum(calls) == report.states == 4991
         assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
 
-    @pytest.mark.parametrize("kind, knots, n_calls", [(Vg1, 2415, 315), (Vg2, 2291, 279)])
-    def test_lockstep_refiners(self, instance_1000, shapes, kind, knots, n_calls):
-        # A round solves the next knot of every unfinished component of a stage, one
-        # call per knot layout; one knot per call would make `knots` calls.
+    @pytest.mark.parametrize("kind, knots, n_calls, n_rows",
+                             [(Vg1, 2415, 64, 2562), (Vg2, 2291, 109, 2313)])
+    def test_lockstep_refiners(self, instance_1000, shapes, kind, knots, n_calls, n_rows):
+        # A round solves every knot its unfinished components asked for, guessed ones
+        # included, one row per knot and one call per (win, lose) knot count; one knot
+        # per call would make `knots` calls.  Guesses the final curves do not use are
+        # the rows beyond `knots`.
         sol = solve_grid(instance_1000[0], kind(RefinementBudget(15, 0.01)))
         assert sol.state_count == knots and len(shapes) == n_calls
         assert all(shape == (pairs, 1) for pairs, shape in shapes)
-        assert sum(pairs for pairs, _ in shapes) == knots
+        rows = sum(pairs for pairs, _ in shapes)
+        assert rows == n_rows and knots <= rows <= 1.15 * knots
+
+
+MORE_INSTANCES = {"generator 2000": GeneratorParams(seed=2000),
+                  "flat residual 1000": GeneratorParams(seed=1000, residual_slope=0.0)}
 
 
 class TestLockstepRefiners:
@@ -516,12 +547,47 @@ class TestLockstepRefiners:
           for i, budget in enumerate([(15, 0.01), (25, 0.0), (9, 0.0)]) for kind in (Vg1, Vg2)),
         *(pytest.param(UniformFixed(g), id=f"G{g}") for g in (5, 15)),
     ])
-    @pytest.mark.parametrize("instance", ["c1", "generator 1000"])
+    @pytest.mark.parametrize("instance", ["c1", "generator 1000", "generator 2000",
+                                          "flat residual 1000"])
     def test_matches_per_knot_reference(self, c1, instance_1000, instance, strategy):
-        spec = c1 if instance == "c1" else instance_1000[0]
+        # Guesses run differently on a held-out instance and on a flat residual.
+        spec = (c1 if instance == "c1" else instance_1000[0] if instance == "generator 1000"
+                else generate_instance(MORE_INSTANCES[instance]))
         sol, ref = solve_grid(spec, strategy), per_knot_grid(spec, strategy)
         assert sol.values.components == ref.values.components
         assert sorted(sol.knot_bids) == sorted(ref.knot_bids)
         assert all(np.array_equal(sol.knot_bids[key], ref.knot_bids[key]) for key in ref.knot_bids)
         assert np.array_equal(sol.ledger.deltas, ref.ledger.deltas)
         assert sol.state_count == ref.state_count
+
+
+class TestSpeculativeAnswers:
+    """_answer_from guesses unsolved single knots and stops a replay at its guess limit."""
+
+    def test_guesses_chord_nearest_value_or_zero(self):
+        asked = []
+        evaluate = _answer_from({}, asked)
+        assert evaluate(0.0) == 0.0 and asked == [(0.0,)]
+        memo = {0.0: (0.0, 1.0), 4.0: (1.0, 3.0), 8.0: (2.0, 5.0)}
+        asked = []
+        evaluate = _answer_from(memo, asked)
+        assert evaluate(4.0) == 3.0 and asked == []
+        assert evaluate(1.0) == 1.5  # the chord between 0 and 4
+        assert evaluate(9.0) == 5.0  # beyond the solved knots: the nearest value
+        with pytest.raises(_Unsolved):
+            evaluate(6.0)  # the third guess, max(2, 3 solved knots)
+        assert asked == [(1.0,), (9.0,), (6.0,)]
+
+    def test_a_tuple_is_one_row_and_never_guessed(self):
+        asked = []
+        evaluate = _answer_from({0.0: (0.0, 1.0)}, asked)
+        assert evaluate((0.0,)) == (1.0,)
+        with pytest.raises(_Unsolved):
+            evaluate((0.0, 2.0))
+        assert asked == [(0.0, 2.0)]
+
+    def test_a_monotone_curve_is_stored_as_is(self):
+        rising = PwlFunction((0.0, 1.0, 2.0), (0.0, 1.0, 1.0))
+        assert _stored(rising) is rising
+        dipping = PwlFunction((0.0, 1.0, 2.0), (0.0, 1.0, 1.0 - 1e-6))
+        assert _stored(dipping) == PwlFunction((0.0, 1.0, 2.0), (0.0, 1.0, 1.0))

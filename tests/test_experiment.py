@@ -135,6 +135,9 @@ class TestConfigDict:
         ({"generator": {"endowment": 0}}, "generator.endowment: 0.0 must be positive"),
         ({"generator": {"endowment": -1}}, "generator.endowment: -1.0 must be positive"),
         ({"generator": {"residual_slope": -0.1}}, "generator.residual_slope: -0.1 must be"),
+        ({"maximizer": {"samples_per_segment": 10**9}},
+         "maximizer.samples_per_segment: 1000000000 must be between 2 and 250000"),
+        ({"maximizer": {"refine_tolerance": math.inf}}, "maximizer.refine_tolerance: inf must be"),
     ])
     def test_values_every_experiment_would_fail_on_are_refused(self, data, message):
         with pytest.raises(ValueError, match=message):
