@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from seqbid.continuous import MaximizerConfig, UniformFixed, Vg1, Vg2, error_bound, solve_grid
+from seqbid.continuous import UniformFixed, Vg1, Vg2, error_bound, solve_grid
 from seqbid.core import to_discrete
 from seqbid.discrete import DiscreteSolution, solve_discrete
 from seqbid.experiment import GeneratorParams, generate_instance
@@ -50,7 +50,6 @@ def main(argv=None) -> int:
 
     instance = generate_instance(GeneratorParams(seed=args.seed))
     gold = solve_discrete(to_discrete(instance))
-    mx = MaximizerConfig()
     print(f"instance: n={instance.n} stages, endowment {instance.endowment:g}, "
           f"{len(instance.bundles)} bundles (seed {args.seed})")
     print(f"exact start value {gold.value(0, 0, gold.endowment):.4f}, "
@@ -68,8 +67,8 @@ def main(argv=None) -> int:
             (f"VG2-{budget}", Vg2(RefinementBudget(budget, 0.0))),
         ]
         for name, strategy in strategies:
-            sol = solve_grid(instance, strategy, mx)
-            report = compare_solutions(gold, sol.values, instance, mx)
+            sol = solve_grid(instance, strategy)
+            report = compare_solutions(gold, sol.values, instance)
             print(f"{name:<10} {sol.state_count:>7} "
                   f"{error_bound(sol.ledger, 0):>16.4f} "
                   f"{max_abs_lattice_error(gold, sol):>17.4f} "

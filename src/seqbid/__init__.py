@@ -4,7 +4,6 @@ from .continuous import (
     DeltaLedger,
     GridSolution,
     HybridValueFunction,
-    MaximizerConfig,
     UniformFixed,
     Vg1,
     Vg2,

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .continuous import MaximizerConfig, error_bound, solve_grid
+from .continuous import error_bound, solve_grid
 from .core import holdings_mask, to_discrete
 from .discrete import solve_discrete
 from .experiment import ExperimentConfig, RunSpec, config_from_dict, run_experiment_suite
@@ -52,9 +52,8 @@ def _bad_input_exits():
 def _cmd_solve(args) -> int:
     with _bad_input_exits():
         spec = load_spec(args.spec)
-        cfg = MaximizerConfig(args.samples_per_segment, args.refine_tolerance)
         sol = (solve_discrete(to_discrete(spec)) if args.mode == "discrete"
-               else solve_grid(spec, args.grid, cfg))
+               else solve_grid(spec, args.grid))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "discrete":
@@ -134,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=parse_grid_strategy("fixed:15"),
                        help="fixed:<g> | vg1:<k>,<t> | vg2:<k>,<t> (grid mode)")
     solve.add_argument("--out", required=True, help="output directory")
-    defaults = MaximizerConfig()
-    solve.add_argument("--samples-per-segment", type=int,
-                       default=defaults.samples_per_segment)
-    solve.add_argument("--refine-tolerance", type=float, default=defaults.refine_tolerance)
     solve.set_defaults(func=_cmd_solve)
 
     sim = sub.add_parser("simulate", help="Monte Carlo evaluation of a policy")

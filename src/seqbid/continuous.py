@@ -5,8 +5,9 @@ piecewise-linear value curve over [0, m] instead of a table.  Knot values are
 computed exactly against the next stage's curves via a one-dimensional bid
 maximization; everything between knots is linear interpolation.  The largest
 gap between adjacent knot values of a stage bounds the interpolation error
-that stage can introduce, and the per-stage gaps accumulated across later
-stages bound the total deviation from the exact value function.
+that stage can introduce, and the gaps of a stage and of every later
+non-terminal stage, summed, bound its total deviation from the exact value
+function.
 
 The bid objective Q(z) mixes the win branch, evaluated at d - z on the next
 stage's curve for the enlarged holdings, with the lose branch at unchanged d.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, holdings_mask
 from .discrete import Layer, Settled, sweep
-from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
+from .pwl import MAX_KNOTS, PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
 
 # The candidate lattice covers [0, d] with a density equivalent to
@@ -35,26 +36,18 @@ from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 # are always candidates.
 _LATTICE_SEGMENT_CAP = 8
 _MAX_CHUNK_CELLS = 2_000_000
-# Most lattice samples per piece: beyond it one endowment's candidates alone
-# would fill a whole chunk.
-_MAX_SAMPLES_PER_SEGMENT = _MAX_CHUNK_CELLS // _LATTICE_SEGMENT_CAP
 
 
 @dataclass(frozen=True)
 class MaximizerConfig:
-    """Sampling density and polish tolerance for the bid maximizer."""
+    """Sampling density and polish tolerance of the bid maximizer: fixed values."""
 
     samples_per_segment: int = 32
     refine_tolerance: float = 1e-4
 
-    def __post_init__(self) -> None:
-        for name, ok, rule in (
-            ("samples_per_segment", 2 <= self.samples_per_segment <= _MAX_SAMPLES_PER_SEGMENT,
-             f"between 2 and {_MAX_SAMPLES_PER_SEGMENT}"),
-            ("refine_tolerance", 0 < self.refine_tolerance < float("inf"), "positive and finite"),
-        ):
-            if not ok:
-                raise ValueError(f"maximizer.{name}: {getattr(self, name)!r} must be {rule}")
+
+# Every solve's settings, passed to _maximize_batch: perfbench/spans.py reads them there.
+_MAXIMIZER = MaximizerConfig()
 
 
 @lru_cache(maxsize=64)
@@ -70,8 +63,8 @@ class UniformFixed:
     g: int
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError("a fixed grid needs at least 2 knots")
+        if not 2 <= self.g <= MAX_KNOTS:
+            raise ValueError(f"g: {self.g} must be between 2 and {MAX_KNOTS:,}")
 
     def refine(self, evaluate, m: float) -> PwlFunction:
         """The curve through all g knots, asked for as one tuple."""
@@ -129,8 +122,8 @@ class DeltaLedger:
     """Per stage, the largest adjacent knot-value gap over that stage's curves.
 
     Settled components are exact closed forms and contribute nothing.  The
-    terminal stage's entry is the residual-utility knot gap, which is what the
-    accumulated bound charges for backing up through the final stage.
+    terminal stage's entry is the residual-utility knot gap; it is recorded
+    but never charged, as terminal values are exact.
     """
 
     deltas: list[float]
@@ -141,10 +134,15 @@ class DeltaLedger:
 
 
 def error_bound(ledger: DeltaLedger, t: int) -> float:
-    """Accumulated value-error bound at stage t: sum of later stages' deltas."""
+    """Accumulated value-error bound at stage t: the deltas of stages t to n - 1.
+
+    Between two knots a curve interpolates values of a nondecreasing backup, so
+    it misses that backup by at most its stage's delta; a backup passes on the
+    next stage's error unenlarged, and terminal values are exact.
+    """
     if not 0 <= t <= ledger.n:
         raise ValueError(f"stage {t} outside 0..{ledger.n}")
-    return float(sum(ledger.deltas[t + 1 :]))
+    return float(sum(ledger.deltas[t : ledger.n]))
 
 
 @dataclass
@@ -438,8 +436,8 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
     )
 
 
-def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: BidDistribution,
-                    cfg: MaximizerConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: BidDistribution
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Best bids and values of each (win, lose) pair at its own endowment row, in one
     _maximize_batch call per (win, lose) knot count; the rows of one count share a
     length."""
@@ -447,7 +445,7 @@ def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: Bi
     for idx in _groups((len(win.xs), len(lose.xs)) for win, lose in pairs):
         zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
                                  CurveStack([pairs[i][1] for i in idx]), dist,
-                                 np.array([rows[i] for i in idx], dtype=float), cfg)
+                                 np.array([rows[i] for i in idx], dtype=float), _MAXIMIZER)
         out.update(zip(idx, zip(zs, qs)))
     return [out[i] for i in range(len(pairs))]
 
@@ -493,11 +491,7 @@ def _stored(curve: PwlFunction) -> PwlFunction:
     return curve if same else PwlFunction(curve.xs, tuple(ys.tolist()))
 
 
-def solve_grid(
-    spec: ProblemSpec,
-    strategy: GridStrategy,
-    cfg: MaximizerConfig = MaximizerConfig(),
-) -> GridSolution:
+def solve_grid(spec: ProblemSpec, strategy: GridStrategy) -> GridSolution:
     """Backward grid solve of a continuous-mode spec under a grid strategy.
 
     The terminal stage is taken exactly from the terminal payoff.  At earlier
@@ -533,7 +527,7 @@ def solve_grid(
                     else:
                         curves[i] = curve
             solved = _maximize_pairs([jobs[i][1:] for i, _ in wanted], [ds for _, ds in wanted],
-                                     spec.distributions[t], cfg)
+                                     spec.distributions[t])
             for (i, ds), (zs, qs) in zip(wanted, solved):
                 memos[i].update(zip(ds, zip(zs.tolist(), qs.tolist())))
         for (mask, _, _), memo, curve in zip(jobs, memos, curves):

@@ -161,9 +161,6 @@ class TruncatedGaussian:
         phi_a = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
         return self.mean + self.std * phi_a / self._scale
 
-    def default_w_max(self) -> int:
-        return math.ceil(self.mean + 4.0 * self.std)
-
     def sample(self, rng: np.random.Generator) -> float:
         u = rng.random()
         return float(self.mean + self.std * ndtri(self._f0 + u * self._scale))
@@ -242,21 +239,15 @@ def terminal_value(held: Union[int, Iterable[int]], d: float, spec: ProblemSpec)
 _ENDOWMENT_SLACK = 1e-9
 
 
-def discretize_distribution(
-    g: TruncatedGaussian, w_max: int | None = None
-) -> DiscreteMultinomial:
-    """Collapse a truncated Gaussian onto the integer levels 0 to w_max.
+def discretize_distribution(g: TruncatedGaussian) -> DiscreteMultinomial:
+    """Collapse a truncated Gaussian onto the integer levels 0 to
+    w_max = ceil(mean + 4 std).
 
     Level k receives the probability mass of (k - 0.5, k + 0.5]; level 0 also
     absorbs [0, 0.5] and the top level absorbs the upper tail, so the masses
     sum to one by construction.
     """
-    if w_max is None:
-        w_max = g.default_w_max()
-    if w_max < g.default_w_max():
-        raise ValueError(
-            f"w_max {w_max} too small; need at least {g.default_w_max()}"
-        )
+    w_max = math.ceil(g.mean + 4.0 * g.std)
     edges = np.arange(0, w_max) + 0.5
     cdf = g.win_probability_vec(edges)
     masses = np.empty(w_max + 1)
@@ -267,12 +258,12 @@ def discretize_distribution(
     return DiscreteMultinomial(tuple(masses))
 
 
-def to_discrete(spec: ProblemSpec, w_max: int | None = None) -> ProblemSpec:
+def to_discrete(spec: ProblemSpec) -> ProblemSpec:
     """Discrete-mode copy of a spec, discretizing any Gaussian distributions."""
     if abs(spec.endowment - round(spec.endowment)) > _ENDOWMENT_SLACK:
         raise ValueError("discrete mode needs an integer endowment")
     dists = tuple(
-        discretize_distribution(d, w_max) if isinstance(d, TruncatedGaussian) else d
+        discretize_distribution(d) if isinstance(d, TruncatedGaussian) else d
         for d in spec.distributions
     )
     return replace(spec, endowment=float(round(spec.endowment)),

@@ -17,19 +17,12 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, fields, replace
-from math import sqrt
+from math import isqrt, sqrt
 from pathlib import Path
 
 import numpy as np
 
-from .continuous import (
-    MaximizerConfig,
-    UniformFixed,
-    Vg1,
-    Vg2,
-    error_bound,
-    solve_grid,
-)
+from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_grid
 from .core import (
     Bundle,
     MODE_CONTINUOUS,
@@ -37,7 +30,7 @@ from .core import (
     TruncatedGaussian,
     to_discrete,
 )
-from .discrete import DiscreteSolution, solve_discrete
+from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
 from .io import (
     _integer,
     _write_csv,
@@ -142,8 +135,8 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "fixed", "vg1", "vg2"):
-            raise ValueError(f"unknown run kind {self.kind!r}")
-        self.strategy()  # the strategy refuses a bad g, max_knots or threshold
+            raise ValueError(f"kind: {self.kind!r} is not one of discrete, fixed, vg1, vg2")
+        self.strategy()  # refuses a bad g, max_knots or threshold, tagged with the field
 
     @property
     def name(self) -> str:
@@ -180,11 +173,15 @@ class ExperimentConfig:
     output_dir: str = "suite-out"
     master_seed: int = 0
     generator: GeneratorParams = field(default_factory=GeneratorParams)
-    maximizer: MaximizerConfig = field(default_factory=MaximizerConfig)
 
     def __post_init__(self) -> None:
         if self.n_experiments < 0:
             raise ValueError(f"n_experiments: {self.n_experiments} must be nonnegative")
+        e = self.generator.endowment
+        if abs(e - round(e)) > 1e-9 or (round(e) + 1) ** 2 > _MAX_LATTICE_CELLS:
+            raise ValueError(f"generator.endowment: {e!r} must be a whole number of at most "
+                             f"{isqrt(_MAX_LATTICE_CELLS) - 1}, as every experiment solves "
+                             "its instance's discrete twin exactly")
         for i, run in enumerate(self.runs):
             if run.name in (r.name for r in self.runs[:i]):
                 raise ValueError(f"runs[{i}]: duplicate run name {run.name}")
@@ -208,10 +205,19 @@ def _plain_fields(obj, skip: tuple = ()) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from config_to_dict's layout; a missing field keeps its default.
 
-    generator.seed is not read: every experiment derives its own seed.
+    generator.seed is not read: every experiment derives its own seed.  The
+    maximizer's settings are fixed; a `maximizer` table, which manifests of
+    earlier versions hold, may only repeat their values.
     """
+    fixed, block = _plain_fields(_MAXIMIZER), data.get("maximizer", {})
+    if not isinstance(block, dict):
+        raise ValueError(f"maximizer: {block!r} is not a table of settings")
+    for key, value in block.items():
+        if key not in fixed or value != fixed[key]:
+            raise ValueError(f"maximizer.{key}: {value!r} cannot be set; the bid maximizer's "
+                             f"settings are fixed at {fixed}")
     base = ExperimentConfig()
-    cfg = replace(base, **_cast_fields(base, data, ("runs", "generator", "maximizer")))
+    cfg = replace(base, **_cast_fields(base, data, ("runs", "generator")))
     if "runs" in data:
         runs = []
         for i, r in enumerate(data["runs"]):
@@ -219,15 +225,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             try:
                 runs.append(RunSpec(r["kind"], **cast))
             except ValueError as err:
-                raise ValueError(f"runs[{i}]: {err}") from None
+                raise ValueError(f"runs[{i}].{err}") from None
         cfg = replace(cfg, runs=tuple(runs))
-    return replace(
-        cfg,
-        generator=GeneratorParams(
-            **_cast_fields(base.generator, data.get("generator", {}), ("seed",), "generator.")),
-        maximizer=MaximizerConfig(
-            **_cast_fields(base.maximizer, data.get("maximizer", {}), where="maximizer.")),
-    )
+    return replace(cfg, generator=GeneratorParams(
+        **_cast_fields(base.generator, data.get("generator", {}), ("seed",), "generator.")))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -237,7 +238,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "master_seed": config.master_seed,
         "runs": [_plain_fields(r) for r in config.runs],
         "generator": _plain_fields(config.generator, ("seed",)),
-        "maximizer": _plain_fields(config.maximizer),
     }
 
 
@@ -289,10 +289,10 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
                     write_discrete_solution(gold, exp_dir / "Discrete_solution.csv")
                     states, report, ledger = gold.state_count, _self_report(gold), None
                 else:
-                    sol = solve_grid(instance, run.strategy(), config.maximizer)
+                    sol = solve_grid(instance, run.strategy())
                     write_grid_solution(sol, exp_dir / f"{run.name}_solution.csv")
                     write_delta_ledger(sol.ledger, exp_dir / f"{run.name}_ledger.csv")
-                    report = compare_solutions(gold, sol.values, instance, config.maximizer)
+                    report = compare_solutions(gold, sol.values, instance)
                     states, ledger = sol.state_count, sol.ledger
                 write_error_report(report, exp_dir / f"{run.name}_errors.csv")
                 done.append((run.name, (float(states), report, ledger)))

@@ -23,6 +23,11 @@ import numpy as np
 # from floating-point stalls on pathological evaluators.
 MIN_SPLIT_WIDTH = 1e-9
 
+# Most knots a grid strategy places per component (UniformFixed's g, a budget's
+# max_knots): ten times the G1001 reference grid, refused above it before any
+# knot is computed.
+MAX_KNOTS = 10_001
+
 _DOMAIN_SLACK = 1e-9
 
 
@@ -119,10 +124,10 @@ class RefinementBudget:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.max_knots < 2:
-            raise ValueError("max_knots must be at least 2")
+        if not 2 <= self.max_knots <= MAX_KNOTS:
+            raise ValueError(f"max_knots: {self.max_knots} must be between 2 and {MAX_KNOTS:,}")
         if not self.threshold >= 0:
-            raise ValueError("threshold must be nonnegative")
+            raise ValueError(f"threshold: {self.threshold!r} must be nonnegative")
 
 
 def vg1_refine(

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import HybridValueFunction, MaximizerConfig, _maximize_batch, _maximize_pairs
+from .continuous import _MAXIMIZER, HybridValueFunction, _maximize_batch, _maximize_pairs
 from .core import ProblemSpec, mask_holdings, terminal_value
 from .discrete import DiscreteSolution
 
@@ -117,16 +117,14 @@ def table_policy(solution: DiscreteSolution) -> Bidder:
     return bidder
 
 
-def greedy_policy(
-    v: HybridValueFunction, spec: ProblemSpec, cfg: MaximizerConfig = MaximizerConfig()
-) -> Bidder:
+def greedy_policy(v: HybridValueFunction, spec: ProblemSpec) -> Bidder:
     """Bidder that maximizes the one-step objective against stored curves."""
     def bidder(t, mask, d):
         if not 0.0 <= d <= v.m + 1e-9:
             raise ValueError(f"endowment {d!r} outside [0, {v.m}]")
         nxt = v.components[t + 1]
         zs, _ = _maximize_batch(nxt[mask | 1 << t], nxt[mask], spec.distributions[t],
-                                np.array([d]), cfg)
+                                np.array([d]), _MAXIMIZER)
         return float(zs[0])
 
     return bidder
@@ -160,10 +158,7 @@ class ErrorReport:
 
 
 def compare_solutions(
-    exact: DiscreteSolution,
-    approx: HybridValueFunction,
-    spec: ProblemSpec,
-    cfg: MaximizerConfig = MaximizerConfig(),
+    exact: DiscreteSolution, approx: HybridValueFunction, spec: ProblemSpec
 ) -> ErrorReport:
     """Exhaustive state-by-state comparison on the integer endowment lattice.
 
@@ -183,7 +178,7 @@ def compare_solutions(
         nxt = approx.components[t + 1]
         masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
         greedy = _maximize_pairs([(nxt[m | 1 << t], nxt[m]) for m in masks],
-                                 [lattice] * len(masks), spec.distributions[t], cfg)
+                                 [lattice] * len(masks), spec.distributions[t])
         value_errs.append([relative_sq_error(approx.components[t][m].values(lattice),
                                              exact.stage_values[t][m]) for m in masks])
         policy_errs.append([relative_sq_error(zs, exact.stage_bids[t][m].astype(float))

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from seqbid import continuous
-from seqbid.continuous import GridSolution, MaximizerConfig, UniformFixed, Vg1
+from seqbid.continuous import GridSolution, UniformFixed, Vg1
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
@@ -230,8 +230,7 @@ def random_small_instance(rng: np.random.Generator) -> ProblemSpec:
     return ProblemSpec(n, bundles, e, residual, dists, "continuous")
 
 
-def per_knot_grid(spec: ProblemSpec, strategy, cfg: MaximizerConfig = MaximizerConfig()
-                  ) -> GridSolution:
+def per_knot_grid(spec: ProblemSpec, strategy) -> GridSolution:
     """solve_grid driven one component at a time (UniformFixed) or one knot at a
     time (Vg1, Vg2).
 
@@ -242,7 +241,7 @@ def per_knot_grid(spec: ProblemSpec, strategy, cfg: MaximizerConfig = MaximizerC
     the asked knot on the spot in a one-row _maximize_batch call.
     """
     closed_form = continuous._closed_form(spec, "per_knot_grid")
-    m = float(spec.endowment)
+    m, cfg = float(spec.endowment), continuous._MAXIMIZER
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
 
     def backup(t, jobs):

@@ -9,9 +9,10 @@ from dataclasses import fields, replace
 import pytest
 
 from seqbid.cli import build_parser, main, parse_grid_strategy
-from seqbid.continuous import MaximizerConfig, UniformFixed, Vg1, Vg2
+from seqbid.continuous import UniformFixed, Vg1, Vg2
 from seqbid.core import to_discrete
 from seqbid.discrete import solve_discrete
+from seqbid.experiment import ExperimentConfig, config_to_dict
 from seqbid.io import read_discrete_solution, save_spec
 from seqbid.pwl import PwlFunction
 
@@ -59,28 +60,30 @@ class TestParseGridStrategy:
             main(["solve", str(c1_file), "--mode", "grid", "--grid", "vg1:15,nan",
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert "bad grid spec 'vg1:15,nan': threshold must be nonnegative" in capsys.readouterr().err
+        assert ("bad grid spec 'vg1:15,nan': threshold: nan must be nonnegative"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("grid, field", [("fixed:1000000000", "g"),
+                                             ("vg1:1000000000,0", "max_knots"),
+                                             ("vg2:10002", "max_knots")])
+    def test_knots_above_the_limit_are_an_argument_error(self, c1_file, tmp_path, capsys,
+                                                         monkeypatch, grid, field):
+        # The solver is replaced, so a grid that got through would fail here instead
+        # of placing up to 1e9 knots per component.
+        monkeypatch.setattr("seqbid.cli.solve_grid", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(c1_file), "--mode", "grid", "--grid", grid,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"bad grid spec {grid!r}: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def must_not_run(*args, **kwargs):
-    raise AssertionError("a maximizer config this large must be refused before any solve")
+    raise AssertionError("an input this large must be refused before any solve")
 
 
 class TestSolveCommand:
-    @pytest.mark.parametrize("flag, value", [("--samples-per-segment", "1000000000"),
-                                             ("--refine-tolerance", "inf")])
-    def test_huge_or_infinite_maximizer_setting_exits_2(self, c1_file, tmp_path, capsys,
-                                                       monkeypatch, flag, value):
-        # The solver is replaced, so a setting that got through would fail here
-        # instead of allocating a lattice of 8e9 candidates.
-        monkeypatch.setattr("seqbid.cli.solve_grid", must_not_run)
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", str(c1_file), "--mode", "grid", "--grid", "fixed:5", flag, value,
-                  "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        field = flag[2:].replace("-", "_")
-        assert f"error: maximizer.{field}: " in capsys.readouterr().err
-
     def test_discrete_solution_round_trips(self, t2, t2_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["solve", str(t2_file), "--mode", "discrete",
@@ -107,7 +110,7 @@ class TestSolveCommand:
         with open(out / "ledger.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["stage"] for row in rows] == ["0", "1"]
-        assert float(rows[0]["cumulative_bound"]) == pytest.approx(1.4)
+        assert float(rows[0]["cumulative_bound"]) == pytest.approx(5.241749, abs=1e-4)
         assert float(rows[1]["cumulative_bound"]) == 0.0
         with open(out / "solution.csv") as fh:
             header = fh.readline().strip().split(",")
@@ -140,11 +143,6 @@ class TestSolveCommand:
             main(["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
-
-    def test_maximizer_defaults_come_from_the_config(self):
-        args = build_parser().parse_args(["solve", "s.json", "--mode", "grid", "--out", "o"])
-        for f in fields(MaximizerConfig):
-            assert getattr(args, f.name) == getattr(MaximizerConfig(), f.name)
 
     def test_missing_spec_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -266,13 +264,31 @@ class TestExperimentCommand:
         assert not (tmp_path / "x").exists()
 
     def test_huge_lattice_is_a_bad_config(self, tmp_path, capsys, monkeypatch):
+        # The maximizer's settings are fixed: a `maximizer` table may only repeat them.
         monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"maximizer": {"samples_per_segment": 10**9}}))
         rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "error: bad experiment config: maximizer.samples_per_segment: 1000000000 must be")
+        assert capsys.readouterr().err.startswith("error: bad experiment config: "
+                                                  "maximizer.samples_per_segment: 1000000000 "
+                                                  "cannot be set")
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"runs": [{"kind": "fixed", "g": 10**9}]}, "runs[0].g: 1000000000 must be between"),
+        ({"runs": [{"kind": "vg1", "max_knots": 10**9}]}, "runs[0].max_knots: 1000000000 must"),
+        ({"generator": {"endowment": 30.5}}, "generator.endowment: 30.5 must be a whole number"),
+        ({"generator": {"endowment": 5000}}, "generator.endowment: 5000.0 must be a whole"),
+    ])
+    def test_config_every_experiment_fails_on_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                         cfg, message):
+        monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_experiments": 1, **cfg}))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("threshold", ["-1", "NaN"])
     def test_bad_threshold_is_a_bad_config(self, tmp_path, capsys, threshold):
@@ -282,5 +298,23 @@ class TestExperimentCommand:
         rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: bad experiment config: runs[0]: threshold must be nonnegative\n")
+            f"error: bad experiment config: runs[0].threshold: {float(threshold)} "
+            "must be nonnegative\n")
         assert not (tmp_path / "x").exists()
+
+
+class TestOptionSurface:
+    def test_settable_values_are_pinned(self):
+        # Every option of `seqbid solve` and every field a suite config sets and its
+        # manifest records: a setting cannot come back without changing this test.
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        solve = sub.choices["solve"]
+        assert sorted(a.dest for a in solve._actions) == ["grid", "help", "mode", "out", "spec"]
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "n_experiments", "runs", "output_dir", "master_seed", "generator"]
+        data = config_to_dict(ExperimentConfig())
+        assert sorted(data) == ["generator", "master_seed", "n_experiments", "runs"]
+        assert sorted(data["runs"][0]) == ["g", "kind", "max_knots", "threshold"]
+        assert sorted(data["generator"]) == [
+            "bid_mean_range", "bid_var", "bundle_size_mean", "bundle_size_std", "endowment",
+            "n_bundles", "n_resources", "residual_slope", "value_mean", "value_var"]

@@ -313,15 +313,6 @@ class TestDiscretization:
         d = discretize_distribution(g)
         assert d.mean() == pytest.approx(g.mean_value(), abs=0.05)
 
-    def test_explicit_w_max(self):
-        d = discretize_distribution(TruncatedGaussian(3.0, 1.0), w_max=9)
-        assert len(d.probs) == 10
-        assert sum(d.probs) == pytest.approx(1.0)
-
-    def test_w_max_below_support_rejected(self):
-        with pytest.raises(ValueError):
-            discretize_distribution(TruncatedGaussian(3.0, 1.0), w_max=4)
-
 
 class TestToDiscrete:
     def test_mode_and_distributions_flip(self, c1):

@@ -109,8 +109,7 @@ class TestConfigDict:
     @pytest.mark.parametrize("data, message", [
         ({"n_experiments": 2.7}, "n_experiments: 2.7 is not an integer"),
         ({"runs": [{"kind": "fixed", "g": 10.9}]}, r"runs\[0\]\.g: 10\.9 is not an integer"),
-        ({"maximizer": {"samples_per_segment": 3.9}},
-         "maximizer.samples_per_segment: 3.9 is not an integer"),
+        ({"master_seed": 1.5}, "master_seed: 1.5 is not an integer"),
         ({"generator": {"n_resources": 4.5}}, "generator.n_resources: 4.5 is not an integer"),
     ])
     def test_non_integral_int_fields_refused(self, data, message):
@@ -119,9 +118,9 @@ class TestConfigDict:
 
     @pytest.mark.parametrize("data, message", [
         ({"runs": [{"kind": "vg1", "max_knots": 5, "threshold": -1}]},
-         r"runs\[0\]: threshold must be nonnegative"),
+         r"runs\[0\]\.threshold: -1\.0 must be nonnegative"),
         ({"runs": [{"kind": "discrete"}, {"kind": "vg2", "max_knots": 5, "threshold": math.nan}]},
-         r"runs\[1\]: threshold must be nonnegative"),
+         r"runs\[1\]\.threshold: nan must be nonnegative"),
         ({"runs": [{"kind": "fixed", "g": 5}, {"kind": "fixed", "g": 5}]},
          r"runs\[1\]: duplicate run name G5"),
         ({"n_experiments": -1}, "n_experiments: -1 must be nonnegative"),
@@ -135,13 +134,59 @@ class TestConfigDict:
         ({"generator": {"endowment": 0}}, "generator.endowment: 0.0 must be positive"),
         ({"generator": {"endowment": -1}}, "generator.endowment: -1.0 must be positive"),
         ({"generator": {"residual_slope": -0.1}}, "generator.residual_slope: -0.1 must be"),
-        ({"maximizer": {"samples_per_segment": 10**9}},
-         "maximizer.samples_per_segment: 1000000000 must be between 2 and 250000"),
-        ({"maximizer": {"refine_tolerance": math.inf}}, "maximizer.refine_tolerance: inf must be"),
+        ({"runs": [{"kind": "fixed", "g": 10**9}]},
+         r"runs\[0\]\.g: 1000000000 must be between 2 and 10,001$"),
+        ({"runs": [{"kind": "vg2", "max_knots": 10_002, "threshold": 0.01}]},
+         r"runs\[0\]\.max_knots: 10002 must be between 2 and 10,001$"),
+        ({"runs": [{"kind": "bogus"}]}, r"runs\[0\]\.kind: 'bogus' is not one of"),
+        # The suite solves every instance's discrete twin: a fractional endowment fails
+        # in to_discrete, one above 4,000 at solve_discrete's lattice limit.
+        ({"generator": {"endowment": 30.5}},
+         "generator.endowment: 30.5 must be a whole number of at most 4000"),
+        ({"generator": {"endowment": 5000}},
+         "generator.endowment: 5000.0 must be a whole number of at most 4000"),
     ])
     def test_values_every_experiment_would_fail_on_are_refused(self, data, message):
         with pytest.raises(ValueError, match=message):
             config_from_dict(data)
+
+    def test_the_largest_exact_endowment_is_accepted(self):
+        assert config_from_dict({"generator": {"endowment": 4000}}).generator.endowment == 4000.0
+
+    def test_endowment_refused_in_code_too(self):
+        with pytest.raises(ValueError, match="generator.endowment: 2.5 must be a whole number"):
+            replace(TINY, generator=GeneratorParams(endowment=2.5))
+
+    def test_manifest_of_earlier_versions_loads(self):
+        # Written by a version whose config still had a `maximizer` table, holding
+        # the settings the bid maximizer now fixes.
+        manifest = json.loads("""{
+          "experiments": [{"index": 0, "n": 4, "seed": 1, "status": "ok"}],
+          "generator": {"bid_mean_range": [3.0, 6.0], "bid_var": 0.5, "bundle_size_mean": 3.0,
+                        "bundle_size_std": 1.0, "endowment": 8.0, "n_bundles": 2,
+                        "n_resources": 5, "residual_slope": 0.7, "value_mean": 15.0,
+                        "value_var": 2.0},
+          "master_seed": 9,
+          "maximizer": {"refine_tolerance": 0.0001, "samples_per_segment": 32},
+          "n_experiments": 2,
+          "runs": [{"g": 0, "kind": "discrete", "max_knots": 0, "threshold": 0.0},
+                   {"g": 5, "kind": "fixed", "max_knots": 0, "threshold": 0.0}]
+        }""")
+        assert config_from_dict(manifest) == TINY
+        del manifest["maximizer"]["refine_tolerance"]
+        assert config_from_dict(manifest) == TINY
+
+    @pytest.mark.parametrize("block, message", [
+        ({"samples_per_segment": 64}, r"maximizer\.samples_per_segment: 64 cannot be set"),
+        ({"samples_per_segment": 32, "refine_tolerance": 1e-6},
+         r"maximizer\.refine_tolerance: 1e-06 cannot be set"),
+        ({"refine_tolerance": math.nan}, r"maximizer\.refine_tolerance: nan cannot be set"),
+        ({"tolerance": 1e-4}, r"maximizer\.tolerance: 0\.0001 cannot be set"),
+        ([32, 1e-4], r"maximizer: \[32, 0\.0001\] is not a table"),
+    ])
+    def test_maximizer_settings_other_than_the_fixed_ones_refused(self, block, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            config_from_dict({"maximizer": block})
 
     def test_duplicate_run_names_refused_in_code_too(self):
         with pytest.raises(ValueError, match=r"runs\[2\]: duplicate run name G5"):
@@ -245,12 +290,12 @@ class TestFailedExperiment:
 
         solve_grid, g10_calls = experiment.solve_grid, []
 
-        def failing_second_g10(spec, strategy, cfg):
+        def failing_second_g10(spec, strategy):
             if strategy == UniformFixed(10):
                 g10_calls.append(spec)
                 if len(g10_calls) == 2:
                     raise RuntimeError("injected failure")
-            return solve_grid(spec, strategy, cfg)
+            return solve_grid(spec, strategy)
 
         monkeypatch.setattr(experiment, "solve_grid", failing_second_g10)
         out = tmp_path / "suite"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbid.pwl import (
+    MAX_KNOTS,
     MIN_SPLIT_WIDTH,
     PwlFunction,
     RefinementBudget,
@@ -125,12 +126,20 @@ class TestMaxConsecutiveDelta:
 class TestRefinementBudget:
     @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
     def test_threshold_must_be_nonnegative(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^threshold: {threshold} must be nonnegative$"):
             RefinementBudget(15, threshold)
 
     def test_max_knots_at_least_two(self):
         with pytest.raises(ValueError, match="max_knots"):
             RefinementBudget(1, 0.0)
+
+    @pytest.mark.parametrize("max_knots", [MAX_KNOTS + 1, 10**9])
+    def test_max_knots_at_most_the_knot_limit(self, max_knots):
+        # Constructing only: a refiner places no knot before a solve.
+        assert RefinementBudget(MAX_KNOTS, 0.0).max_knots == 10_001
+        with pytest.raises(ValueError,
+                           match=f"^max_knots: {max_knots} must be between 2 and 10,001$"):
+            RefinementBudget(max_knots, 0.0)
 
 
 class TestVg1:
