@@ -24,6 +24,7 @@ import numpy as np
 
 from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_grid
 from .core import (
+    _ENDOWMENT_SLACK,
     Bundle,
     MODE_CONTINUOUS,
     ProblemSpec,
@@ -178,7 +179,7 @@ class ExperimentConfig:
         if self.n_experiments < 0:
             raise ValueError(f"n_experiments: {self.n_experiments} must be nonnegative")
         e = self.generator.endowment
-        if abs(e - round(e)) > 1e-9 or (round(e) + 1) ** 2 > _MAX_LATTICE_CELLS:
+        if abs(e - round(e)) > _ENDOWMENT_SLACK or (round(e) + 1) ** 2 > _MAX_LATTICE_CELLS:
             raise ValueError(f"generator.endowment: {e!r} must be a whole number of at most "
                              f"{isqrt(_MAX_LATTICE_CELLS) - 1}, as every experiment solves "
                              "its instance's discrete twin exactly")
