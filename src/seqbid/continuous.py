@@ -198,6 +198,15 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
+def _distinct(pairs: list) -> tuple[np.ndarray, list[int]]:
+    """First index of each distinct (win, lose) curve pair, equal bit for bit, and
+    per pair the number of its distinct one: equal successors give equal backups."""
+    keys = [tuple(a.tobytes() for c in pair for a in (c._ax, c._ay)) for pair in pairs]
+    number: dict = {}
+    which = [number.setdefault(key, len(number)) for key in keys]
+    return np.unique(which, return_index=True)[1], which
+
+
 def _interp_table(curves: Union[PwlFunction, CurveStack]) -> tuple:
     """Knots xp, edges, values and slopes that replay np.interp(., xp, ys[c]) bit
     for bit (finite slopes): with k = searchsorted(xp, x, "right"), np.interp(x) is
@@ -498,10 +507,14 @@ def solve_grid(spec: ProblemSpec, strategy: GridStrategy) -> GridSolution:
     stages every settled component is the residual curve shifted by the
     holdings' bundle value, contributing neither evaluations nor ledger delta;
     every unsettled component is built from exact knot backups, with the knot
-    set chosen by the strategy's refine.  A stage's components refine in
-    lockstep rounds: each round re-runs every unfinished refine against its
-    memo of solved knots, then solves the knots it asked for and lacked in one
-    maximizer call per (win, lose) knot count, one endowment row per ask.
+    set chosen by the strategy's refine.  A stage's components whose win and
+    lose curves are equal bit for bit back up alike, so one refine serves them
+    all and each gets its curve and its own knot bids (G15 on generator instance
+    1000: 161 unsettled components, 42 distinct pairs, 630 maximizer rows, not
+    2,415).  The distinct pairs refine in lockstep rounds: each round re-runs
+    every unfinished refine against its memo of solved knots, then solves the
+    knots it asked for and lacked in one maximizer call per (win, lose) knot
+    count, one endowment row per ask.
     UniformFixed asks for all g knots as one tuple and finishes in the second
     round.  Vg1 and Vg2 ask for one knot at a time and run ahead on guessed
     values for up to max(2, solved knots) unsolved knots per round; a refine
@@ -513,8 +526,9 @@ def solve_grid(spec: ProblemSpec, strategy: GridStrategy) -> GridSolution:
     knot_bids: dict[tuple[int, int], np.ndarray] = {}
 
     def backup(t, jobs):
-        memos: list[dict[float, tuple[float, float]]] = [{} for _ in jobs]
-        curves: list = [None] * len(jobs)
+        firsts, which = _distinct([job[1:] for job in jobs])
+        memos: list[dict[float, tuple[float, float]]] = [{} for _ in firsts]
+        curves: list = [None] * len(firsts)
         while None in curves:
             wanted = []
             for i, memo in enumerate(memos):
@@ -526,13 +540,14 @@ def solve_grid(spec: ProblemSpec, strategy: GridStrategy) -> GridSolution:
                         wanted += [(i, ds) for ds in asked]
                     else:
                         curves[i] = curve
-            solved = _maximize_pairs([jobs[i][1:] for i, _ in wanted], [ds for _, ds in wanted],
-                                     spec.distributions[t])
+            solved = _maximize_pairs([jobs[firsts[i]][1:] for i, _ in wanted],
+                                     [ds for _, ds in wanted], spec.distributions[t])
             for (i, ds), (zs, qs) in zip(wanted, solved):
                 memos[i].update(zip(ds, zip(zs.tolist(), qs.tolist())))
-        for (mask, _, _), memo, curve in zip(jobs, memos, curves):
-            knot_bids[(t, mask)] = np.array([memo[x][0] for x in curve.xs])
-        return [_stored(c) for c in curves]
+        for (mask, _, _), g in zip(jobs, which):
+            knot_bids[(t, mask)] = np.array([memos[g][x][0] for x in curves[g].xs])
+        stored = [_stored(c) for c in curves]
+        return [stored[g] for g in which]
 
     layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
                    closed_form)

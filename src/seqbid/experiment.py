@@ -188,14 +188,21 @@ class ExperimentConfig:
                 raise ValueError(f"runs[{i}]: duplicate run name {run.name}")
 
 
-def _cast_fields(default, data: dict, skip: tuple = (), where: str = "") -> dict:
+def _cast_fields(default, data: dict, skip: tuple = (), where: str = "", also: tuple = ()) -> dict:
     """data's entries for default's fields, each cast to the type of default's value;
-    an int field refuses a non-integral value, tagged with `where` and the field name."""
+    data that is not a table, a key that is neither a field nor in `also`, and a
+    non-integral value of an int field are refused, tagged with `where` and the key."""
     def cast(name):
         kind = type(getattr(default, name))
         return _integer(data[name], where + name) if kind is int else kind(data[name])
 
-    return {f.name: cast(f.name) for f in fields(default) if f.name in data and f.name not in skip}
+    if not isinstance(data, dict):
+        raise ValueError(f"{where.rstrip('.') or 'config'}: {data!r} is not a table")
+    names = [f.name for f in fields(default)]
+    for key in data:
+        if key not in names and key not in also:
+            raise ValueError(f"{where}{key}: unknown setting; known: {', '.join(names)}")
+    return {name: cast(name) for name in names if name in data and name not in skip}
 
 
 def _plain_fields(obj, skip: tuple = ()) -> dict:
@@ -206,10 +213,13 @@ def _plain_fields(obj, skip: tuple = ()) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from config_to_dict's layout; a missing field keeps its default.
 
-    generator.seed is not read: every experiment derives its own seed.  The
-    maximizer's settings are fixed; a `maximizer` table, which manifests of
-    earlier versions hold, may only repeat their values.
+    Unknown keys are refused, but for a manifest's `experiments`; generator.seed
+    is not read, as every experiment derives its own seed.  A `maximizer` table,
+    which manifests of earlier versions hold, may only repeat the fixed settings.
     """
+    base = ExperimentConfig()
+    cfg = replace(base, **_cast_fields(base, data, ("runs", "generator"),
+                                       also=("maximizer", "experiments")))
     fixed, block = _plain_fields(_MAXIMIZER), data.get("maximizer", {})
     if not isinstance(block, dict):
         raise ValueError(f"maximizer: {block!r} is not a table of settings")
@@ -217,14 +227,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key not in fixed or value != fixed[key]:
             raise ValueError(f"maximizer.{key}: {value!r} cannot be set; the bid maximizer's "
                              f"settings are fixed at {fixed}")
-    base = ExperimentConfig()
-    cfg = replace(base, **_cast_fields(base, data, ("runs", "generator")))
     if "runs" in data:
+        if not isinstance(data["runs"], list):
+            raise ValueError(f"runs: {data['runs']!r} is not a list of run tables")
         runs = []
         for i, r in enumerate(data["runs"]):
             cast = _cast_fields(RunSpec("discrete"), r, ("kind",), f"runs[{i}].")
             try:
-                runs.append(RunSpec(r["kind"], **cast))
+                runs.append(RunSpec(r.get("kind"), **cast))
             except ValueError as err:
                 raise ValueError(f"runs[{i}].{err}") from None
         cfg = replace(cfg, runs=tuple(runs))

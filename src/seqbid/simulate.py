@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import _MAXIMIZER, HybridValueFunction, _maximize_batch, _maximize_pairs
+from .continuous import (_MAXIMIZER, HybridValueFunction, _distinct, _maximize_batch,
+                         _maximize_pairs)
 from .core import ProblemSpec, mask_holdings, terminal_value
 from .discrete import DiscreteSolution
 
@@ -167,7 +168,9 @@ def compare_solutions(
     unsettled components the exact solve stores, in ascending mask order per
     stage.  For each, the value error pits the interpolated curve against the
     exact value, and the policy error pits the greedy bid recomputed from the
-    curves (one maximizer call per stage and knot layout) against the exact bid.
+    curves against the exact bid.  Greedy bids take one maximizer call per stage
+    and knot layout, solving once each distinct (win, lose) curve pair, equal
+    bit for bit (G15 on generator instance 1000: 1,302 rows, not 4,991).
     """
     if exact.n != approx.n:
         raise ValueError("stage counts differ between exact and approximate solutions")
@@ -177,12 +180,14 @@ def compare_solutions(
     for t in range(exact.n):
         nxt = approx.components[t + 1]
         masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
-        greedy = _maximize_pairs([(nxt[m | 1 << t], nxt[m]) for m in masks],
-                                 [lattice] * len(masks), spec.distributions[t])
+        pairs = [(nxt[m | 1 << t], nxt[m]) for m in masks]
+        firsts, which = _distinct(pairs)
+        greedy = _maximize_pairs([pairs[i] for i in firsts], [lattice] * len(firsts),
+                                 spec.distributions[t])
         value_errs.append([relative_sq_error(approx.components[t][m].values(lattice),
                                              exact.stage_values[t][m]) for m in masks])
-        policy_errs.append([relative_sq_error(zs, exact.stage_bids[t][m].astype(float))
-                            for (zs, _), m in zip(greedy, masks)])
+        policy_errs.append([relative_sq_error(greedy[g][0], exact.stage_bids[t][m].astype(float))
+                            for g, m in zip(which, masks)])
     per_stage = [StageErrors(t, *_pooled(v, p))
                  for t, (v, p) in enumerate(zip(value_errs, policy_errs))]
     return ErrorReport(per_stage, *_pooled(sum(value_errs, []), sum(policy_errs, [])))

@@ -3,8 +3,9 @@
 Everything here recomputes results from raw problem data (bundle member
 lists, residual knot arrays, scipy's normal CDF) without going through the
 solver code under test, so agreement between the two is evidence rather
-than tautology.  The one exception is per_knot_grid, a reference loop that
-reuses the solver's parts to pin how solve_grid schedules its refiners.
+than tautology.  The exceptions are per_knot_grid and per_component_compare,
+reference loops that reuse the solver's parts to pin how solve_grid and
+compare_solutions schedule their maximizer calls.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from seqbid.core import (
 )
 from seqbid.discrete import sweep
 from seqbid.pwl import PwlFunction, vg1_refine, vg2_refine
-from seqbid.simulate import RoundTrace
+from seqbid.simulate import ErrorReport, RoundTrace, StageErrors, _pooled, relative_sq_error
 
 
 def _raw(spec: ProblemSpec):
@@ -271,3 +272,27 @@ def per_knot_grid(spec: ProblemSpec, strategy) -> GridSolution:
     layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
                    closed_form)
     return continuous._grid_solution(spec, closed_form, layers, knot_bids)
+
+
+def per_component_compare(exact, approx, spec: ProblemSpec) -> ErrorReport:
+    """compare_solutions with one _maximize_batch call per unsettled component.
+
+    Not independent of the solver: this is the reference that compare_solutions,
+    which solves each distinct (win, lose) curve pair of a stage once and stacks
+    the pairs, must match exactly.
+    """
+    lattice = np.arange(exact.endowment + 1, dtype=float)
+    value_errs, policy_errs = [], []
+    for t in range(exact.n):
+        nxt, dist = approx.components[t + 1], spec.distributions[t]
+        masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
+        value_errs.append([relative_sq_error(approx.components[t][m].values(lattice),
+                                             exact.stage_values[t][m]) for m in masks])
+        policy_errs.append([
+            relative_sq_error(continuous._maximize_batch(nxt[m | 1 << t], nxt[m], dist, lattice,
+                                                         continuous._MAXIMIZER)[0],
+                              exact.stage_bids[t][m].astype(float))
+            for m in masks])
+    per_stage = [StageErrors(t, *_pooled(v, p))
+                 for t, (v, p) in enumerate(zip(value_errs, policy_errs))]
+    return ErrorReport(per_stage, *_pooled(sum(value_errs, []), sum(policy_errs, [])))

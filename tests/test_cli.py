@@ -290,6 +290,22 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"generator": {"endowmnet": 5}}, "generator.endowmnet: unknown setting"),
+        ({"generator": [1]}, "generator: [1] is not a table"),
+        ({"n_experimnets": 3}, "n_experimnets: unknown setting"),
+        ({"runs": ["fixed"]}, "runs[0]: 'fixed' is not a table"),
+        ({"runs": {"kind": "fixed"}}, "runs: {'kind': 'fixed'} is not a list"),
+    ])
+    def test_misspelled_or_misshapen_config_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                       cfg, message):
+        monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
+
     @pytest.mark.parametrize("threshold", ["-1", "NaN"])
     def test_bad_threshold_is_a_bad_config(self, tmp_path, capsys, threshold):
         cfg_path = tmp_path / "cfg.json"

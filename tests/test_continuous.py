@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_q_max, per_knot_grid, random_small_instance
+from oracles import dense_q_max, per_component_compare, per_knot_grid, random_small_instance
 from seqbid import continuous, simulate
 from seqbid.continuous import (
     CurveStack,
@@ -474,6 +474,16 @@ class TestStackedMaximizer:
         assert np.array_equal(stacked[0][0], single[0]) and np.array_equal(stacked[1][0], single[1])
 
 
+def pair_groups(values, components) -> list[list[tuple[int, int]]]:
+    """Components grouped by (stage, win curve, lose curve), equal in knot bits."""
+    groups: dict = {}
+    for t, mask in components:
+        pair = (values.components[t + 1][mask | 1 << t], values.components[t + 1][mask])
+        key = (t, *(np.array(c.xs + c.ys).tobytes() for c in pair))
+        groups.setdefault(key, []).append((t, mask))
+    return list(groups.values())
+
+
 @pytest.fixture(scope="module")
 def instance_1000():
     spec = generate_instance(GeneratorParams(seed=1000))
@@ -482,7 +492,8 @@ def instance_1000():
 
 class TestStageBatchedCalls:
     """One maximizer call per stage and (win, lose) knot layout or knot count, not per
-    component."""
+    component, and one set of rows per distinct (win, lose) curve pair: components
+    whose successor curves are equal bit for bit are solved once."""
 
     @staticmethod
     def record(monkeypatch, entry):
@@ -511,11 +522,19 @@ class TestStageBatchedCalls:
         return {(t, values.components[t + 1][mask | 1 << t].xs, values.components[t + 1][mask].xs)
                 for t, mask in components}
 
+    @staticmethod
+    def distinct(values, components):
+        return [group[0] for group in pair_groups(values, components)]
+
     def test_solve_grid(self, instance_1000, calls):
+        # Holdings that differ only in resources whose bundles are out of reach share
+        # their successors: 161 unsettled components back up 42 distinct pairs.
         spec, ref, _ = instance_1000
         sol = solve_grid(spec, UniformFixed(15))
         unsettled = list(sol.knot_bids)
-        assert len(unsettled) == 161 and sum(calls) == 15 * 161 == 2415
+        distinct = self.distinct(sol.values, unsettled)
+        assert len(unsettled) == 161 and len(distinct) == 42
+        assert sum(calls) == 15 * len(distinct) == 630 and sol.state_count == 15 * 161
         assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
         assert sol.values.components == ref.values.components
 
@@ -524,21 +543,27 @@ class TestStageBatchedCalls:
         report = simulate.compare_solutions(exact, sol.values, spec)
         unsettled = [(t, mask) for t in range(spec.n) for mask in exact.stage_values[t]
                      if (t, mask) not in exact.settled]
-        assert len(unsettled) == 161 and sum(calls) == report.states == 4991
+        distinct = self.distinct(sol.values, unsettled)
+        assert len(unsettled) == 161 and len(distinct) == 42
+        assert sum(calls) == 31 * len(distinct) == 1302 and report.states == 31 * 161 == 4991
         assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
 
-    @pytest.mark.parametrize("kind, knots, n_calls, n_rows",
-                             [(Vg1, 2415, 64, 2562), (Vg2, 2291, 109, 2313)])
-    def test_lockstep_refiners(self, instance_1000, shapes, kind, knots, n_calls, n_rows):
-        # A round solves every knot its unfinished components asked for, guessed ones
+    @pytest.mark.parametrize("kind, knots, distinct_knots, n_calls, n_rows",
+                             [(Vg1, 2415, 630, 64, 669), (Vg2, 2291, 600, 109, 622)])
+    def test_lockstep_refiners(self, instance_1000, shapes, kind, knots, distinct_knots,
+                               n_calls, n_rows):
+        # A round solves every knot its unfinished distinct pairs asked for, guessed ones
         # included, one row per knot and one call per (win, lose) knot count; one knot
-        # per call would make `knots` calls.  Guesses the final curves do not use are
-        # the rows beyond `knots`.
+        # per call would make `distinct_knots` calls.  Guesses the final curves do not
+        # use are the rows beyond `distinct_knots`.  state_count still counts the knots
+        # of every component.
         sol = solve_grid(instance_1000[0], kind(RefinementBudget(15, 0.01)))
-        assert sol.state_count == knots and len(shapes) == n_calls
-        assert all(shape == (pairs, 1) for pairs, shape in shapes)
+        distinct = self.distinct(sol.values, sol.knot_bids)
+        assert sol.state_count == knots and len(distinct) == 42
+        assert sum(len(sol.values.components[t][mask].xs) for t, mask in distinct) == distinct_knots
+        assert len(shapes) == n_calls and all(shape == (pairs, 1) for pairs, shape in shapes)
         rows = sum(pairs for pairs, _ in shapes)
-        assert rows == n_rows and knots <= rows <= 1.15 * knots
+        assert rows == n_rows and distinct_knots <= rows <= 1.15 * distinct_knots
 
 
 MORE_INSTANCES = {"generator 2000": GeneratorParams(seed=2000),
@@ -566,6 +591,32 @@ class TestLockstepRefiners:
         assert all(np.array_equal(sol.knot_bids[key], ref.knot_bids[key]) for key in ref.knot_bids)
         assert np.array_equal(sol.ledger.deltas, ref.ledger.deltas)
         assert sol.state_count == ref.state_count
+
+
+class TestDistinctPairs:
+    """Components whose successor curves are equal bit for bit are solved once."""
+
+    @pytest.mark.parametrize("strategy", [UniformFixed(15), Vg2(RefinementBudget(15, 0.01))],
+                             ids=["G15", "Vg2"])
+    @pytest.mark.parametrize("instance", ["c1", "generator 1000", "generator 2000",
+                                          "flat residual 1000"])
+    def test_compare_matches_one_call_per_component(self, c1, instance_1000, instance,
+                                                    strategy):
+        spec = (c1 if instance == "c1" else instance_1000[0] if instance == "generator 1000"
+                else generate_instance(MORE_INSTANCES[instance]))
+        sol, exact = solve_grid(spec, strategy), solve_discrete(to_discrete(spec))
+        report = simulate.compare_solutions(exact, sol.values, spec)
+        assert report == per_component_compare(exact, sol.values, spec)
+
+    def test_knot_bids_of_a_duplicate_are_its_own(self, instance_1000):
+        _, sol, _ = instance_1000
+        groups = pair_groups(sol.values, sol.knot_bids)
+        assert sum(len(group) - 1 for group in groups) == 161 - 42
+        for first, *duplicates in groups:
+            for key in duplicates:
+                mine, theirs = sol.knot_bids[key], sol.knot_bids[first]
+                assert np.array_equal(mine, theirs)
+                assert not (mine.flags.writeable and np.shares_memory(mine, theirs))
 
 
 class TestSpeculativeAnswers:

@@ -150,6 +150,20 @@ class TestConfigDict:
         with pytest.raises(ValueError, match=message):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"generator": {"endowmnet": 5}}, r"generator\.endowmnet: unknown setting; known: "),
+        ({"generator": [1]}, r"generator: \[1\] is not a table"),
+        ({"n_experimnets": 3}, r"n_experimnets: unknown setting; known: n_experiments"),
+        ({"runs": ["fixed"]}, r"runs\[0\]: 'fixed' is not a table"),
+        ({"runs": {"kind": "fixed"}}, r"runs: \{'kind': 'fixed'\} is not a list of run tables"),
+        ({"runs": [{"kind": "fixed", "g": 5, "gg": 3}]}, r"runs\[0\]\.gg: unknown setting"),
+        ({"runs": [{"g": 5}]}, r"runs\[0\]\.kind: None is not one of"),
+        ([1], r"config: \[1\] is not a table"),
+    ])
+    def test_unknown_keys_and_tables_of_the_wrong_shape_refused(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            config_from_dict(data)
+
     def test_the_largest_exact_endowment_is_accepted(self):
         assert config_from_dict({"generator": {"endowment": 4000}}).generator.endowment == 4000.0
 
