@@ -15,7 +15,6 @@ Winning requires strictly outbidding the high bid; ties lose.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Union
@@ -44,14 +43,7 @@ def holdings_mask(held: Union[int, Iterable[int]]) -> int:
 
 def mask_holdings(mask: int) -> Holdings:
     """Unpack a holdings bitmask into the set of resource indices."""
-    out = set()
-    i = 1
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i + 1 for i in range(int(mask).bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -112,17 +104,18 @@ class DiscreteMultinomial:
         return float(np.dot(np.arange(len(self.probs)), self.probs))
 
     @cached_property
-    def _sample_cdf(self) -> list[float]:
+    def _sample_cdf(self) -> np.ndarray:
         # Generator.choice(len(p), p=p)'s own table, normalized as numpy
         # normalizes it; kept apart from _cum, whose bits the win
         # probabilities read.
         cdf = np.cumsum(self.probs)
         cdf /= cdf[-1]
-        return cdf.tolist()
+        return cdf
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """The draw of rng.choice(len(probs), p=probs), from the same one double."""
-        return bisect_right(self._sample_cdf, rng.random())
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """The high bids of uniform doubles u in [0, 1): each the draw that
+        rng.choice(len(probs), p=probs) makes from that same double."""
+        return np.searchsorted(self._sample_cdf, u, side="right")
 
 
 @dataclass(frozen=True)
@@ -161,9 +154,9 @@ class TruncatedGaussian:
         phi_a = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
         return self.mean + self.std * phi_a / self._scale
 
-    def sample(self, rng: np.random.Generator) -> float:
-        u = rng.random()
-        return float(self.mean + self.std * ndtri(self._f0 + u * self._scale))
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """The high bids of uniform doubles u in [0, 1), through the inverse CDF."""
+        return self.mean + self.std * ndtri(self._f0 + u * self._scale)
 
 
 BidDistribution = Union[DiscreteMultinomial, TruncatedGaussian]
@@ -228,12 +221,15 @@ def useful_resources(bundles: Iterable[Bundle]) -> frozenset[int]:
     return frozenset(out)
 
 
-def terminal_value(held: Union[int, Iterable[int]], d: float, spec: ProblemSpec) -> float:
-    """Utility once all auctions have run: bundle value plus residual utility."""
-    if d < -_ENDOWMENT_SLACK or d > spec.endowment + _ENDOWMENT_SLACK:
-        raise ValueError(f"endowment {d!r} outside [0, {spec.endowment}]")
-    d = min(max(d, 0.0), spec.endowment)
-    return spec.bundle_value(holdings_mask(held)) + spec.residual(d)
+def terminal_value(held: Union[int, Iterable[int]], d, spec: ProblemSpec):
+    """Utility once all auctions have run: bundle value plus residual utility,
+    elementwise for an array of endowments that share the holdings."""
+    d = np.asarray(d, dtype=float)
+    bad = np.flatnonzero(~((d >= -_ENDOWMENT_SLACK) & (d <= spec.endowment + _ENDOWMENT_SLACK)))
+    if len(bad):
+        raise ValueError(f"endowment {float(d.flat[bad[0]])!r} outside [0, {spec.endowment}]")
+    return (spec.bundle_value(holdings_mask(held))
+            + spec.residual.values(np.clip(d, 0.0, spec.endowment)))
 
 
 _ENDOWMENT_SLACK = 1e-9

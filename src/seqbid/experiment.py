@@ -190,11 +190,16 @@ class ExperimentConfig:
 
 def _cast_fields(default, data: dict, skip: tuple = (), where: str = "", also: tuple = ()) -> dict:
     """data's entries for default's fields, each cast to the type of default's value;
-    data that is not a table, a key that is neither a field nor in `also`, and a
-    non-integral value of an int field are refused, tagged with `where` and the key."""
+    data that is not a table, a key that is neither a field nor in `also`, and a value
+    that does not cast (or is non-integral for an int) are refused, tagged with the key."""
     def cast(name):
-        kind = type(getattr(default, name))
-        return _integer(data[name], where + name) if kind is int else kind(data[name])
+        kind, value = type(getattr(default, name)), data[name]
+        try:
+            return (_integer(value, where + name) if kind is int
+                    else tuple(map(float, value)) if kind is tuple else kind(value))
+        except (TypeError, ValueError):
+            what = {int: "an integer", tuple: "a pair of numbers"}.get(kind, "a number")
+            raise ValueError(f"{where}{name}: {value!r} is not {what}") from None
 
     if not isinstance(data, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'}: {data!r} is not a table")

@@ -15,12 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import (_MAXIMIZER, HybridValueFunction, _distinct, _maximize_batch,
-                         _maximize_pairs)
+from .continuous import (_MAXIMIZER, CurveStack, HybridValueFunction, _distinct,
+                         _maximize_batch, _maximize_pairs)
 from .core import ProblemSpec, mask_holdings, terminal_value
 from .discrete import DiscreteSolution
 
-Bidder = Callable[[int, int, float], float]
+# bidder(t, holdings_mask, endowments) -> a bid per endowment; see collect_rounds.
+Bidder = Callable[[int, int, np.ndarray], np.ndarray]
 
 
 def relative_sq_error(estimate: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -43,44 +44,50 @@ class RoundTrace:
 
 
 def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> RoundTrace:
-    """Run the n auctions once, sampling one high bid per auction.
-
-    bidder(t, holdings_mask, endowment) must return a bid in [0, endowment].
-    A bid wins only by strictly exceeding the sampled high bid.
-    """
-    rng = np.random.default_rng(seed)
-    held, d, stages = 0, float(spec.endowment), []
-    for t in range(spec.n):
-        w = float(spec.distributions[t].sample(rng))
-        z = float(bidder(t, held, d))
-        if not 0 <= z <= d + 1e-9:
-            raise ValueError(f"bidder returned infeasible bid {z!r} at stage {t}")
-        win = z > w
-        if win:
-            held |= 1 << t
-            d -= min(z, d)
-        stages.append((w, z, win, d))
-    # Transposed, the stages give the high bids, bids, wins and endowments.
-    return RoundTrace(*zip(*stages), mask_holdings(held), terminal_value(held, d, spec))
+    """Run the n auctions once: round 0 of collect_rounds(spec, bidder, 1, seed)."""
+    return collect_rounds(spec, bidder, 1, seed)[0]
 
 
-def collect_rounds(
-    spec: ProblemSpec, bidder: Bidder, rounds: int, seed: int
-) -> list[RoundTrace]:
-    """Traces of `rounds` independent simulations.
+def _rows_by_group(group: np.ndarray) -> list[np.ndarray]:
+    """The ascending indices of the rounds in each group 0, 1, ..., group.max()."""
+    return np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
 
-    Round r runs on its own generator, default_rng(SeedSequence((seed, r))),
-    so results are reproducible and insensitive to batching.  It draws one
-    double per stage, in stage order.  A multinomial stage inverts it through
-    the table numpy's Generator.choice builds from the stage's probabilities,
-    so every draw equals that of earlier versions, which called choice itself.
+
+def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> list[RoundTrace]:
+    """Traces of `rounds` independent passes through the n auctions.
+
+    Round r's stage-t high bid is u[r, t] through distributions[t].sample, u =
+    default_rng(seed).random((rounds, n)): a trace does not depend on the
+    rounds after it, and a lone round draws the doubles of default_rng(seed).
+    The rounds advance stage by stage; those holding the same resources share
+    one call bidder(t, holdings_mask, endowments), which must bid in
+    [0, endowment] for each.  A bid wins only by strictly exceeding the high bid.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    return [
-        simulate_round(spec, bidder, np.random.SeedSequence((seed, r)))
-        for r in range(rounds)
-    ]
+    u = np.random.default_rng(seed).random((rounds, spec.n))
+    d, stages = np.full(rounds, float(spec.endowment)), []
+    masks, group = [0], np.zeros(rounds, dtype=np.intp)  # holdings of each group; round's group
+    for t, dist in enumerate(spec.distributions):
+        w, z = dist.sample(u[:, t]).astype(float), np.empty(rounds)
+        for mask, rows in zip(masks, _rows_by_group(group)):
+            z[rows] = bidder(t, mask, d[rows])
+        bad = np.flatnonzero(~((z >= 0.0) & (z <= d + 1e-9)))
+        if len(bad):
+            raise ValueError(f"bidder returned infeasible bid {float(z[bad[0]])!r} at stage {t}")
+        win = z > w
+        d = np.where(win, d - np.minimum(z, d), d)
+        keys, group = np.unique(2 * group + win, return_inverse=True)
+        masks = [masks[k >> 1] | (k & 1) << t for k in keys.tolist()]
+        stages.append((w, z, win, d))
+    utility = np.empty(rounds)
+    for mask, rows in zip(masks, _rows_by_group(group)):
+        utility[rows] = terminal_value(mask, d[rows], spec)
+    holdings = [mask_holdings(mask) for mask in masks]
+    # Zipping a column's per-stage lists gives each round its tuple.
+    columns = [zip(*(a.tolist() for a in column)) for column in zip(*stages)]
+    return list(map(RoundTrace, *columns, map(holdings.__getitem__, group.tolist()),
+                    utility.tolist()))
 
 
 def summarize_utilities(utilities: list[float]) -> tuple[float, float]:
@@ -97,13 +104,12 @@ def estimate_policy_value(
     spec: ProblemSpec, bidder: Bidder, rounds: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of a policy's realized utility."""
-    traces = collect_rounds(spec, bidder, rounds, seed)
-    return summarize_utilities([tr.utility for tr in traces])
+    return summarize_utilities([tr.utility for tr in collect_rounds(spec, bidder, rounds, seed)])
 
 
 def constant_bid_policy(z: float) -> Bidder:
     def bidder(t, mask, d):
-        return min(z, d)
+        return np.minimum(z, d)
 
     return bidder
 
@@ -113,20 +119,22 @@ def table_policy(solution: DiscreteSolution) -> Bidder:
     stage_bids = solution.stage_bids
 
     def bidder(t, mask, d):
-        return stage_bids[t][mask][int(round(d))]
+        return stage_bids[t][mask][np.rint(d).astype(np.intp)]
 
     return bidder
 
 
 def greedy_policy(v: HybridValueFunction, spec: ProblemSpec) -> Bidder:
-    """Bidder that maximizes the one-step objective against stored curves."""
+    """Bidder that maximizes the one-step objective against stored curves; a copy of
+    the curve pair per endowment, stacked, makes each bid the one a lone call gives."""
     def bidder(t, mask, d):
-        if not 0.0 <= d <= v.m + 1e-9:
-            raise ValueError(f"endowment {d!r} outside [0, {v.m}]")
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        bad = np.flatnonzero(~((d >= 0.0) & (d <= v.m + 1e-9)))
+        if len(bad):
+            raise ValueError(f"endowment {float(d[bad[0]])!r} outside [0, {v.m}]")
         nxt = v.components[t + 1]
-        zs, _ = _maximize_batch(nxt[mask | 1 << t], nxt[mask], spec.distributions[t],
-                                np.array([d]), _MAXIMIZER)
-        return float(zs[0])
+        win, lose = (CurveStack([curve] * len(d)) for curve in (nxt[mask | 1 << t], nxt[mask]))
+        return _maximize_batch(win, lose, spec.distributions[t], d[:, None], _MAXIMIZER)[0][:, 0]
 
     return bidder
 

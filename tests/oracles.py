@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from seqbid import continuous
 from seqbid.continuous import GridSolution, UniformFixed, Vg1
@@ -46,7 +46,7 @@ def _raw(spec: ProblemSpec):
     below = []
     for dist in spec.distributions:
         acc = [0.0]
-        for p in dist.probs:
+        for p in getattr(dist, "probs", ()):  # a Gaussian stage has no table
             acc.append(acc[-1] + p)
         below.append(acc)
     return n, e, terminal, below
@@ -106,36 +106,60 @@ def policy_values(spec: ProblemSpec, policy) -> dict:
     return values
 
 
-def reference_rounds(spec: ProblemSpec, solution, rounds: int, seed: int) -> list[RoundTrace]:
-    """Monte Carlo traces of a discrete solution's bid tables, drawn as seqbid
-    has always drawn them.
+class Replay(np.random.Generator):
+    """A generator whose random() returns the given doubles in turn;
+    Generator.choice draws its uniform through that same method."""
 
-    Round r runs on default_rng(SeedSequence((seed, r))).  Each stage draws
-    its high bid with rng.choice(len(probs), p=probs), then bids
-    solution.bid(t, holdings, round(d)); a bid wins by strictly exceeding the
-    high bid.  The utility is rebuilt from the raw bundle and residual data.
+    def __init__(self, us):
+        super().__init__(np.random.PCG64(0))
+        self.us = list(us)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.us.pop(0)
+
+
+def scalar_round(spec: ProblemSpec, bid, rng: np.random.Generator) -> RoundTrace:
+    """One pass through the auctions, one stage at a time, as seqbid once ran it.
+
+    Each stage draws its high bid from rng: rng.choice(len(probs), p=probs)
+    for a multinomial, the truncated normal's inverse CDF at rng.random(),
+    rebuilt from scipy's ndtr and ndtri, for a Gaussian.  Then it bids
+    bid(t, holdings, d), a scalar; a bid wins by strictly exceeding the high
+    bid.  The utility is rebuilt from the raw bundle and residual data.
     """
     n, _, terminal, _ = _raw(spec)
-    traces = []
-    for r in range(rounds):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
-        held, d = 0, float(spec.endowment)
-        high_bids, bids, won, endowments = [], [], [], []
-        for t, dist in enumerate(spec.distributions):
+    held, d = 0, float(spec.endowment)
+    high_bids, bids, won, endowments = [], [], [], []
+    for t, dist in enumerate(spec.distributions):
+        if isinstance(dist, DiscreteMultinomial):
             w = float(rng.choice(len(dist.probs), p=dist.probs))
-            z = float(solution.bid(t, held, int(round(d))))
-            win = z > w
-            if win:
-                held |= 1 << t
-                d -= min(z, d)
-            high_bids.append(w)
-            bids.append(z)
-            won.append(win)
-            endowments.append(d)
-        traces.append(RoundTrace(
-            tuple(high_bids), tuple(bids), tuple(won), tuple(endowments),
-            frozenset(i + 1 for i in range(n) if held >> i & 1), terminal(held, d)))
-    return traces
+        else:
+            f0 = float(ndtr(-dist.mean / dist.std))
+            w = float(dist.mean + dist.std * ndtri(f0 + rng.random() * (1.0 - f0)))
+        z = float(bid(t, held, d))
+        win = z > w
+        if win:
+            held |= 1 << t
+            d -= min(z, d)
+        high_bids.append(w)
+        bids.append(z)
+        won.append(win)
+        endowments.append(d)
+    return RoundTrace(tuple(high_bids), tuple(bids), tuple(won), tuple(endowments),
+                      frozenset(i + 1 for i in range(n) if held >> i & 1), terminal(held, d))
+
+
+def reference_rounds(spec: ProblemSpec, bid, rounds: int, seed: int) -> list[RoundTrace]:
+    """Monte Carlo traces of the scalar bidder bid(t, holdings, d), one round
+    at a time: round r runs scalar_round on row r of
+    default_rng(seed).random((rounds, n)), replayed double by double."""
+    us = np.random.default_rng(seed).random((rounds, spec.n))
+    return [scalar_round(spec, bid, Replay(row.tolist())) for row in us]
+
+
+def table_bid(solution):
+    """A discrete solution's bid-table lookup at the rounded endowment."""
+    return lambda t, held, d: solution.bid(t, held, int(round(d)))
 
 
 def dense_q_max(

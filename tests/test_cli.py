@@ -306,6 +306,22 @@ class TestExperimentCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"generator": {"bid_mean_range": 5}},
+         "generator.bid_mean_range: 5 is not a pair of numbers"),
+        ({"runs": [{"kind": "vg1", "max_knots": 5, "threshold": None}]},
+         "runs[0].threshold: None is not a number"),
+        ({"generator": {"endowment": "abc"}}, "generator.endowment: 'abc' is not a number"),
+    ])
+    def test_config_value_of_the_wrong_type_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                       cfg, message):
+        monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad experiment config: {message}\n"
+
     @pytest.mark.parametrize("threshold", ["-1", "NaN"])
     def test_bad_threshold_is_a_bad_config(self, tmp_path, capsys, threshold):
         cfg_path = tmp_path / "cfg.json"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from oracles import quad_win_probability
+from oracles import Replay, quad_win_probability
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
@@ -201,29 +201,17 @@ _STREAM_CASES = [
 ]
 
 
-class _Replay(np.random.Generator):
-    """A generator whose random() returns the given doubles in turn;
-    Generator.choice draws its uniform through that same method."""
-
-    def __init__(self, us):
-        super().__init__(np.random.PCG64(0))
-        self.us = list(us)
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        return self.us.pop(0)
-
-
 class TestSampleStream:
-    """sample draws what rng.choice(len(p), p=p) draws, from the same doubles."""
+    """sample(u) draws what rng.choice(len(p), p=p) draws from the same doubles u."""
 
     @pytest.mark.parametrize("probs", _STREAM_CASES)
     def test_draw_for_draw_equal_to_choice(self, probs):
         d = DiscreteMultinomial(probs)
         rng_a, rng_b = np.random.default_rng(2024), np.random.default_rng(2024)
-        ours = [d.sample(rng_a) for _ in range(10_000)]
+        ours = d.sample(rng_a.random(10_000))
         numpy_draws = [int(rng_b.choice(len(probs), p=probs)) for _ in range(10_000)]
-        assert ours == numpy_draws
-        assert all(type(k) is int for k in ours)
+        assert ours.tolist() == numpy_draws
+        assert ours.dtype == np.int64
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("probs", _STREAM_CASES)
@@ -235,8 +223,8 @@ class TestSampleStream:
         us = sorted(u for e in edges for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))
                     if 0.0 <= u < 1.0)
         d = DiscreteMultinomial(probs)
-        ours = [d.sample(_Replay([u])) for u in us]
-        assert ours == [int(_Replay([u]).choice(len(probs), p=probs)) for u in us]
+        ours = d.sample(np.array(us)).tolist()
+        assert ours == [int(Replay([u]).choice(len(probs), p=probs)) for u in us]
 
     def test_off_by_rounding_sums_are_exercised(self):
         assert sum(_SHORT) < 1.0 < sum(_LONG)
@@ -275,9 +263,10 @@ class TestTruncatedGaussian:
 
     def test_sample_is_nonnegative_and_deterministic(self):
         g = TruncatedGaussian(1.0, 1.0)
-        r1 = [g.sample(np.random.default_rng(7)) for _ in range(50)]
-        r2 = [g.sample(np.random.default_rng(7)) for _ in range(50)]
-        assert r1 == r2
+        us = np.random.default_rng(7).random(50)
+        r1 = g.sample(us).tolist()
+        assert r1 == [float(g.sample(np.array([u]))[0]) for u in us]
+        assert r1 == g.sample(np.random.default_rng(7).random(50)).tolist()
         assert min(r1) >= 0.0
 
     def test_validation(self):

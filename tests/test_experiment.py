@@ -130,7 +130,7 @@ class TestConfigDict:
         ({"generator": {"bid_var": -1}}, "generator.bid_var: -1.0 must be positive"),
         ({"generator": {"value_var": -1}}, "generator.value_var: -1.0 must be nonnegative"),
         ({"generator": {"bundle_size_std": -0.5}}, "generator.bundle_size_std: -0.5 must be"),
-        ({"generator": {"bid_mean_range": [6, 3]}}, r"generator.bid_mean_range: \(6, 3\) must"),
+        ({"generator": {"bid_mean_range": [6, 3]}}, r"generator.bid_mean_range: \(6.0, 3.0\) must"),
         ({"generator": {"endowment": 0}}, "generator.endowment: 0.0 must be positive"),
         ({"generator": {"endowment": -1}}, "generator.endowment: -1.0 must be positive"),
         ({"generator": {"residual_slope": -0.1}}, "generator.residual_slope: -0.1 must be"),
@@ -163,6 +163,26 @@ class TestConfigDict:
     def test_unknown_keys_and_tables_of_the_wrong_shape_refused(self, data, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"generator": {"bid_mean_range": 5}},
+         "generator.bid_mean_range: 5 is not a pair of numbers"),
+        ({"generator": {"bid_mean_range": ["a", "b"]}},
+         "generator.bid_mean_range: ['a', 'b'] is not a pair of numbers"),
+        ({"runs": [{"kind": "vg1", "max_knots": 5, "threshold": None}]},
+         "runs[0].threshold: None is not a number"),
+        ({"generator": {"endowment": "abc"}}, "generator.endowment: 'abc' is not a number"),
+        ({"n_experiments": None}, "n_experiments: None is not an integer"),
+        ({"runs": [{"kind": "fixed", "g": "five"}]}, "runs[0].g: 'five' is not an integer"),
+    ])
+    def test_values_of_the_wrong_type_refused(self, data, message):
+        with pytest.raises(ValueError) as err:
+            config_from_dict(data)
+        assert str(err.value) == message
+
+    def test_a_pair_is_read_as_numbers(self):
+        pair = config_from_dict({"generator": {"bid_mean_range": [3, 6]}}).generator.bid_mean_range
+        assert pair == (3.0, 6.0) and all(type(v) is float for v in pair)
 
     def test_the_largest_exact_endowment_is_accepted(self):
         assert config_from_dict({"generator": {"endowment": 4000}}).generator.endowment == 4000.0

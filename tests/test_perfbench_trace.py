@@ -27,7 +27,8 @@ def test_every_patched_layer_records_a_span(c1, tmp_path, monkeypatch):
         simulate.compare_solutions(exact, g5.values, c1)
         discrete.evaluate_policy_exact(twin, exact.policy())
         bidder = tracer.wrap_bidder(simulate.table_policy(exact))
-        simulate.collect_rounds(twin, bidder, 10, seed=0)
+        traces = simulate.collect_rounds(twin, bidder, 10, seed=0)
+        simulate.simulate_round(twin, bidder, 0)
         experiment.generate_instance(experiment.GeneratorParams(n_resources=3, n_bundles=1))
         experiment.save_spec(c1, tmp_path / "c1.json")
         last, counts = tracer.mark()
@@ -36,6 +37,9 @@ def test_every_patched_layer_records_a_span(c1, tmp_path, monkeypatch):
         tracer.uninstall()
     assert {"core.validate", "continuous.maximize", "pwl.refine", "simulate.round"} <= layers
     assert sorted(layers - set(by_name)) == []
-    assert by_name["simulate.bidder"]["calls"] == 10
+    # One bidder call per (stage, holdings) of the batch, and one per stage of the lone round.
+    groups = {(t, tr.won[:t]) for tr in traces for t in range(twin.n)}
+    assert by_name["simulate.bidder"]["calls"] == len(groups) + twin.n
+    assert by_name["simulate.round"]["calls"] == 1
     assert counts["discrete.policy_calls"] > 0
     assert continuous.solve_grid.__module__ == "seqbid.continuous"  # patches undone

@@ -5,9 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import reference_rounds
-from seqbid.continuous import HybridValueFunction, UniformFixed, solve_grid
-from seqbid.core import terminal_value, to_discrete
+from oracles import reference_rounds, scalar_round, table_bid
+from seqbid.continuous import (_MAXIMIZER, HybridValueFunction, UniformFixed, _maximize_batch,
+                               solve_grid)
+from seqbid.core import (
+    Bundle,
+    DiscreteMultinomial,
+    MODE_DISCRETE,
+    ProblemSpec,
+    terminal_value,
+    to_discrete,
+)
 from seqbid.discrete import solve_discrete
 from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.simulate import (
@@ -90,7 +98,7 @@ class TestSimulateRound:
 
         def bidder(t, mask, d):
             seen.append(mask)
-            return min(2.0, d)
+            return np.minimum(2.0, d)
 
         for seed in range(8):
             seen.clear()
@@ -150,21 +158,94 @@ class TestCollectRounds:
 
 class TestStreamPin:
     """collect_rounds draws, bids and scores every round exactly as the
-    reference loop does: any change to the random stream fails here."""
+    reference loop does, one round and one stage at a time: any change to the
+    random stream fails here."""
 
     @pytest.mark.parametrize("seed", [0, 3, 17, 2**31])
     def test_t2(self, t2, seed):
         exact = solve_discrete(t2)
         assert collect_rounds(t2, table_policy(exact), 200, seed) == reference_rounds(
-            t2, exact, 200, seed)
+            t2, table_bid(exact), 200, seed)
 
     @pytest.mark.parametrize("seed", [0, 5, 100])
     def test_generator_instance_1000(self, seed):
         spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
         exact = solve_discrete(spec)
         traces = collect_rounds(spec, table_policy(exact), 200, seed)
-        assert traces == reference_rounds(spec, exact, 200, seed)
+        assert traces == reference_rounds(spec, table_bid(exact), 200, seed)
         assert {won for tr in traces for won in tr.won} == {True, False}
+
+    def test_gaussian_stages(self):
+        spec = generate_instance(GeneratorParams(seed=1000))
+        traces = collect_rounds(spec, constant_bid_policy(4.5), 200, 9)
+        assert traces == reference_rounds(spec, lambda t, held, d: min(4.5, d), 200, 9)
+        assert {won for tr in traces for won in tr.won} == {True, False}
+
+    def test_seventy_resources(self):
+        # Holdings masks pass 2**64; a fixed-width mask would wrap.
+        spec = ProblemSpec(
+            n=70, bundles=tuple(Bundle(frozenset({i, i + 1}), 1.0) for i in range(1, 70, 2)),
+            endowment=100.0, residual=PwlFunction.linear(0.1, 0.0, 100.0),
+            distributions=(DiscreteMultinomial((0.5, 0.2, 0.3)),) * 70, mode=MODE_DISCRETE)
+        traces = collect_rounds(spec, constant_bid_policy(1.0), 300, 4)
+        assert traces == reference_rounds(spec, lambda t, held, d: min(1.0, d), 300, 4)
+        assert max(max(tr.final_holdings) for tr in traces) == 70
+
+
+class TestBatchStream:
+    """One round is row 0 of a batch, drawn from the doubles seqbid has always
+    drawn for a lone round; a batch calls the bidder once per (stage, holdings)."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_simulate_round_is_round_zero_of_a_batch(self, seed):
+        spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
+        bidder = table_policy(solve_discrete(spec))
+        assert simulate_round(spec, bidder, seed) == collect_rounds(spec, bidder, 1, seed)[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_simulate_round_draws_as_a_lone_generator_does(self, seed):
+        spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
+        exact = solve_discrete(spec)
+        assert simulate_round(spec, table_policy(exact), seed) == scalar_round(
+            spec, table_bid(exact), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("instance", [1000, 2000])
+    def test_one_bidder_call_per_stage_and_holdings(self, instance):
+        spec = to_discrete(generate_instance(GeneratorParams(seed=instance)))
+        policy = table_policy(solve_discrete(spec))
+        calls = []
+
+        def bidder(t, mask, d):
+            calls.append((t, mask, d.copy()))
+            return policy(t, mask, d)
+
+        traces = collect_rounds(spec, bidder, 500, 3)
+        groups = {(t, tr.won[:t]) for tr in traces for t in range(spec.n)}
+        assert len(calls) == len(groups) < 500 * spec.n
+        assert all(type(mask) is int and type(d) is np.ndarray for _, mask, d in calls)
+        for t in range(spec.n):
+            assert sum(len(d) for s, _, d in calls if s == t) == 500
+            expect = {}
+            for tr in traces:
+                mask = sum(1 << i for i in range(t) if tr.won[i])
+                expect.setdefault(mask, []).append(tr.endowments[t - 1] if t else spec.endowment)
+            assert {mask: d.tolist() for s, mask, d in calls if s == t} == expect
+
+    def test_infeasible_array_bid_is_reported_as_a_float(self, t1):
+        def bidder(t, mask, d):
+            assert isinstance(d, np.ndarray)
+            return np.full(d.shape, np.nan)
+
+        with pytest.raises(ValueError, match=r"^bidder returned infeasible bid nan at stage 0$"):
+            collect_rounds(t1, bidder, 5, 0)
+
+    def test_final_endowment_checked_elementwise(self, t2):
+        ds = np.array([0.0, 1.5, 3.0])
+        assert terminal_value(2, ds, t2).tolist() == [terminal_value(2, d, t2) for d in ds]
+        assert terminal_value(3, ds, t2).tolist() == [10.0, 11.05, 12.1]
+        for bad, shown in ((3.5, r"3\.5"), (-0.5, r"-0\.5"), (np.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^endowment {shown} outside \[0, 3\.0\]$"):
+                terminal_value(2, np.array([1.0, bad, 2.0]), t2)
 
 
 class TestSummarize:
@@ -201,6 +282,18 @@ class TestGreedyPolicy:
         for tr in a:
             assert 0.0 <= tr.bids[0] <= c1.endowment
             assert 0.0 <= tr.utility <= 11.4 + 1e-9
+
+    def test_a_group_bids_as_lone_calls_do(self):
+        spec = generate_instance(GeneratorParams(seed=1000))
+        values = solve_grid(spec, UniformFixed(15)).values
+        bidder = greedy_policy(values, spec)
+        ds = np.linspace(0.0, spec.endowment, 23)
+        for t in range(spec.n):
+            nxt = values.components[t + 1]
+            for mask in list(values.components[t])[:3]:
+                lone = [_maximize_batch(nxt[mask | 1 << t], nxt[mask], spec.distributions[t],
+                                        np.array([d]), _MAXIMIZER)[0][0] for d in ds]
+                assert bidder(t, mask, ds).tolist() == lone
 
     def test_rejects_endowment_outside_domain(self, c1):
         bidder = greedy_policy(solve_grid(c1, UniformFixed(5)).values, c1)
