@@ -25,7 +25,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, holdings_mask
+from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, TruncatedGaussian, holdings_mask
 from .discrete import Layer, Settled, sweep
 from .pwl import MAX_KNOTS, PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
@@ -253,6 +253,25 @@ def _values_at(table: tuple, x: np.ndarray, first: int = 0) -> np.ndarray:
     return _interp_rows(_knot_positions(x, xp, edges), values, slopes, rows)
 
 
+class _Laws(TruncatedGaussian):
+    """Distributions rows[i] of _laws' (4, D) parameters along the first of ndim axes: the
+    inherited win_probability_vec gives each bid the bits its own distribution gives."""
+
+    def __init__(self, params: np.ndarray, rows, ndim: int):
+        cols = params[:, rows].reshape(4, len(rows), *(1,) * (ndim - 1))
+        self.__dict__.update(zip(("mean", "std", "_f0", "_scale"), cols))
+
+
+def _laws(dist) -> tuple:
+    """(dist, None) for one distribution or a list of equal ones, else the (4, D) cached
+    parameters of a list's D distinct truncated Gaussians and each pair's number."""
+    if not isinstance(dist, list) or len(set(dist)) == 1:
+        return (dist[0] if isinstance(dist, list) else dist), None
+    params, of = np.unique([[law.mean, law.std, law._f0, law._scale] for law in dist], axis=0,
+                           return_inverse=True)
+    return params.T, of.reshape(-1)
+
+
 def _candidates(d: np.ndarray, xp: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Sorted candidate bids per endowment d[i] (a column) against win knots xp (shared
     or row i): 0, d, the piece boundaries d - xp clipped to [0, d] and the lattice d * base."""
@@ -272,36 +291,38 @@ def _bracket(q: np.ndarray, z: np.ndarray) -> tuple:
             z[r, np.minimum(above, z.shape[1] - 1)])
 
 
-def _scan_shared(win: tuple, dist: BidDistribution, d: np.ndarray, base: np.ndarray,
+def _scan_shared(win: tuple, dist, of, d: np.ndarray, base: np.ndarray,
                  lv: np.ndarray) -> np.ndarray:
     """_bracket of every pair at the endowments d that all pairs share, the pairs'
-    win curves sharing their knots: candidates, win probabilities and knot
-    positions are computed once and broadcast over blocks of pairs."""
+    win curves sharing their knots: candidates, knot positions and, per distribution,
+    win probabilities are computed once and broadcast over blocks of pairs."""
     win_x, win_e, win_y, win_s = win
     dcol = d[:, None]
     z = _candidates(dcol, win_x, base)
-    p = dist.win_probability_vec(z)
+    p = (dist.win_probability_vec(z) if of is None else _Laws(dist, range(dist.shape[1]), 3)
+         .win_probability_vec(np.broadcast_to(z, (dist.shape[1],) + z.shape)))  # p[k]: law k's
     if len(win_y) > 1:
         scan_at = _knot_positions(dcol - z, win_x, win_e)
     found = np.empty((4,) + lv.shape)
     step = max(1, _MAX_STACK_CELLS // z.size)
     for i in range(0, len(win_y), step):
         part = slice(i, i + step)
+        pp = p if of is None else p[of[part]]
         q = (_interp_rows(scan_at, win_y[part], win_s[part]) if len(win_y) > 1
-             else np.interp(dcol - z, win_x, win_y[0, 1:])[None]) * p
-        q += (1.0 - p) * lv[part, :, None]
+             else np.interp(dcol - z, win_x, win_y[0, 1:])[None]) * pp
+        q += (1.0 - pp) * lv[part, :, None]
         found[:, part] = _bracket(q, z)
     return found
 
 
-def _scan_cells(win: tuple, layout: np.ndarray, dist: BidDistribution, d: np.ndarray,
+def _scan_cells(win: tuple, layout: np.ndarray, dist, of, d: np.ndarray,
                 base: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """_bracket of pair c at each endowment d[c, j], pairs differing in endowments or
-    in win knots: candidates, win probabilities and knot positions are computed
-    once per distinct (win knots, endowment) and read per pair by index."""
+    in win knots: candidates, win probabilities and knot positions are computed once
+    per distinct (win knots, endowment, distribution) and read per pair by index."""
     win_x, win_e, win_y, win_s = win
     pair, dc, lvc = np.repeat(np.arange(len(d)), d.shape[1]), d.ravel(), lv.ravel()
-    keys = (dc.view(np.int64), layout[pair])
+    keys = (dc.view(np.int64), layout[pair]) + (() if of is None else (of[pair],))
     order = np.lexsort(keys)
     fresh = np.ones(len(order), dtype=bool)
     fresh[1:] = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
@@ -314,7 +335,7 @@ def _scan_cells(win: tuple, layout: np.ndarray, dist: BidDistribution, d: np.nda
         dk = dc[reps, None]
         xk, ek = (win_x, win_e) if win_x.ndim == 1 else (win_x[pair[reps]], win_e[pair[reps]])
         z = _candidates(dk, xk, base)
-        p = dist.win_probability_vec(z)
+        p = (dist if of is None else _Laws(dist, of[pair[reps]], 2)).win_probability_vec(z)
         at = _knot_positions(dk - z, xk, ek)
         if len(reps) < len(cells):  # some cells share a key: read theirs by index
             r = ks - ks[0]
@@ -325,10 +346,10 @@ def _scan_cells(win: tuple, layout: np.ndarray, dist: BidDistribution, d: np.nda
     return found.reshape((4,) + d.shape)
 
 
-def _polish(win: tuple, dist: BidDistribution, d: np.ndarray, lv: np.ndarray,
+def _polish(win: tuple, dist, of, d: np.ndarray, lv: np.ndarray,
             found: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section polish of every pair's best candidate inside its bracket, for
-    as many steps as the pair's widest bracket over its endowments needs."""
+    """Golden-section polish of every pair's best candidate inside its bracket, under
+    its distribution, for as many steps as the pair's widest bracket needs."""
     qbest, zbest, lo, hi = found
     span = (hi - lo).max(axis=1)
     sel = np.flatnonzero(span > tol)
@@ -338,10 +359,10 @@ def _polish(win: tuple, dist: BidDistribution, d: np.ndarray, lv: np.ndarray,
     sel, iters = sel[np.argsort(iters, kind="stable")], np.sort(iters)
     xp, edges, values, slopes = win
     table = ((xp, edges) if xp.ndim == 1 else (xp[sel], edges[sel])) + (values[sel], slopes[sel])
-    a, b, d, lv = lo[sel], hi[sel], d[sel], lv[sel]
+    a, b, d, lv, of_sel = lo[sel], hi[sel], d[sel], lv[sel], None if of is None else of[sel]
 
     def q_of(zz, d, lv, s):
-        pz = dist.win_probability_vec(zz)
+        pz = (dist if of is None else _Laws(dist, of_sel[s:], 2)).win_probability_vec(zz)
         return pz * _values_at(table, d[s:] - zz, s) + (1.0 - pz) * lv[s:]
 
     # A step evaluates both probes side by side in a row (d and lv hold each pair's
@@ -367,27 +388,28 @@ def _polish(win: tuple, dist: BidDistribution, d: np.ndarray, lv: np.ndarray,
 def _maximize_batch(
     win: Union[PwlFunction, CurveStack],
     lose: Union[PwlFunction, CurveStack],
-    dist: BidDistribution,
+    dist: Union[BidDistribution, list[TruncatedGaussian]],
     ds: np.ndarray,
     cfg: MaximizerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best bid and objective value for each (curve pair, endowment).
 
-    win and lose are single curves with ds a vector of endowments, or stacks
-    of C curves with ds of shape (C, rows), pair c taking win and lose curve c
-    and endowments ds[c]; a stack's curves share a knot count, not necessarily
-    their knots.  For endowment d the candidates are the piece boundaries
-    {d - x : x a win-curve knot} clipped to [0, d], a uniform lattice over
-    [0, d], and 0 and d.  Candidates, win probabilities and knot positions are
-    computed once per distinct (win knots, endowment): broadcast over the pairs
-    when they all share one endowment row and one set of win knots, else read
-    per pair by index.  Stacks read curves through an exact replica of
-    np.interp.  The best candidate is then polished by golden section inside
-    its bracketing candidates, for as many steps as the pair's widest bracket
-    needs, so no pair depends on the pairs stacked with it.  Exact objective
+    win and lose are single curves with ds a vector of endowments, or stacks of C
+    curves with ds of shape (C, rows), pair c taking win and lose curve c, endowments
+    ds[c] and dist, or dist[c] when dist lists truncated Gaussians (compare_solutions
+    stacks every stage); a stack's curves share a knot count, maybe not their knots.
+    For endowment d the candidates are the piece boundaries {d - x : x a win knot}
+    clipped to [0, d], a uniform lattice over [0, d], and 0 and d.  Candidates, win
+    probabilities and knot positions are computed once per distinct (win knots,
+    endowment, distribution): broadcast over pairs sharing one endowment row and one
+    set of win knots, else read per pair by index.  Stacks read curves through an
+    exact replica of np.interp.  The best candidate is then polished by golden
+    section inside its bracketing candidates, for as many steps as the pair's widest
+    bracket needs, so no pair depends on the pairs stacked with it.  Exact objective
     ties resolve to the smallest bid.
     """
     win_t, lose_t = _interp_table(win), _interp_table(lose)
+    dist, of = _laws(dist)
     ds = np.atleast_1d(np.asarray(ds, dtype=float))
     rows = ds.reshape(len(win_t[2]), -1)
     knots = win_t[0].shape[-1]
@@ -400,10 +422,10 @@ def _maximize_batch(
         bits = d.view(np.int64)
         shared = win_t[0].ndim == 1 and (len(d) == 1 or (bits == bits[0]).all())
         lv = np.atleast_2d(_values_at(lose_t, d[0] if shared and lose_t[0].ndim == 1 else d))
-        found = (_scan_shared(win_t, dist, d[0], base, lv) if shared
-                 else _scan_cells(win_t, win.layout, dist, d, base, lv))
+        found = (_scan_shared(win_t, dist, of, d[0], base, lv) if shared
+                 else _scan_cells(win_t, win.layout, dist, of, d, base, lv))
         out_z[:, start : start + chunk], out_q[:, start : start + chunk] = _polish(
-            win_t, dist, d, lv, found, cfg.refine_tolerance)
+            win_t, dist, of, d, lv, found, cfg.refine_tolerance)
     return out_z.reshape(ds.shape), out_q.reshape(ds.shape)
 
 
@@ -445,15 +467,18 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
     )
 
 
-def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist: BidDistribution
+def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Best bids and values of each (win, lose) pair at its own endowment row, in one
-    _maximize_batch call per (win, lose) knot count; the rows of one count share a
-    length."""
+    """Best bids and values of each (win, lose) pair at its own endowment row under one
+    distribution or a list of one per pair: one _maximize_batch call per (win, lose) knot
+    count (and non-Gaussian distribution), 939 per suite pass; a call's rows share a length."""
+    laws = dist if isinstance(dist, list) else [dist] * len(pairs)
     out: dict = {}
-    for idx in _groups((len(win.xs), len(lose.xs)) for win, lose in pairs):
+    for idx in _groups((len(w.xs), len(lose.xs), isinstance(law, TruncatedGaussian) or law)
+                       for (w, lose), law in zip(pairs, laws)):
         zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
-                                 CurveStack([pairs[i][1] for i in idx]), dist,
+                                 CurveStack([pairs[i][1] for i in idx]),
+                                 [laws[i] for i in idx] if laws is dist else dist,
                                  np.array([rows[i] for i in idx], dtype=float), _MAXIMIZER)
         out.update(zip(idx, zip(zs, qs)))
     return [out[i] for i in range(len(pairs))]

@@ -216,6 +216,21 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: need at least one round\n"
 
+    def test_rounds_above_the_limit_are_bad_input(self, t2_file, tmp_path, capsys,
+                                                  monkeypatch):
+        from seqbid import simulate
+
+        out = tmp_path / "solved"
+        main(["solve", str(t2_file), "--mode", "discrete", "--out", str(out)])
+        capsys.readouterr()
+        monkeypatch.setattr(simulate, "_MAX_ROUNDS", 1000)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
+                  "--rounds", "1000000000000000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: rounds: 1,000,000,000,000,000 is above the limit of 1,000\n")
+
 
 class TestExperimentCommand:
     def test_tiny_config_runs(self, tmp_path, capsys):

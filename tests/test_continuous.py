@@ -395,10 +395,12 @@ def stage_pools():
 
 
 def assert_stack_matches_pairs(pairs, dist, rows):
-    """Stacked calls per knot-layout group equal one-pair calls bit for bit."""
-    for pair, row, (z, q) in zip(pairs, rows, _maximize_pairs(pairs, rows, dist)):
+    """Stacked calls per knot-layout group equal one-pair calls bit for bit; dist is one
+    distribution or a list of one per pair."""
+    laws = dist if isinstance(dist, list) else [dist] * len(pairs)
+    for pair, law, row, (z, q) in zip(pairs, laws, rows, _maximize_pairs(pairs, rows, dist)):
         assert z.shape == q.shape == row.shape
-        z1, q1 = _maximize_batch(*pair, dist, row, continuous._MAXIMIZER)
+        z1, q1 = _maximize_batch(*pair, law, row, continuous._MAXIMIZER)
         assert np.array_equal(z, z1) and np.array_equal(q, q1)
 
 
@@ -440,6 +442,38 @@ class TestStackedMaximizer:
                        data.draw(st.sampled_from([1, 3000, continuous._MAX_STACK_CELLS])))
             mp.setattr(continuous, "_MAXIMIZER", cfg)
             assert_stack_matches_pairs(pairs, dist, rows)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stacks_mixing_distributions_match_one_pair_calls(self, stage_pools, data):
+        # Pairs from consecutive pool entries, mostly stages of one solve, each under its
+        # own stage's distribution.  A row shared by every pair sends calls whose win
+        # curves share their knots through the shared scan; rows of their own, or win
+        # curves with their own knots, through the per-cell scan.
+        first = data.draw(st.integers(0, len(stage_pools) - 2))
+        entries = stage_pools[first : first + data.draw(st.integers(2, 4))]
+        width = data.draw(st.integers(1, 6))
+
+        def row(m):
+            return np.array(data.draw(st.lists(st.floats(0.0, m), min_size=width,
+                                               max_size=width)))
+
+        shared = row(min(m for _, m, _ in entries)) if data.draw(st.booleans()) else None
+        pairs, dists, rows = [], [], []
+        for dist, m, curves in entries:
+            own = row(m) if shared is None else shared
+            for _ in range(data.draw(st.integers(1, 4))):
+                pairs.append(data.draw(st.tuples(st.sampled_from(curves),
+                                                 st.sampled_from(curves))))
+                dists.append(dist)
+                rows.append(own)
+        cfg = MaximizerConfig(data.draw(st.integers(2, 40)),
+                              data.draw(st.sampled_from([1e-6, 1e-4, 1e-2])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(continuous, "_MAX_STACK_CELLS",
+                       data.draw(st.sampled_from([1, 3000, continuous._MAX_STACK_CELLS])))
+            mp.setattr(continuous, "_MAXIMIZER", cfg)
+            assert_stack_matches_pairs(pairs, dists, np.array(rows))
 
     @pytest.mark.parametrize("cap", [1, 1000, None])
     def test_unpolished_pair_and_differing_polish_counts(self, monkeypatch, cap):
@@ -539,14 +573,29 @@ class TestStageBatchedCalls:
         assert sol.values.components == ref.values.components
 
     def test_compare_solutions(self, instance_1000, calls):
-        spec, sol, exact = instance_1000
+        self.check_compare(*instance_1000, calls, 3)
+
+    def test_compare_solutions_vg2(self, instance_1000, calls):
+        # Vg2 curves share a knot count, not their knots.
+        spec, _, exact = instance_1000
+        sol = solve_grid(spec, Vg2(RefinementBudget(15, 0.01)))
+        calls.clear()
+        self.check_compare(spec, sol, exact, calls, 6)
+
+    def check_compare(self, spec, sol, exact, calls, n_calls):
+        # Every stage's distinct pairs, each under its stage's distribution, share one
+        # call per (win, lose) knot count.
         report = simulate.compare_solutions(exact, sol.values, spec)
         unsettled = [(t, mask) for t in range(spec.n) for mask in exact.stage_values[t]
                      if (t, mask) not in exact.settled]
         distinct = self.distinct(sol.values, unsettled)
         assert len(unsettled) == 161 and len(distinct) == 42
         assert sum(calls) == 31 * len(distinct) == 1302 and report.states == 31 * 161 == 4991
-        assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
+        counts = {tuple(len(c.xs) for c in (sol.values.components[t + 1][mask | 1 << t],
+                                           sol.values.components[t + 1][mask]))
+                  for t, mask in distinct}
+        assert len(calls) == len(counts) == n_calls
+        assert n_calls < len(self.layouts(sol.values, unsettled))
 
     @pytest.mark.parametrize("kind, knots, distinct_knots, n_calls, n_rows",
                              [(Vg1, 2415, 630, 64, 669), (Vg2, 2291, 600, 109, 622)])

@@ -3,6 +3,7 @@ name; a rename under src must fail here, not only under `run.py --trace 1`."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,3 +44,43 @@ def test_every_patched_layer_records_a_span(c1, tmp_path, monkeypatch):
     assert by_name["simulate.round"]["calls"] == 1
     assert counts["discrete.policy_calls"] > 0
     assert continuous.solve_grid.__module__ == "seqbid.continuous"  # patches undone
+
+
+def test_every_maximizer_win_probability_is_traced(monkeypatch):
+    # compare_solutions stacks pairs of every stage, each under its own distribution;
+    # each element ndtr sees must have passed through the traced win_probability_vec.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    import numpy as np
+    import scipy.special
+
+    from seqbid import continuous, core, discrete, simulate
+    from seqbid.experiment import GeneratorParams, generate_instance
+    from seqbid.pwl import RefinementBudget
+
+    # G15 curves share their knots (the shared scan), Vg2 curves do not (the per-cell scan).
+    spec = generate_instance(GeneratorParams(seed=1000))
+    exact = discrete.solve_discrete(core.to_discrete(spec))
+    grids = [continuous.solve_grid(spec, strategy) for strategy in
+             (continuous.UniformFixed(15), continuous.Vg2(RefinementBudget(15, 0.01)))]
+    assert len(set(spec.distributions)) == spec.n > 1
+    seen = []
+
+    def counted(x, _ndtr=core.ndtr):
+        seen.append(np.size(x))
+        return _ndtr(x)
+
+    # Wherever seqbid reads ndtr from: core, any other module, or scipy at call time.
+    for module in [scipy.special, *(m for name, m in sys.modules.items()
+                                     if name.startswith("seqbid") and "ndtr" in vars(m))]:
+        monkeypatch.setattr(module, "ndtr", counted)
+    tracer = Tracer("guard.op")
+    tracer.install()
+    try:
+        for grid in grids:
+            simulate.compare_solutions(exact, grid.values, spec)
+        _, counts = tracer.mark()
+    finally:
+        tracer.uninstall()
+    assert counts["core.winprob_elems"] == sum(seen) > 0

@@ -134,6 +134,16 @@ class TestCollectRounds:
         b = collect_rounds(t2, bidder, 50, seed=1)
         assert a != b
 
+    def test_rounds_above_the_limit_refused(self, t2, monkeypatch):
+        # The limit is lowered, so no test allocates a refused batch.
+        from seqbid import simulate
+
+        monkeypatch.setattr(simulate, "_MAX_ROUNDS", 5)
+        bidder = table_policy(solve_discrete(t2))
+        assert len(collect_rounds(t2, bidder, 5, seed=0)) == 5
+        with pytest.raises(ValueError, match=r"^rounds: 6 is above the limit of 5$"):
+            collect_rounds(t2, bidder, 6, seed=0)
+
     def test_spec_is_not_validated_again(self, t2, monkeypatch):
         import sys
         from dataclasses import replace
