@@ -27,6 +27,7 @@ from .core import (
     validate_problem,
 )
 from .discrete import (
+    Bidder,
     DiscreteSolution,
     evaluate_policy_exact,
     solve_discrete,

@@ -444,10 +444,14 @@ def _monotone(ys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(ys)
 
 
-def _closed_form(spec: ProblemSpec, caller: str):
-    """Settled component by mask: the residual curve shifted by the bundle value."""
+def _require_continuous(spec: ProblemSpec, caller: str) -> None:
     if spec.mode != MODE_CONTINUOUS:
         raise ValueError(f"{caller} needs a continuous-mode spec")
+
+
+def _closed_form(spec: ProblemSpec, caller: str):
+    """Settled component by mask: the residual curve shifted by the bundle value."""
+    _require_continuous(spec, caller)
     return lambda mask: spec.residual.shift(spec.bundle_value(mask))
 
 
@@ -470,15 +474,14 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
 def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Best bids and values of each (win, lose) pair at its own endowment row under one
-    distribution or a list of one per pair: one _maximize_batch call per (win, lose) knot
-    count (and non-Gaussian distribution), 939 per suite pass; a call's rows share a length."""
+    truncated Gaussian or a list of one per pair: one _maximize_batch call per (win,
+    lose) knot count, 939 per suite pass; a call's rows share a length."""
     laws = dist if isinstance(dist, list) else [dist] * len(pairs)
     out: dict = {}
-    for idx in _groups((len(w.xs), len(lose.xs), isinstance(law, TruncatedGaussian) or law)
-                       for (w, lose), law in zip(pairs, laws)):
+    for idx in _groups((len(w.xs), len(lose.xs)) for w, lose in pairs):
         zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
                                  CurveStack([pairs[i][1] for i in idx]),
-                                 [laws[i] for i in idx] if laws is dist else dist,
+                                 [laws[i] for i in idx],
                                  np.array([rows[i] for i in idx], dtype=float), _MAXIMIZER)
         out.update(zip(idx, zip(zs, qs)))
     return [out[i] for i in range(len(pairs))]

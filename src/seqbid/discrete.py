@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import MODE_DISCRETE, ProblemSpec, holdings_mask
 
-Policy = Callable[[int, int, int], int]
+# bidder(t, holdings_mask, endowments) -> a bid per endowment, or one bid for them all.
+Bidder = Callable[[int, int, np.ndarray], np.ndarray]
 
 # solve_discrete holds (e + 1)^2-cell arrays per stage: refuse endowments
 # above 4,000 (about 128 MB per float array) before allocating any.
@@ -88,11 +89,11 @@ class DiscreteSolution:
     def bid(self, t: int, held: Union[int, Iterable[int]], d: int) -> int:
         return int(self.stage_bids[t][holdings_mask(held)][d])
 
-    def policy(self) -> Policy:
-        def bidder(t: int, mask: int, d: int) -> int:
-            return int(self.stage_bids[t][mask][d])
-
-        return bidder
+    def policy(self) -> Bidder:
+        """The bidder that bids from these tables, each endowment rounded to an integer:
+        evaluate_policy_exact scores it, collect_rounds simulates it."""
+        stage_bids = self.stage_bids
+        return lambda t, mask, d: stage_bids[t][mask][np.rint(d).astype(np.intp)]
 
 
 def sweep(n: int, grow, backup, leaf) -> list[dict]:
@@ -176,33 +177,30 @@ def _solution(n: int, e: int, closed_form: Callable, values: list[dict],
         Settled(n, unsettled), len(unsettled) * (e + 1))
 
 
-def evaluate_policy_exact(
-    spec: ProblemSpec, policy: Policy
-) -> list[dict[int, np.ndarray]]:
-    """Exact expected value of an arbitrary bid policy at every state it visits.
+def evaluate_policy_exact(spec: ProblemSpec, bidder: Bidder) -> list[dict[int, np.ndarray]]:
+    """Exact expected value of an arbitrary bidder at every state it visits.
 
-    policy(t, holdings_mask, d) must return an integer bid in 0..d.  The sweep
-    starts at (0, 0); each visited component leads to its lose successor, and
-    to its win successor too when it is unsettled or the policy bids more than
-    0 there at some endowment (a zero bid never wins).  Returns value tables
-    shaped like DiscreteSolution.stage_values over the visited components,
-    which include every component a solve_discrete result stores.
+    bidder(t, holdings_mask, np.arange(e + 1)) is called once per visited component
+    and must bid an integer in 0..d at each endowment d, or one bid for them all.  The
+    sweep starts at (0, 0); each visited component leads to its lose successor, and to
+    its win successor too when it is unsettled or the bidder bids more than 0 there at
+    some endowment (a zero bid never wins).  Returns value tables shaped like
+    DiscreteSolution.stage_values over the visited components, which include every
+    component a solve_discrete result stores.
     """
     e, closed_form, ws = _lattice(spec, "evaluate_policy_exact")
     ds = np.arange(e + 1)
     bids: dict[tuple[int, int], np.ndarray] = {}
 
     def grow(t, mask):
-        zs = []
-        for d in range(e + 1):
-            z = policy(t, mask, d)
-            if not 0 <= z <= d or int(z) != z:
-                raise ValueError(
-                    f"policy bid {z!r} infeasible at stage {t}, mask {mask}, d {d}"
-                )
-            zs.append(int(z))
-        bids[t, mask] = np.array(zs, dtype=np.int64)
-        return any(zs) or not spec.settled(t, mask)
+        z = np.broadcast_to(bidder(t, mask, ds), ds.shape)
+        bad = np.flatnonzero(~((z >= 0) & (z <= ds) & (z == np.floor(z))))
+        if len(bad):
+            d = int(bad[0])
+            raise ValueError(
+                f"policy bid {z[d].item()!r} infeasible at stage {t}, mask {mask}, d {d}")
+        bids[t, mask] = z = z.astype(np.int64)
+        return bool(z.any()) or not spec.settled(t, mask)
 
     def backup(t, mask, win_next, lose_next):
         z = bids[t, mask]

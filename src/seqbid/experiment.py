@@ -34,6 +34,7 @@ from .core import (
 from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
 from .io import (
     _integer,
+    _typed,
     _write_csv,
     save_spec,
     write_delta_ledger,
@@ -201,8 +202,7 @@ def _cast_fields(default, data: dict, skip: tuple = (), where: str = "", also: t
             what = {int: "an integer", tuple: "a pair of numbers"}.get(kind, "a number")
             raise ValueError(f"{where}{name}: {value!r} is not {what}") from None
 
-    if not isinstance(data, dict):
-        raise ValueError(f"{where.rstrip('.') or 'config'}: {data!r} is not a table")
+    _typed(data, dict, where.rstrip(".") or "config")
     names = [f.name for f in fields(default)]
     for key in data:
         if key not in names and key not in also:
@@ -225,9 +225,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     base = ExperimentConfig()
     cfg = replace(base, **_cast_fields(base, data, ("runs", "generator"),
                                        also=("maximizer", "experiments")))
-    fixed, block = _plain_fields(_MAXIMIZER), data.get("maximizer", {})
-    if not isinstance(block, dict):
-        raise ValueError(f"maximizer: {block!r} is not a table of settings")
+    fixed, block = _plain_fields(_MAXIMIZER), _typed(data.get("maximizer", {}), dict, "maximizer")
     for key, value in block.items():
         if key not in fixed or value != fixed[key]:
             raise ValueError(f"maximizer.{key}: {value!r} cannot be set; the bid maximizer's "

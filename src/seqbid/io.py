@@ -60,46 +60,66 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
     }
 
 
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: {value!r} is not a number") from None
+
+
 def _integer(value, field: str) -> int:
     """An integer-valued field; 1.5 is refused, not truncated to 1."""
-    if not float(value).is_integer():
+    if not _number(value, field).is_integer():
         raise ValueError(f"{field}: {value!r} is not an integer")
     return int(value)
 
 
+def _typed(value, kind: type, field: str):
+    """value if it is a kind (dict: a table, list: a list), else a ValueError naming field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field}: {value!r} is not a {'table' if kind is dict else 'list'}")
+    return value
+
+
 def spec_from_dict(data: dict) -> ProblemSpec:
+    """The spec of spec_to_dict's layout; a field missing, of the wrong type or not a
+    number where one belongs is refused, tagged with its path: distributions[0].mean."""
     try:
-        n = _integer(data["n"], "n")
-        endowment = float(data["endowment"])
-        bundles = tuple(
-            Bundle(frozenset(_integer(i, f"bundles[{j}].members") for i in b["members"]),
-                   float(b["value"]))
-            for j, b in enumerate(data["bundles"])
-        )
-        residual_data = data["residual"]
+        n = _integer(_typed(data, dict, "spec")["n"], "n")
+        endowment = _number(data["endowment"], "endowment")
+        bundles = []
+        for j, b in enumerate(_typed(data["bundles"], list, "bundles")):
+            where = f"bundles[{j}]"
+            members = _typed(_typed(b, dict, where)["members"], list, f"{where}.members")
+            bundles.append(Bundle(frozenset(_integer(i, f"{where}.members") for i in members),
+                                  _number(b["value"], f"{where}.value")))
+        residual_data = _typed(data["residual"], dict, "residual")
         if "knots" in residual_data:
+            where = "residual.knots"
             residual = PwlFunction.from_knots(
-                (float(x), float(y)) for x, y in residual_data["knots"]
-            )
+                [_number(v, f"{where}[{k}]") for v in _typed(xy, list, f"{where}[{k}]")]
+                for k, xy in enumerate(_typed(residual_data["knots"], list, where)))
         elif "linear_slope" in residual_data:
             residual = PwlFunction.linear(
-                float(residual_data["linear_slope"]), 0.0, endowment
-            )
+                _number(residual_data["linear_slope"], "residual.linear_slope"), 0.0, endowment)
         else:
             raise KeyError("residual needs 'knots' or 'linear_slope'")
         dists = []
-        for i, d in enumerate(data["distributions"]):
-            kind = d["kind"]
+        for i, d in enumerate(_typed(data["distributions"], list, "distributions")):
+            where = f"distributions[{i}]"
+            kind = _typed(d, dict, where)["kind"]
             if kind == "multinomial":
-                dists.append(DiscreteMultinomial(tuple(float(p) for p in d["probs"])))
+                probs = _typed(d["probs"], list, f"{where}.probs")
+                dists.append(DiscreteMultinomial([_number(p, f"{where}.probs") for p in probs]))
             elif kind == "gaussian":
-                dists.append(TruncatedGaussian(float(d["mean"]), float(d["std"])))
+                dists.append(TruncatedGaussian(_number(d["mean"], f"{where}.mean"),
+                                               _number(d["std"], f"{where}.std")))
             else:
-                raise ValueError(f"distributions[{i}].kind: unknown kind {kind!r}")
+                raise ValueError(f"{where}.kind: unknown kind {kind!r}")
         mode = str(data["mode"])
     except KeyError as err:
         raise ValueError(f"spec file missing field {err.args[0]!r}") from None
-    return ProblemSpec(n, bundles, endowment, residual, tuple(dists), mode)
+    return ProblemSpec(n, tuple(bundles), endowment, residual, tuple(dists), mode)
 
 
 def load_spec(path: PathLike) -> ProblemSpec:

@@ -11,7 +11,6 @@ inserting the midpoints of its two flanking intervals.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,27 +76,27 @@ class PwlFunction:
         return self.xs[0], self.xs[-1]
 
     def __call__(self, d: float) -> float:
-        lo, hi = self.xs[0], self.xs[-1]
-        if d < lo - _DOMAIN_SLACK or d > hi + _DOMAIN_SLACK:
-            raise ValueError(f"point {d!r} outside domain [{lo}, {hi}]")
-        v = float(np.interp(d, self._ax, self._ay))
-        return v if math.isfinite(v) else float(self._steep(np.array([d], dtype=float))[0])
+        return float(self._interp(np.asarray(d, dtype=float)))
 
     def values(self, ds: np.ndarray) -> np.ndarray:
         """Vectorized evaluation with the same domain rules as __call__."""
-        ds = np.asarray(ds, dtype=float)
+        return self._interp(np.asarray(ds, dtype=float))
+
+    def _interp(self, ds: np.ndarray) -> np.ndarray:
+        """np.interp at ds, a point or an array of them, refusing any outside the domain."""
         lo, hi = self.xs[0], self.xs[-1]
         if ds.size and (ds.min() < lo - _DOMAIN_SLACK or ds.max() > hi + _DOMAIN_SLACK):
-            raise ValueError(f"points outside domain [{lo}, {hi}]")
-        out = np.interp(ds, self._ax, self._ay)
-        return out if np.isfinite(out).all() else np.where(np.isfinite(out), out, self._steep(ds))
-
-    def _steep(self, ds: np.ndarray) -> np.ndarray:
-        """Interpolation that stays finite where np.interp's slope, rise / gap,
-        overflows because two knots are closer than rise / float max."""
+            where = f"point {ds.item()!r}" if ds.ndim == 0 else "points"
+            raise ValueError(f"{where} outside domain [{lo}, {hi}]")
         ax, ay = self._ax, self._ay
+        out = np.interp(ds, ax, ay)
+        if np.isfinite(out).all():
+            return out
+        # np.interp's slope, rise / gap, overflows where two knots are closer than
+        # rise / float max: divide the offset by the gap first to stay finite.
         k = np.clip(np.searchsorted(ax, ds, side="right") - 1, 0, len(ax) - 2)
-        return ay[k] + (ds - ax[k]) / (ax[k + 1] - ax[k]) * (ay[k + 1] - ay[k])
+        return np.where(np.isfinite(out), out,
+                        ay[k] + (ds - ax[k]) / (ax[k + 1] - ax[k]) * (ay[k + 1] - ay[k]))
 
     def shift(self, dy: float) -> "PwlFunction":
         """Add a constant to every knot value."""

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .continuous import (_MAXIMIZER, CurveStack, HybridValueFunction, _distinct,
-                         _maximize_batch, _maximize_pairs)
+                         _maximize_batch, _maximize_pairs, _require_continuous)
 from .core import ProblemSpec, mask_holdings, terminal_value
-from .discrete import DiscreteSolution
+from .discrete import Bidder, DiscreteSolution
 
-# bidder(t, holdings_mask, endowments) -> a bid per endowment; see collect_rounds.
-Bidder = Callable[[int, int, np.ndarray], np.ndarray]
 _MAX_ROUNDS = 1_000_000  # per collect_rounds call: about 2.1 GB of traces at n = 9
 
 
@@ -110,25 +107,19 @@ def estimate_policy_value(
 
 
 def constant_bid_policy(z: float) -> Bidder:
-    def bidder(t, mask, d):
-        return np.minimum(z, d)
-
-    return bidder
+    """The bidder that bids min(z, d) at every endowment d."""
+    return lambda t, mask, d: np.minimum(z, d)
 
 
-def table_policy(solution: DiscreteSolution) -> Bidder:
-    """Bidder backed by a discrete solution's bid tables (integer endowments)."""
-    stage_bids = solution.stage_bids
-
-    def bidder(t, mask, d):
-        return stage_bids[t][mask][np.rint(d).astype(np.intp)]
-
-    return bidder
+# table_policy(solution): the bidder that reads a discrete solution's bid tables.
+table_policy = DiscreteSolution.policy
 
 
 def greedy_policy(v: HybridValueFunction, spec: ProblemSpec) -> Bidder:
     """Bidder that maximizes the one-step objective against stored curves; a copy of
     the curve pair per endowment, stacked, makes each bid the one a lone call gives."""
+    _require_continuous(spec, "greedy_policy")
+
     def bidder(t, mask, d):
         d = np.atleast_1d(np.asarray(d, dtype=float))
         bad = np.flatnonzero(~((d >= 0.0) & (d <= v.m + 1e-9)))
@@ -183,6 +174,7 @@ def compare_solutions(
     maximizer call per knot-count pair for all stages (G15 on generator instance
     1000: 1,302 rows, not 4,991, in 3 calls, not 13).
     """
+    _require_continuous(spec, "compare_solutions")
     if exact.n != approx.n:
         raise ValueError("stage counts differ between exact and approximate solutions")
     lattice = np.arange(exact.endowment + 1, dtype=float)

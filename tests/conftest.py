@@ -58,6 +58,19 @@ def c1() -> ProblemSpec:
     )
 
 
+@pytest.fixture
+def c2() -> ProblemSpec:
+    """Continuous twin of t2 with truncated-normal high bids."""
+    return ProblemSpec(
+        n=2,
+        bundles=(Bundle(frozenset({1, 2}), 10.0), Bundle(frozenset({2}), 4.0)),
+        endowment=3.0,
+        residual=PwlFunction.linear(0.7, 0.0, 3.0),
+        distributions=(TruncatedGaussian(1.0, 0.5),) * 2,
+        mode=MODE_CONTINUOUS,
+    )
+
+
 @pytest.fixture(scope="session")
 def default_suite_pair(tmp_path_factory):
     """Two command-line runs of the stock suite with seed 42.

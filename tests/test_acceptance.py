@@ -195,8 +195,8 @@ def test_criterion_5_policy_loss_bound(scale_bank):
 
         def rounded_greedy(t, mask, d):
             if (t, mask) in bid_table:
-                return int(bid_table[t, mask][d])
-            return 0
+                return bid_table[t, mask][d]
+            return 0  # one bid for every endowment
 
         replay = evaluate_policy_exact(twin, rounded_greedy)
         loss = float(exact.stage_values[0][0][e] - replay[0][0][e])

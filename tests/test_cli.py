@@ -13,7 +13,7 @@ from seqbid.continuous import UniformFixed, Vg1, Vg2
 from seqbid.core import to_discrete
 from seqbid.discrete import solve_discrete
 from seqbid.experiment import ExperimentConfig, config_to_dict
-from seqbid.io import read_discrete_solution, save_spec
+from seqbid.io import read_discrete_solution, save_spec, spec_to_dict
 from seqbid.pwl import PwlFunction
 
 
@@ -143,6 +143,22 @@ class TestSolveCommand:
             main(["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(n=None), "n: None is not a number"),
+        (lambda data: data.update(bundles=[5]), "bundles[0]: 5 is not a table"),
+        (lambda data: [data], "spec: [{"),
+        (lambda data: data["distributions"][0].update(mean="x"),
+         "distributions[0].mean: 'x' is not a number"),
+    ])
+    def test_malformed_spec_file_is_bad_input(self, c1, tmp_path, capsys, edit, message):
+        data = spec_to_dict(c1)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(edit(data) or data))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(spec), "--mode", "grid", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_missing_spec_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

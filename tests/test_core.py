@@ -396,6 +396,33 @@ class TestValidation:
         data["bundles"][0]["members"] = [1.0, 2]
         assert spec_from_dict(data).bundles == t2.bundles
 
+    @pytest.mark.parametrize("spec, edit, message", [
+        ("t2", lambda data: [data], r"spec: \[.*\] is not a table"),
+        ("t2", lambda data: data.update(n=None), "n: None is not a number"),
+        ("t2", lambda data: data.update(n="two"), "n: 'two' is not a number"),
+        ("t2", lambda data: data.update(bundles=[5]), r"bundles\[0\]: 5 is not a table"),
+        ("t2", lambda data: data.update(bundles={"members": [1]}), "bundles: .* is not a list"),
+        ("t2", lambda data: data["bundles"][1].update(members=2),
+         r"bundles\[1\]\.members: 2 is not a list"),
+        ("t2", lambda data: data["bundles"][0].update(value=None), r"bundles\[0\]\.value: None"),
+        ("t2", lambda data: data.update(endowment=[3]), r"endowment: \[3\] is not a number"),
+        ("t2", lambda data: data.update(residual=0.7), "residual: 0.7 is not a table"),
+        ("t2", lambda data: data["residual"].update(knots=[[0, 0], 3]),
+         r"residual\.knots\[1\]: 3 is not a list"),
+        ("t2", lambda data: data["residual"].update(knots=[[0, 0], [3, "x"]]),
+         r"residual\.knots\[1\]: 'x' is not a number"),
+        ("t2", lambda data: data.update(distributions=[0.5]),
+         r"distributions\[0\]: 0\.5 is not a table"),
+        ("t2", lambda data: data["distributions"][1].update(probs=[0.5, None]),
+         r"distributions\[1\]\.probs: None is not a number"),
+        ("c1", lambda data: data["distributions"][0].update(mean="x"),
+         r"distributions\[0\]\.mean: 'x' is not a number"),
+    ])
+    def test_spec_file_of_the_wrong_shape(self, request, spec, edit, message):
+        data = spec_to_dict(request.getfixturevalue(spec))
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict(edit(data) or data)
+
     def test_bundle_value_must_be_positive(self):
         with pytest.raises(ValueError):
             Bundle(frozenset({1}), 0.0)

@@ -22,6 +22,11 @@ def make_instances(count: int, seed0: int = 0) -> list[ProblemSpec]:
     return [random_micro_instance(np.random.default_rng(seed0 + i)) for i in range(count)]
 
 
+def one_state(bidder):
+    """bidder's bid at a single endowment, for the per-state oracle policy_values."""
+    return lambda t, mask, d: int(bidder(t, mask, np.array([d]))[0])
+
+
 def every_mask(n: int):
     """Every (stage, mask) with mask < 2**t, stages 0..n."""
     return [(t, mask) for t in range(n + 1) for mask in range(1 << t)]
@@ -183,10 +188,10 @@ class TestPolicyEvaluation:
 
     def test_bids_in_settled_states_match_brute_force(self):
         def bid_one(t, mask, d):
-            return min(1, d)
+            return np.minimum(1, d)
 
         for spec in make_instances(25, seed0=300):
-            want = policy_values(spec, bid_one)
+            want = policy_values(spec, one_state(bid_one))
             got = evaluate_policy_exact(spec, bid_one)
             for t, mask in every_mask(spec.n):
                 arr = got[t][mask]  # a positive bid reaches every state
@@ -196,13 +201,14 @@ class TestPolicyEvaluation:
     def test_follows_only_the_settled_states_that_bid(self):
         for spec in make_instances(25, seed0=400):
             sol = solve_discrete(spec)
+            table = sol.policy()
 
             def policy(t, mask, d):
                 if (t, mask) in sol.settled:
-                    return min(mask % 2, d)
-                return sol.bid(t, mask, d)
+                    return np.minimum(mask % 2, d)
+                return table(t, mask, d)
 
-            want = policy_values(spec, policy)
+            want = policy_values(spec, one_state(policy))
             got = evaluate_policy_exact(spec, policy)
             for t in range(spec.n + 1):
                 assert set(sol.stage_values[t]) <= set(got[t])
@@ -211,9 +217,9 @@ class TestPolicyEvaluation:
                         assert arr[d] == pytest.approx(want[t, mask, d], abs=1e-9)
 
     def test_constant_policies_on_t1(self, t1):
-        always2 = evaluate_policy_exact(t1, lambda t, mask, d: min(2, d))
-        always1 = evaluate_policy_exact(t1, lambda t, mask, d: min(1, d))
-        never = evaluate_policy_exact(t1, lambda t, mask, d: 0)
+        always2 = evaluate_policy_exact(t1, lambda t, mask, d: np.minimum(2, d))
+        always1 = evaluate_policy_exact(t1, lambda t, mask, d: np.minimum(1, d))
+        never = evaluate_policy_exact(t1, lambda t, mask, d: 0)  # one bid for every d
         assert always2[0][0][2] == pytest.approx(10.0)
         assert always1[0][0][2] == pytest.approx(6.05)
         assert never[0][0][2] == pytest.approx(1.4)
@@ -225,6 +231,28 @@ class TestPolicyEvaluation:
     def test_fractional_bid_rejected(self, t1):
         with pytest.raises(ValueError):
             evaluate_policy_exact(t1, lambda t, mask, d: 0.5)
+
+    @pytest.mark.parametrize("bids, message", [
+        ([0, 1, -1, 5], "policy bid -1 infeasible at stage 0, mask 0, d 2"),
+        ([0, 1, 3, 4], "policy bid 3 infeasible at stage 0, mask 0, d 2"),
+        ([0.0, 0.5, 2.5, 0.0], "policy bid 0.5 infeasible at stage 0, mask 0, d 1"),
+        ([0.0, 1.0, float("nan"), 0.0], "policy bid nan infeasible at stage 0, mask 0, d 2"),
+    ])
+    def test_first_infeasible_endowment_is_named(self, t2, bids, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_policy_exact(t2, lambda t, mask, d: np.array(bids))
+
+    def test_one_bidder_call_per_visited_component(self, t2):
+        sol = solve_discrete(t2)
+        table, seen = sol.policy(), []
+
+        def bidder(t, mask, d):
+            seen.append((t, mask, d.tolist()))
+            return table(t, mask, d)
+
+        replay = evaluate_policy_exact(t2, bidder)
+        assert sorted(seen) == [(t, mask, [0, 1, 2, 3]) for t in range(t2.n)
+                                for mask in sorted(replay[t])]
 
 
 class TestSolutionIo:
@@ -253,12 +281,21 @@ class TestSweep:
             assert sum(len(layer) for layer in sol.stage_values) == 2 * n + 1
             assert len(sol.settled) == 2**n - 1 - n
             assert sol.state_count == 3 * n
-            calls = []
+            calls, table = [], sol.policy()
             replay = evaluate_policy_exact(
-                spec, lambda t, mask, d: calls.append(t) or sol.bid(t, mask, d))
-            # the evaluator follows each lost mask's zero bids down to stage n
-            assert len(calls) == 3 * n * (n + 1) // 2
+                spec, lambda t, mask, d: calls.append(t) or table(t, mask, d))
+            # the evaluator follows each lost mask's zero bids down to stage n, with
+            # one call per component it visits below stage n
+            assert len(calls) == n * (n + 1) // 2
             assert sum(len(layer) for layer in replay) == n * (n + 1) // 2 + n + 1
+
+    def test_optimal_policy_replays_the_solve_bit_for_bit(self):
+        spec = wide_lattice(18)
+        sol = solve_discrete(spec)
+        replay = evaluate_policy_exact(spec, sol.policy())
+        for t, layer in enumerate(sol.stage_values):
+            for mask, values in layer.items():
+                assert replay[t][mask].tobytes() == values.tobytes()
 
     def test_lookups_answer_every_mask_in_closed_form(self):
         n = 18

@@ -16,7 +16,7 @@ from seqbid.core import (
     terminal_value,
     to_discrete,
 )
-from seqbid.discrete import solve_discrete
+from seqbid.discrete import DiscreteSolution, evaluate_policy_exact, solve_discrete
 from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.simulate import (
     collect_rounds,
@@ -312,27 +312,88 @@ class TestGreedyPolicy:
             with pytest.raises(ValueError, match="endowment"):
                 bidder(0, 0, d)
 
+    def test_discrete_spec_refused(self, t2):
+        values = hybrid_from_discrete(solve_discrete(t2))
+        with pytest.raises(ValueError, match="greedy_policy needs a continuous-mode spec"):
+            greedy_policy(values, t2)
+
     def test_beats_walking_away(self, c1):
         sol = solve_grid(c1, UniformFixed(9))
         mean, _ = estimate_policy_value(c1, greedy_policy(sol.values, c1), 400, 0)
         assert mean > 1.4
 
 
-class TestCompareSolutions:
-    def test_self_comparison_has_zero_value_error(self, t2):
+class TestBidderProtocol:
+    """Every shipped bidder bids once per endowment of the array it is given, and both
+    evaluate_policy_exact (integral bidders) and collect_rounds take it."""
+
+    @pytest.fixture
+    def shipped(self, t2, c1):
         exact = solve_discrete(t2)
-        report = compare_solutions(exact, hybrid_from_discrete(exact), t2)
+        return {
+            "constant_bid_policy": (t2, constant_bid_policy(1)),
+            "table_policy": (t2, table_policy(exact)),
+            "DiscreteSolution.policy": (t2, exact.policy()),
+            "greedy_policy": (c1, greedy_policy(solve_grid(c1, UniformFixed(5)).values, c1)),
+        }
+
+    @pytest.mark.parametrize("name", ["constant_bid_policy", "table_policy",
+                                      "DiscreteSolution.policy", "greedy_policy"])
+    def test_shipped_bidders(self, shipped, name):
+        spec, bidder = shipped[name]
+        e = spec.endowment
+        for ds in (np.array([e]), np.arange(e + 1), np.array([e, 0.0, 1.0, e, 1.0])):
+            z = bidder(0, 0, ds)
+            assert isinstance(z, np.ndarray) and z.shape == ds.shape
+            assert np.all((z >= 0.0) & (z <= ds))
+        traces = collect_rounds(spec, bidder, 40, seed=3)
+        assert [tr.bids[0] for tr in traces] == [float(bidder(0, 0, np.array([e]))[0])] * 40
+        if spec.mode == MODE_DISCRETE:
+            replay = evaluate_policy_exact(spec, bidder)
+            assert replay[0][0].shape == (int(e) + 1,)
+
+    def test_table_bidders_are_one_function(self, t2):
+        assert table_policy is DiscreteSolution.policy
+        exact = solve_discrete(t2)
+        ds = np.array([3.0, 0.0, 2.0])
+        assert table_policy(exact)(1, 1, ds).tolist() == exact.stage_bids[1][1][[3, 0, 2]].tolist()
+
+    def test_a_scalar_bid_applies_to_every_endowment(self, t2):
+        # Every round enters stage 0 with the whole endowment of 3.
+        def scalar(t, mask, d):
+            return 2 if t == 0 else np.minimum(1, d)
+
+        def vector(t, mask, d):
+            return np.minimum(2 if t == 0 else 1, d)
+
+        assert collect_rounds(t2, scalar, 60, seed=5) == collect_rounds(t2, vector, 60, seed=5)
+        never = evaluate_policy_exact(t2, lambda t, mask, d: 0)
+        zeros = evaluate_policy_exact(t2, constant_bid_policy(0))
+        assert [sorted(layer) for layer in never] == [sorted(layer) for layer in zeros]
+        for layer, want in zip(never, zeros):
+            assert all(layer[mask].tobytes() == want[mask].tobytes() for mask in layer)
+
+
+class TestCompareSolutions:
+    def test_self_comparison_has_zero_value_error(self, c2):
+        exact = solve_discrete(to_discrete(c2))
+        report = compare_solutions(exact, hybrid_from_discrete(exact), c2)
         assert report.mean_value_err == 0.0
         assert report.max_value_err == 0.0
         assert report.states == exact.state_count
         for row in report.per_stage:
             assert row.mean_value_err == 0.0 and row.max_value_err == 0.0
 
-    def test_per_stage_state_counts(self, t2):
-        exact = solve_discrete(t2)
-        report = compare_solutions(exact, hybrid_from_discrete(exact), t2)
+    def test_per_stage_state_counts(self, c2):
+        exact = solve_discrete(to_discrete(c2))
+        report = compare_solutions(exact, hybrid_from_discrete(exact), c2)
         assert [row.stage for row in report.per_stage] == [0, 1]
         assert [row.states for row in report.per_stage] == [4, 8]
+
+    def test_discrete_spec_refused(self, t2):
+        exact = solve_discrete(t2)
+        with pytest.raises(ValueError, match="compare_solutions needs a continuous-mode spec"):
+            compare_solutions(exact, hybrid_from_discrete(exact), t2)
 
     def test_grid_errors_are_finite_and_ordered(self, c1):
         from seqbid.core import to_discrete
