@@ -175,19 +175,27 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class CurveStack:
-    """Piecewise-linear curves with one knot count; row c of _ay is curve c.
+    """Piecewise-linear curves; row c of _ay is curve c.
 
     xs is the first curve's abscissae.  _ax is the abscissae every curve shares,
     or, when they differ, a row per curve; layout[c] numbers curve c's abscissae
-    among the distinct ones.
+    among the distinct ones; counts[c] is curve c's knot count.  Rows of their own
+    are padded past the last knot at its value, to one knot more than the most any
+    curve has: reads of endowments in [0, m] never reach the padding.
     """
 
     def __init__(self, curves: list[PwlFunction]):
         ids: dict = {}
         self.xs, self.layout = curves[0].xs, np.array([ids.setdefault(c.xs, len(ids))
                                                        for c in curves])
-        self._ax = curves[0]._ax if len(ids) == 1 else np.array(list(ids))[self.layout]
-        self._ay = np.array([c.ys for c in curves])
+        self.counts = np.array([len(xs) for xs in ids])[self.layout]
+        if len(ids) == 1:
+            self._ax, self._ay = curves[0]._ax, np.array([c.ys for c in curves])
+            return
+        width = max(map(len, ids)) + 1
+        rows = [xs + tuple(xs[-1] + i for i in range(1, width + 1 - len(xs))) for xs in ids]
+        self._ax = np.array(rows)[self.layout]
+        self._ay = np.array([c.ys + c.ys[-1:] * (width - len(c.ys)) for c in curves])
 
 
 def _groups(keys) -> list[list[int]]:
@@ -242,23 +250,36 @@ def _interp_rows(at: tuple, values: np.ndarray, slopes: np.ndarray, rows=slice(N
 
 
 def _values_at(table: tuple, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """Curve first + c of an _interp_table at the points x[c], or every curve from
-    first on at x when x is 1-D: np.interp's bits."""
+    """Curve first + c of an _interp_table (first 0 if it has rows of knots) at the
+    points x[c], or every curve from first on at x when x is 1-D: np.interp's bits;
+    of a _window, its rows from first on."""
+    if len(table) == 3:
+        knots, start, flat = table
+        edge, v, slope = flat[:, start[first:] + (knots[first:] <= x[..., None]).sum(axis=-1)]
+        return np.where(x <= edge, v, slope * (x - edge) + v)  # _interp_rows' bits
     xp, edges, values, slopes = table
     if len(values) == 1 and xp.ndim == 1:
         return np.interp(x, xp, values[0, 1:])
-    if xp.ndim > 1:
-        xp, edges = xp[first:], edges[first:]
     rows = np.arange(first, len(values))[:, None] if x.ndim > 1 else slice(first, None)
     return _interp_rows(_knot_positions(x, xp, edges), values, slopes, rows)
 
 
-class _Laws(TruncatedGaussian):
-    """Distributions rows[i] of _laws' (4, D) parameters along the first of ndim axes: the
-    inherited win_probability_vec gives each bid the bits its own distribution gives."""
+def _window(table: tuple, sel: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> tuple:
+    """The table _values_at reads for curve sel[i] of a table with rows of knots at points
+    of row i in [x_lo, x_hi]: per point the knots k(x_lo)..k(x_hi) - 1 it may pass (k
+    counts knots at or below), the flat index of column k(x_lo), and the columns."""
+    xp, edges, values, slopes = table
+    lo, hi = (_knot_positions(x, xp[sel], edges[sel])[0] for x in (x_lo, x_hi))
+    passed = np.minimum(lo[..., None] + np.arange((hi - lo).max()), xp.shape[1] - 1)
+    return (xp[sel[:, None, None], passed], lo + sel[:, None] * values.shape[1],
+            np.stack((edges, values, slopes)).reshape(3, -1))
 
-    def __init__(self, params: np.ndarray, rows, ndim: int):
-        cols = params[:, rows].reshape(4, len(rows), *(1,) * (ndim - 1))
+
+class _Laws(TruncatedGaussian):
+    """Distributions whose (mean, std, _f0, _scale) are cols, _laws' parameters shaped to
+    bids: the inherited win_probability_vec gives each bid its own distribution's bits."""
+
+    def __init__(self, cols: np.ndarray):
         self.__dict__.update(zip(("mean", "std", "_f0", "_scale"), cols))
 
 
@@ -299,7 +320,7 @@ def _scan_shared(win: tuple, dist, of, d: np.ndarray, base: np.ndarray,
     win_x, win_e, win_y, win_s = win
     dcol = d[:, None]
     z = _candidates(dcol, win_x, base)
-    p = (dist.win_probability_vec(z) if of is None else _Laws(dist, range(dist.shape[1]), 3)
+    p = (dist.win_probability_vec(z) if of is None else _Laws(dist[:, :, None, None])
          .win_probability_vec(np.broadcast_to(z, (dist.shape[1],) + z.shape)))  # p[k]: law k's
     if len(win_y) > 1:
         scan_at = _knot_positions(dcol - z, win_x, win_e)
@@ -335,7 +356,7 @@ def _scan_cells(win: tuple, layout: np.ndarray, dist, of, d: np.ndarray,
         dk = dc[reps, None]
         xk, ek = (win_x, win_e) if win_x.ndim == 1 else (win_x[pair[reps]], win_e[pair[reps]])
         z = _candidates(dk, xk, base)
-        p = (dist if of is None else _Laws(dist, of[pair[reps]], 2)).win_probability_vec(z)
+        p = (dist if of is None else _Laws(dist[:, of[pair[reps]], None])).win_probability_vec(z)
         at = _knot_positions(dk - z, xk, ek)
         if len(reps) < len(cells):  # some cells share a key: read theirs by index
             r = ks - ks[0]
@@ -357,32 +378,42 @@ def _polish(win: tuple, dist, of, d: np.ndarray, lv: np.ndarray,
         return zbest, qbest
     iters = np.ceil(np.log(span[sel] / tol) / np.log(1.0 / _INVPHI)).astype(int)
     sel, iters = sel[np.argsort(iters, kind="stable")], np.sort(iters)
-    xp, edges, values, slopes = win
-    table = ((xp, edges) if xp.ndim == 1 else (xp[sel], edges[sel])) + (values[sel], slopes[sel])
-    a, b, d, lv, of_sel = lo[sel], hi[sel], d[sel], lv[sel], None if of is None else of[sel]
+    a, b = lo[sel], hi[sel]
+    # Both probes of a step lie in the bracket, side by side in a row (d and lv hold each
+    # pair's endowments and lose values twice), so _window holds every knot they reach.
+    # Pairs run in ascending step count: those still polishing are a suffix.
+    r, d, lv = a.shape[1], np.concatenate((d[sel],) * 2, 1), np.concatenate((lv[sel],) * 2, 1)
+    table = (_window(win, sel, d - np.concatenate((b, b), 1), d - np.concatenate((a, a), 1))
+             if win[0].ndim > 1 else win[:2] + (win[2][sel], win[3][sel]))
+    laws = dist if of is None else dist[:, of[sel], None]
 
-    def q_of(zz, d, lv, s):
-        pz = (dist if of is None else _Laws(dist, of_sel[s:], 2)).win_probability_vec(zz)
+    def q_of(zz, s):
+        pz = (laws if of is None else _Laws(laws[:, s:])).win_probability_vec(zz)
         return pz * _values_at(table, d[s:] - zz, s) + (1.0 - pz) * lv[s:]
 
-    # A step evaluates both probes side by side in a row (d and lv hold each pair's
-    # endowments and lose values twice).  Pairs run in ascending step count: those
-    # still polishing are a suffix.
-    r, d2, lv2 = d.shape[1], np.concatenate((d, d), axis=1), np.concatenate((lv, lv), axis=1)
     for s in np.searchsorted(iters, np.arange(iters[-1]), side="right"):
         av, bv = a[s:], b[s:]
         h = _INVPHI * (bv - av)
         x = np.concatenate((bv - h, av + h), axis=1)
-        q = q_of(x, d2, lv2, s)
+        q = q_of(x, s)
         keep_left = q[:, :r] >= q[:, r:]
         np.copyto(av, x[:, :r], where=~keep_left)
         np.copyto(bv, x[:, r:], where=keep_left)
     zc = 0.5 * (a + b)
-    qc = q_of(zc, d, lv, 0)
+    qc = q_of(np.concatenate((zc, zc), 1), 0)[:, :r]
     better = qc > qbest[sel]
     zbest[sel] = np.where(better, zc, zbest[sel])
     qbest[sel] = np.where(better, qc, qbest[sel])
     return zbest, qbest
+
+
+def _cut(table: tuple, layout: np.ndarray, idx: list[int], knots: int) -> tuple:
+    """Rows idx of a table with rows of its own, cut to their `knots` knots (one row of
+    knots if shared): reads up to the last knot give the uncut table's bits."""
+    xp, edges, values, slopes = table
+    at = idx[0] if (layout[idx] == layout[idx[0]]).all() else idx
+    return (xp[at, :knots], edges[at, : knots + 1], values[idx, : knots + 1],
+            slopes[idx, : knots + 1])
 
 
 def _maximize_batch(
@@ -397,33 +428,40 @@ def _maximize_batch(
     win and lose are single curves with ds a vector of endowments, or stacks of C
     curves with ds of shape (C, rows), pair c taking win and lose curve c, endowments
     ds[c] and dist, or dist[c] when dist lists truncated Gaussians (compare_solutions
-    stacks every stage); a stack's curves share a knot count, maybe not their knots.
+    stacks every stage); a stack's curves may differ in knots and in knot count.
     For endowment d the candidates are the piece boundaries {d - x : x a win knot}
-    clipped to [0, d], a uniform lattice over [0, d], and 0 and d.  Candidates, win
-    probabilities and knot positions are computed once per distinct (win knots,
-    endowment, distribution): broadcast over pairs sharing one endowment row and one
-    set of win knots, else read per pair by index.  Stacks read curves through an
-    exact replica of np.interp.  The best candidate is then polished by golden
-    section inside its bracketing candidates, for as many steps as the pair's widest
-    bracket needs, so no pair depends on the pairs stacked with it.  Exact objective
-    ties resolve to the smallest bid.
+    clipped to [0, d], a uniform lattice over [0, d], denser for more win knots, and
+    0 and d.  Candidates, win probabilities and knot positions are computed once per
+    distinct (win knots, endowment, distribution): broadcast over pairs sharing one
+    endowment row and one set of win knots, else read per pair by index.  Stacks read
+    curves through an exact replica of np.interp.  All best candidates are then
+    polished in one loop, by golden section inside their bracketing candidates, for
+    as many steps as the pair's widest bracket needs, so no pair depends on the pairs
+    stacked with it.  Exact objective ties resolve to the smallest bid.
     """
+    win = win if isinstance(win, CurveStack) else CurveStack([win])
     win_t, lose_t = _interp_table(win), _interp_table(lose)
     dist, of = _laws(dist)
     ds = np.atleast_1d(np.asarray(ds, dtype=float))
     rows = ds.reshape(len(win_t[2]), -1)
-    knots = win_t[0].shape[-1]
-    base = np.linspace(0.0, 1.0, cfg.samples_per_segment
-                       * min(max(knots - 1, 1), _LATTICE_SEGMENT_CAP))
+    scans = [(slice(None), win_t)] if win_t[0].ndim == 1 else [(idx, _cut(
+        win_t, win.layout, idx, win.counts[idx[0]])) for idx in _groups(win.counts.tolist())]
+    scans = [(idx, t, np.linspace(0.0, 1.0, cfg.samples_per_segment * min(
+        max(t[0].shape[-1] - 1, 1), _LATTICE_SEGMENT_CAP))) for idx, t in scans]
     out_z, out_q = np.empty((2,) + rows.shape)
-    chunk = max(1, _MAX_CHUNK_CELLS // (knots + len(base) + 2))
+    chunk = max(1, _MAX_CHUNK_CELLS // max(t[0].shape[-1] + len(b) + 2 for _, t, b in scans))
     for start in range(0, rows.shape[1], chunk):
         d = rows[:, start : start + chunk]
         bits = d.view(np.int64)
-        shared = win_t[0].ndim == 1 and (len(d) == 1 or (bits == bits[0]).all())
+        shared = len(d) == 1 or (bits == bits[0]).all()
         lv = np.atleast_2d(_values_at(lose_t, d[0] if shared and lose_t[0].ndim == 1 else d))
-        found = (_scan_shared(win_t, dist, of, d[0], base, lv) if shared
-                 else _scan_cells(win_t, win.layout, dist, of, d, base, lv))
+        found = np.empty((4,) + d.shape)
+        for idx, table, base in scans:
+            law = None if of is None else of[idx]
+            found[:, idx] = (_scan_shared(table, dist, law, d[0], base, lv[idx])
+                             if shared and table[0].ndim == 1 else
+                             _scan_cells(table, win.layout[idx], dist, law, d[idx], base,
+                                         lv[idx]))
         out_z[:, start : start + chunk], out_q[:, start : start + chunk] = _polish(
             win_t, dist, of, d, lv, found, cfg.refine_tolerance)
     return out_z.reshape(ds.shape), out_q.reshape(ds.shape)
@@ -474,11 +512,11 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
 def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Best bids and values of each (win, lose) pair at its own endowment row under one
-    truncated Gaussian or a list of one per pair: one _maximize_batch call per (win,
-    lose) knot count, 939 per suite pass; a call's rows share a length."""
+    truncated Gaussian or a list of one per pair: one _maximize_batch call per row
+    length, whatever the pairs' knot counts (522 calls per suite pass)."""
     laws = dist if isinstance(dist, list) else [dist] * len(pairs)
     out: dict = {}
-    for idx in _groups((len(w.xs), len(lose.xs)) for w, lose in pairs):
+    for idx in _groups(map(len, rows)):
         zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
                                  CurveStack([pairs[i][1] for i in idx]),
                                  [laws[i] for i in idx],
@@ -541,8 +579,8 @@ def solve_grid(spec: ProblemSpec, strategy: GridStrategy) -> GridSolution:
     1000: 161 unsettled components, 42 distinct pairs, 630 maximizer rows, not
     2,415).  The distinct pairs refine in lockstep rounds: each round re-runs
     every unfinished refine against its memo of solved knots, then solves the
-    knots it asked for and lacked in one maximizer call per (win, lose) knot
-    count, one endowment row per ask.
+    knots it asked for and lacked in one maximizer call, whatever the pairs'
+    knot counts, one endowment row per ask (372 calls per adaptive pass).
     UniformFixed asks for all g knots as one tuple and finishes in the second
     round.  Vg1 and Vg2 ask for one knot at a time and run ahead on guessed
     values for up to max(2, solved knots) unsolved knots per round; a refine

@@ -286,11 +286,13 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
                 )
     if spec.bundles:
         used = useful_resources(spec.bundles)
-        for i in range(1, spec.n + 1):
-            if i not in used:
-                problems.append(
-                    f"n: resource {i} appears in no bundle; drop irrelevant resources"
-                )
+        unused = spec.n - sum(1 <= i <= spec.n for i in used)
+        if unused > 0:  # one message, whatever n: a spec file may claim a billion resources
+            first = [str(i) for i in range(1, min(spec.n, len(used) + 3) + 1) if i not in used]
+            which = (f"resource {first[0]} appears in no bundle" if unused == 1 else
+                     f"{unused:,} resources appear in no bundle ({', '.join(first[:3])}"
+                     f"{', ...' if unused > 3 else ''})")
+            problems.append(f"n: {which}; drop irrelevant resources")
     if not 0 <= spec.endowment < math.inf:
         problems.append(f"endowment: must be finite and nonnegative, got {spec.endowment}")
     if not np.all(np.isfinite(spec.residual.xs + spec.residual.ys)):

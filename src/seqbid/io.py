@@ -68,10 +68,10 @@ def _number(value, field: str) -> float:
 
 
 def _integer(value, field: str) -> int:
-    """An integer-valued field; 1.5 is refused, not truncated to 1."""
+    """An integer-valued field, an int or read as a number ("9.0" is 9); 1.5 is refused."""
     if not _number(value, field).is_integer():
         raise ValueError(f"{field}: {value!r} is not an integer")
-    return int(value)
+    return int(value) if isinstance(value, int) else int(float(value))
 
 
 def _typed(value, kind: type, field: str):

@@ -171,8 +171,8 @@ def compare_solutions(
     exact value, and the policy error pits the greedy bid recomputed from the
     curves against the exact bid.  Greedy bids solve each stage's distinct (win, lose)
     curve pairs, equal bit for bit, once, under the stage's distribution, in one
-    maximizer call per knot-count pair for all stages (G15 on generator instance
-    1000: 1,302 rows, not 4,991, in 3 calls, not 13).
+    maximizer call for all stages and knot counts (G15 on generator instance 1000:
+    1,302 rows, not 4,991, in 1 call, not 13).
     """
     _require_continuous(spec, "compare_solutions")
     if exact.n != approx.n:

@@ -150,6 +150,8 @@ class TestSolveCommand:
         (lambda data: [data], "spec: [{"),
         (lambda data: data["distributions"][0].update(mean="x"),
          "distributions[0].mean: 'x' is not a number"),
+        (lambda data: data.update(n=10**9),
+         "invalid problem spec:\n  n: 999,999,999 resources appear in no bundle (2, 3, 4, ...)"),
     ])
     def test_malformed_spec_file_is_bad_input(self, c1, tmp_path, capsys, edit, message):
         data = spec_to_dict(c1)

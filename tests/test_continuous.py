@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_q_max, per_component_compare, per_knot_grid, random_small_instance
@@ -404,6 +404,16 @@ def assert_stack_matches_pairs(pairs, dist, rows):
         assert np.array_equal(z, z1) and np.array_equal(q, q1)
 
 
+def random_curve(data, m: float, counts: list[int]) -> PwlFunction:
+    """A nondecreasing curve over [0, m] with one of `counts` knots, even or uneven."""
+    k = data.draw(st.sampled_from(counts))
+    inner = data.draw(st.lists(st.floats(0.01 * m, 0.99 * m), min_size=k - 2, max_size=k - 2,
+                               unique=True))
+    xs = np.linspace(0.0, m, k) if data.draw(st.booleans()) else [0.0, *sorted(inner), m]
+    rises = data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))
+    return PwlFunction(tuple(map(float, xs)), tuple(np.cumsum(rises).tolist()))
+
+
 class TestStackedMaximizer:
     @given(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=10), st.data())
     @settings(max_examples=60, deadline=None)
@@ -475,6 +485,65 @@ class TestStackedMaximizer:
             mp.setattr(continuous, "_MAXIMIZER", cfg)
             assert_stack_matches_pairs(pairs, dists, np.array(rows))
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_window_reads_replay_np_interp(self, data):
+        # Points anywhere in [0, m], the last knot included, read through windows of
+        # a stack mixing knot counts and knots, against each curve's np.interp.
+        m = data.draw(st.sampled_from([2.0, 7.5, 30.0]))
+        curves = [random_curve(data, m, [2, 5, 15]) for _ in range(data.draw(st.integers(2, 6)))]
+        assume(len({c.xs for c in curves}) > 1)  # a window is only read from rows of knots
+        sel = np.array(data.draw(st.permutations(range(len(curves)))))
+        ends = np.sort(data.draw(st.lists(st.lists(st.sampled_from([0.0, m]) | st.floats(0.0, m),
+                                                   min_size=2, max_size=2),
+                                          min_size=len(sel), max_size=len(sel))), axis=1)
+        frac = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+        x = ends[:, :1] + frac * (ends[:, 1:] - ends[:, :1])
+        x = np.concatenate([ends, np.clip(x, ends[:, :1], ends[:, 1:])], axis=1)
+        lo, hi = (np.tile(ends[:, i : i + 1], x.shape[1]) for i in (0, 1))
+        table = continuous._window(_interp_table(CurveStack(curves)), sel, lo, hi)
+        for first in (0, len(sel) - 1):
+            got = continuous._values_at(table, x[first:], first)
+            for row, c in enumerate(sel[first:]):
+                want = np.interp(x[first + row], curves[c]._ax, curves[c]._ay)
+                assert np.array_equal(got[row].view(np.int64), want.view(np.int64))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_knot_counts_match_one_pair_calls(self, data):
+        # One call stacks win curves of 2, 5 and 15 knots, even or uneven, lose curves
+        # of other counts and a distribution per pair; rows shared by all pairs or not.
+        m = data.draw(st.sampled_from([2.0, 7.5, 30.0]))
+        size = data.draw(st.integers(2, 8))
+        pairs = [(random_curve(data, m, [2, 5, 15]), random_curve(data, m, [2, 3, 7]))
+                 for _ in range(size)]
+        laws = [TruncatedGaussian(data.draw(st.floats(-1.0, m)), data.draw(st.floats(0.1, 3.0)))
+                for _ in pairs]
+        width = data.draw(st.integers(1, 5))
+        row = st.lists(st.floats(0.0, m), min_size=width, max_size=width)
+        rows = np.array([data.draw(row)] * size if data.draw(st.booleans())
+                        else [data.draw(row) for _ in pairs])
+        zs, qs = _maximize_batch(CurveStack([w for w, _ in pairs]),
+                                 CurveStack([lose for _, lose in pairs]), laws, rows,
+                                 continuous._MAXIMIZER)
+        for (win, lose), law, d, z, q in zip(pairs, laws, rows, zs, qs):
+            z1, q1 = _maximize_batch(win, lose, law, d, continuous._MAXIMIZER)
+            assert np.array_equal(z, z1) and np.array_equal(q, q1)
+
+    def test_bracket_across_a_win_knot(self):
+        # At d = 2 the best candidate is the kink d - 0.8, where winning reaches the
+        # win curve's middle knot, and the best bid lies just below it: the polish
+        # bracket holds the knot, so probes read both of its pieces through the edge of
+        # their knot window.  A 5-knot pair makes the stack mixed.
+        kinked = PwlFunction((0.0, 0.8, 2.0), (0.0, 10.0, 20.0))
+        flat = PwlFunction.linear(0.0, 0.0, 2.0)
+        rising = PwlFunction(tuple(np.linspace(0.0, 2.0, 5)), (0.0, 2.0, 3.0, 3.5, 3.7))
+        pairs, dist = [(kinked, flat.shift(3.0)), (rising, flat)], TruncatedGaussian(1.0, 0.5)
+        rows = np.array([[2.0, 1.7], [2.0, 1.7]])
+        (z, _), _ = _maximize_pairs(pairs, rows, dist)
+        assert 1.2 - 2.0 / 63 < z[0] < 1.2  # within one lattice step below the kink
+        assert_stack_matches_pairs(pairs, dist, rows)
+
     @pytest.mark.parametrize("cap", [1, 1000, None])
     def test_unpolished_pair_and_differing_polish_counts(self, monkeypatch, cap):
         xs = (0.0, 1.0, 1.99995, 2.0)
@@ -525,9 +594,10 @@ def instance_1000():
 
 
 class TestStageBatchedCalls:
-    """One maximizer call per stage and (win, lose) knot layout or knot count, not per
-    component, and one set of rows per distinct (win, lose) curve pair: components
-    whose successor curves are equal bit for bit are solved once."""
+    """One maximizer call per lockstep round of a stage, and one for all of
+    compare_solutions, whatever the knot counts and knots of the curve pairs, and
+    one set of rows per distinct (win, lose) curve pair: components whose successor
+    curves are equal bit for bit are solved once."""
 
     @staticmethod
     def record(monkeypatch, entry):
@@ -551,67 +621,79 @@ class TestStageBatchedCalls:
         """Per call: the number of curve pairs and the shape of the endowments."""
         return self.record(monkeypatch, lambda win, ds: (len(np.atleast_2d(win._ay)), np.shape(ds)))
 
-    @staticmethod
-    def layouts(values, components):
-        return {(t, values.components[t + 1][mask | 1 << t].xs, values.components[t + 1][mask].xs)
-                for t, mask in components}
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Per lockstep round that asks for knots: the number of knots asked."""
+        seen = []
+        inner = continuous._maximize_pairs
+
+        def counted(pairs, rows, dist):
+            if pairs:
+                seen.append(sum(map(len, rows)))
+            return inner(pairs, rows, dist)
+
+        monkeypatch.setattr(continuous, "_maximize_pairs", counted)
+        return seen
 
     @staticmethod
     def distinct(values, components):
         return [group[0] for group in pair_groups(values, components)]
 
-    def test_solve_grid(self, instance_1000, calls):
+    @staticmethod
+    def knot_counts(values, components):
+        return {tuple(len(c.xs) for c in (values.components[t + 1][mask | 1 << t],
+                                          values.components[t + 1][mask]))
+                for t, mask in components}
+
+    def test_solve_grid(self, instance_1000, calls, rounds):
         # Holdings that differ only in resources whose bundles are out of reach share
         # their successors: 161 unsettled components back up 42 distinct pairs.
+        # UniformFixed asks for every knot in its first round: one call per stage.
         spec, ref, _ = instance_1000
         sol = solve_grid(spec, UniformFixed(15))
         unsettled = list(sol.knot_bids)
         distinct = self.distinct(sol.values, unsettled)
         assert len(unsettled) == 161 and len(distinct) == 42
         assert sum(calls) == 15 * len(distinct) == 630 and sol.state_count == 15 * 161
-        assert len(calls) == len(self.layouts(sol.values, unsettled)) <= 2 * spec.n
+        assert calls == rounds and len(calls) == len({t for t, _ in unsettled}) == spec.n
+        assert len(self.knot_counts(sol.values, unsettled)) > 1
         assert sol.values.components == ref.values.components
 
     def test_compare_solutions(self, instance_1000, calls):
-        self.check_compare(*instance_1000, calls, 3)
+        self.check_compare(*instance_1000, calls)
 
     def test_compare_solutions_vg2(self, instance_1000, calls):
-        # Vg2 curves share a knot count, not their knots.
+        # Vg2 curves differ in their knots, not only in their knot counts.
         spec, _, exact = instance_1000
         sol = solve_grid(spec, Vg2(RefinementBudget(15, 0.01)))
         calls.clear()
-        self.check_compare(spec, sol, exact, calls, 6)
+        self.check_compare(spec, sol, exact, calls)
 
-    def check_compare(self, spec, sol, exact, calls, n_calls):
-        # Every stage's distinct pairs, each under its stage's distribution, share one
-        # call per (win, lose) knot count.
+    def check_compare(self, spec, sol, exact, calls):
+        # Every stage's distinct pairs, each under its stage's distribution, share one call.
         report = simulate.compare_solutions(exact, sol.values, spec)
         unsettled = [(t, mask) for t in range(spec.n) for mask in exact.stage_values[t]
                      if (t, mask) not in exact.settled]
         distinct = self.distinct(sol.values, unsettled)
         assert len(unsettled) == 161 and len(distinct) == 42
-        assert sum(calls) == 31 * len(distinct) == 1302 and report.states == 31 * 161 == 4991
-        counts = {tuple(len(c.xs) for c in (sol.values.components[t + 1][mask | 1 << t],
-                                           sol.values.components[t + 1][mask]))
-                  for t, mask in distinct}
-        assert len(calls) == len(counts) == n_calls
-        assert n_calls < len(self.layouts(sol.values, unsettled))
+        assert calls == [31 * len(distinct)] == [1302] and report.states == 31 * 161 == 4991
+        assert len(self.knot_counts(sol.values, distinct)) > 1
 
     @pytest.mark.parametrize("kind, knots, distinct_knots, n_calls, n_rows",
-                             [(Vg1, 2415, 630, 64, 669), (Vg2, 2291, 600, 109, 622)])
-    def test_lockstep_refiners(self, instance_1000, shapes, kind, knots, distinct_knots,
-                               n_calls, n_rows):
+                             [(Vg1, 2415, 630, 45, 669), (Vg2, 2291, 600, 63, 622)])
+    def test_lockstep_refiners(self, instance_1000, shapes, rounds, kind, knots,
+                               distinct_knots, n_calls, n_rows):
         # A round solves every knot its unfinished distinct pairs asked for, guessed ones
-        # included, one row per knot and one call per (win, lose) knot count; one knot
-        # per call would make `distinct_knots` calls.  Guesses the final curves do not
-        # use are the rows beyond `distinct_knots`.  state_count still counts the knots
-        # of every component.
+        # included, one row per knot, in one call; one knot per call would make
+        # `distinct_knots` calls.  Guesses the final curves do not use are the rows
+        # beyond `distinct_knots`.  state_count still counts the knots of every component.
         sol = solve_grid(instance_1000[0], kind(RefinementBudget(15, 0.01)))
         distinct = self.distinct(sol.values, sol.knot_bids)
         assert sol.state_count == knots and len(distinct) == 42
         assert sum(len(sol.values.components[t][mask].xs) for t, mask in distinct) == distinct_knots
-        assert len(shapes) == n_calls and all(shape == (pairs, 1) for pairs, shape in shapes)
-        rows = sum(pairs for pairs, _ in shapes)
+        assert all(shape == (pairs, 1) for pairs, shape in shapes)
+        assert [pairs for pairs, _ in shapes] == rounds and len(rounds) == n_calls
+        rows = sum(rounds)
         assert rows == n_rows and distinct_knots <= rows <= 1.15 * distinct_knots
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -395,6 +397,34 @@ class TestValidation:
             spec_from_dict(data)
         data["bundles"][0]["members"] = [1.0, 2]
         assert spec_from_dict(data).bundles == t2.bundles
+
+    @pytest.mark.parametrize("n", ["9", "9.0", 9.0])
+    def test_spec_file_integer_is_read_as_a_number(self, t2, n):
+        nine = replace(t2, n=9, bundles=(Bundle(frozenset(range(1, 10)), 10.0),),
+                       distributions=t2.distributions[:1] * 9)
+        data = spec_to_dict(nine)
+        data["n"] = n
+        assert spec_from_dict(data) == nine
+        data["n"] = "9.5"
+        with pytest.raises(ValueError, match=r"^n: '9\.5' is not an integer"):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("n, unused", [(10**5, "99,998"), (10**9, "999,999,998")])
+    def test_huge_n_is_refused_in_one_message(self, t2, n, unused):
+        # One message for every resource no bundle holds, not one each: a message
+        # per resource would take about 100 GB at n = 10**9.
+        data = spec_to_dict(t2)
+        data["n"] = n
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n: {unused} resources appear in no bundle (3, 4, 5, ...); drop")):
+                spec_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0 and peak < 2**20
 
     @pytest.mark.parametrize("spec, edit, message", [
         ("t2", lambda data: [data], r"spec: \[.*\] is not a table"),
