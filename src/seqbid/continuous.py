@@ -315,13 +315,15 @@ def _bracket(q: np.ndarray, z: np.ndarray) -> tuple:
 def _scan_shared(win: tuple, dist, of, d: np.ndarray, base: np.ndarray,
                  lv: np.ndarray) -> np.ndarray:
     """_bracket of every pair at the endowments d that all pairs share, the pairs'
-    win curves sharing their knots: candidates, knot positions and, per distribution,
-    win probabilities are computed once and broadcast over blocks of pairs."""
+    win curves sharing their knots: candidates, knot positions and, per distribution of
+    these pairs, win probabilities are computed once and broadcast over blocks of pairs."""
     win_x, win_e, win_y, win_s = win
+    if of is not None:  # the laws of these pairs only, renumbered
+        own, of = np.unique(of, return_inverse=True)
     dcol = d[:, None]
     z = _candidates(dcol, win_x, base)
-    p = (dist.win_probability_vec(z) if of is None else _Laws(dist[:, :, None, None])
-         .win_probability_vec(np.broadcast_to(z, (dist.shape[1],) + z.shape)))  # p[k]: law k's
+    p = (dist.win_probability_vec(z) if of is None else _Laws(dist[:, own, None, None])
+         .win_probability_vec(np.broadcast_to(z, (len(own),) + z.shape)))  # p[k]: law own[k]'s
     if len(win_y) > 1:
         scan_at = _knot_positions(dcol - z, win_x, win_e)
     found = np.empty((4,) + lv.shape)

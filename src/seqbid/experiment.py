@@ -34,6 +34,7 @@ from .core import (
 from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
 from .io import (
     _integer,
+    _number,
     _typed,
     _write_csv,
     save_spec,
@@ -195,10 +196,12 @@ def _cast_fields(default, data: dict, skip: tuple = (), where: str = "", also: t
     that does not cast (or is non-integral for an int) are refused, tagged with the key."""
     def cast(name):
         kind, value = type(getattr(default, name)), data[name]
+        if isinstance(value, int):  # refused past the float range with _number's message
+            _number(value, where + name)
         try:
             return (_integer(value, where + name) if kind is int
                     else tuple(map(float, value)) if kind is tuple else kind(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             what = {int: "an integer", tuple: "a pair of numbers"}.get(kind, "a number")
             raise ValueError(f"{where}{name}: {value!r} is not {what}") from None
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import astuple, fields
-from itertools import repeat, zip_longest
+import sys
+from dataclasses import fields
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -61,6 +63,8 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
 
 
 def _number(value, field: str) -> float:
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:  # int to float compare
+        raise ValueError(f"{field}: a {value.bit_length()}-bit integer is beyond the float range")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -145,21 +149,32 @@ _DISCRETE_HEADER = ["stage", "holdings_mask", "endowment", "value", "bid", "sett
 _GRID_HEADER = _DISCRETE_HEADER[:-1]
 
 
-def write_discrete_solution(sol: DiscreteSolution, path: PathLike) -> None:
-    """One row per (stage, holdings mask, endowment) of each stored component:
-    every unsettled one with its bids, and the settled and terminal ones the
-    sweep reached, flagged settled and bidding 0."""
-
-    def rows():
-        layers = zip_longest(sol.stage_values, sol.stage_bids, fillvalue={})
-        for t, (layer, stage_bids) in enumerate(layers):
+def _write_blocks(path: PathLike, header: list[str], layers: list[dict], block) -> None:
+    """_write_csv's bytes (repr for floats, str for ints, \r\n line ends) for header, then
+    per stage t and ascending mask of layers[t] the lines rows() each after "t,mask,", with
+    key, rows = block(t, mask, layers[t][mask]): each distinct key's rows formatted once."""
+    lines: dict = {}
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, layer in enumerate(layers):
             for mask in sorted(layer):
-                bids = stage_bids.get(mask)
-                yield from zip(repeat(t), repeat(mask), range(sol.endowment + 1),
-                               layer[mask].tolist(), repeat(0) if bids is None else bids.tolist(),
-                               repeat(int(bids is None)))
+                key, rows = block(t, mask, layer[mask])
+                body = lines[key] if key in lines else lines.setdefault(key, rows())
+                fh.write(f"{t},{mask}," + f"\r\n{t},{mask},".join(body) + "\r\n")
 
-    _write_csv(path, _DISCRETE_HEADER, rows())
+
+def write_discrete_solution(sol: DiscreteSolution, path: PathLike) -> None:
+    """One row per (stage, holdings mask, endowment) of each stored component: every
+    unsettled one with its bids, and the settled and terminal ones the sweep reached,
+    flagged settled and bidding 0; each distinct block of values and bids formatted once."""
+
+    def block(t, mask, values):
+        bids = sol.stage_bids[t].get(mask) if t < sol.n else None
+        return (values.tobytes(), bids is None or bids.tobytes()), lambda: [
+            f"{d},{v!r},{z},{int(bids is None)}" for d, (v, z) in
+            enumerate(zip(values.tolist(), repeat(0) if bids is None else bids.tolist()))]
+
+    _write_blocks(path, _DISCRETE_HEADER, sol.stage_values, block)
 
 
 def _components(path: PathLike, spec: ProblemSpec, header: list[str]) -> dict:
@@ -211,17 +226,16 @@ def read_discrete_solution(path: PathLike, spec: ProblemSpec) -> DiscreteSolutio
 
 
 def write_grid_solution(sol: GridSolution, path: PathLike) -> None:
-    """One row per (stage, holdings mask, knot) of each stored component; bid 0
-    at settled and terminal components."""
+    """One row per (stage, holdings mask, knot) of each stored component, bid 0 at settled
+    and terminal ones; each distinct block of knots, values and bids formatted once."""
 
-    def rows():
-        for t, layer in enumerate(sol.values.components):
-            for mask in sorted(layer):
-                comp, bids = layer[mask], sol.knot_bids.get((t, mask))
-                yield from zip(repeat(t), repeat(mask), comp.xs, comp.ys,
-                               repeat(0.0) if bids is None else bids.tolist())
+    def block(t, mask, c):
+        bids = sol.knot_bids.get((t, mask))
+        return (c._ax.tobytes(), c._ay.tobytes(), bids is None or bids.tobytes()), lambda: [
+            f"{x!r},{y!r},{z!r}" for x, y, z in
+            zip(c.xs, c.ys, repeat(0.0) if bids is None else bids.tolist())]
 
-    _write_csv(path, _GRID_HEADER, rows())
+    _write_blocks(path, _GRID_HEADER, sol.values.components, block)
 
 
 def read_grid_solution(path: PathLike, spec: ProblemSpec) -> GridSolution:
@@ -249,5 +263,5 @@ def write_delta_ledger(ledger: DeltaLedger, path: PathLike) -> None:
 
 def write_error_report(report: ErrorReport, path: PathLike) -> None:
     names = [f.name for f in fields(StageErrors)]
-    _write_csv(path, names, [*(astuple(s) for s in report.per_stage),
-                             ["all", *(getattr(report, name) for name in names[1:])]])
+    _write_csv(path, names, [*map(attrgetter(*names), report.per_stage),
+                             ["all", *attrgetter(*names[1:])(report)]])

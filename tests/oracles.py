@@ -5,12 +5,17 @@ lists, residual knot arrays, scipy's normal CDF) without going through the
 solver code under test, so agreement between the two is evidence rather
 than tautology.  The exceptions are per_knot_grid and per_component_compare,
 reference loops that reuse the solver's parts to pin how solve_grid and
-compare_solutions schedule their maximizer calls.
+compare_solutions schedule their maximizer calls.  The solution-file oracles
+(csv_bytes with discrete_solution_rows or grid_solution_rows) write every row
+through csv.writer, one row at a time, with no cache of repeated blocks.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from itertools import repeat, zip_longest
 
 import numpy as np
 from scipy.integrate import quad
@@ -320,3 +325,38 @@ def per_component_compare(exact, approx, spec: ProblemSpec) -> ErrorReport:
     per_stage = [StageErrors(t, *_pooled(v, p))
                  for t, (v, p) in enumerate(zip(value_errs, policy_errs))]
     return ErrorReport(per_stage, *_pooled(sum(value_errs, []), sum(policy_errs, [])))
+
+
+SOLUTION_HEADERS = {"discrete": ["stage", "holdings_mask", "endowment", "value", "bid", "settled"],
+                    "grid": ["stage", "holdings_mask", "endowment", "value", "bid"]}
+
+
+def csv_bytes(header: list[str], rows) -> bytes:
+    """The bytes of a CSV file that csv.writer writes: header, then rows."""
+    buf = io.StringIO(newline="")
+    out = csv.writer(buf)
+    out.writerow(header)
+    out.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def discrete_solution_rows(sol):
+    """write_discrete_solution's rows: per stored (stage, mask) in ascending order, one
+    per endowment; settled and terminal components (no bids) bid 0 and are flagged."""
+    layers = zip_longest(sol.stage_values, sol.stage_bids, fillvalue={})
+    for t, (layer, stage_bids) in enumerate(layers):
+        for mask in sorted(layer):
+            bids = stage_bids.get(mask)
+            yield from zip(repeat(t), repeat(mask), range(sol.endowment + 1),
+                           layer[mask].tolist(), repeat(0) if bids is None else bids.tolist(),
+                           repeat(int(bids is None)))
+
+
+def grid_solution_rows(sol: GridSolution):
+    """write_grid_solution's rows: per stored (stage, mask) in ascending order, one per
+    knot; settled and terminal components (no knot bids) bid 0.0."""
+    for t, layer in enumerate(sol.values.components):
+        for mask in sorted(layer):
+            comp, bids = layer[mask], sol.knot_bids.get((t, mask))
+            yield from zip(repeat(t), repeat(mask), comp.xs, comp.ys,
+                           repeat(0.0) if bids is None else bids.tolist())

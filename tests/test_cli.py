@@ -152,6 +152,7 @@ class TestSolveCommand:
          "distributions[0].mean: 'x' is not a number"),
         (lambda data: data.update(n=10**9),
          "invalid problem spec:\n  n: 999,999,999 resources appear in no bundle (2, 3, 4, ...)"),
+        (lambda data: data.update(n=10**400), "n: a 1329-bit integer is beyond the float range"),
     ])
     def test_malformed_spec_file_is_bad_input(self, c1, tmp_path, capsys, edit, message):
         data = spec_to_dict(c1)
@@ -345,6 +346,7 @@ class TestExperimentCommand:
         ({"runs": [{"kind": "vg1", "max_knots": 5, "threshold": None}]},
          "runs[0].threshold: None is not a number"),
         ({"generator": {"endowment": "abc"}}, "generator.endowment: 'abc' is not a number"),
+        ({"master_seed": 10**400}, "master_seed: a 1329-bit integer is beyond the float range"),
     ])
     def test_config_value_of_the_wrong_type_is_refused(self, tmp_path, capsys, monkeypatch,
                                                        cfg, message):

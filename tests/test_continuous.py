@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_q_max, per_component_compare, per_knot_grid, random_small_instance
-from seqbid import continuous, simulate
+from seqbid import continuous, core, simulate
 from seqbid.continuous import (
     CurveStack,
     DeltaLedger,
@@ -678,6 +678,31 @@ class TestStageBatchedCalls:
         assert len(unsettled) == 161 and len(distinct) == 42
         assert calls == [31 * len(distinct)] == [1302] and report.states == 31 * 161 == 4991
         assert len(self.knot_counts(sol.values, distinct)) > 1
+
+    def test_scan_computes_only_its_pairs_laws(self, instance_1000, monkeypatch):
+        # compare_solutions stacks every stage's pairs, each under its stage's law, in one
+        # call; a knot-count group that scans a shared endowment row computes win
+        # probabilities for its own pairs' distinct laws only: rows x candidates x laws.
+        spec, sol, exact = instance_1000
+        elems, seen = [0], []
+        ndtr, scan = core.ndtr, continuous._scan_shared
+
+        def counted_ndtr(x):
+            elems[0] += np.size(x)
+            return ndtr(x)
+
+        def counted_scan(win, dist, of, d, base, lv):
+            elems[0] = 0
+            found = scan(win, dist, of, d, base, lv)
+            cells = len(d) * (2 + win[0].shape[-1] + len(base))  # rows x candidates
+            seen.append((elems[0], cells, len(np.unique(of)), dist.shape[1]))
+            return found
+
+        monkeypatch.setattr(core, "ndtr", counted_ndtr)
+        monkeypatch.setattr(continuous, "_scan_shared", counted_scan)
+        simulate.compare_solutions(exact, sol.values, spec)
+        assert len(seen) > 1 and all(got == cells * own for got, cells, own, _ in seen)
+        assert any(own < laws for _, _, own, laws in seen)  # the call's laws would be more
 
     @pytest.mark.parametrize("kind, knots, distinct_knots, n_calls, n_rows",
                              [(Vg1, 2415, 630, 45, 669), (Vg2, 2291, 600, 63, 622)])

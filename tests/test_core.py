@@ -426,6 +426,20 @@ class TestValidation:
             tracemalloc.stop()
         assert time.perf_counter() - start < 1.0 and peak < 2**20
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda data: data.update(n=10**400), "n"),
+        (lambda data: data.update(endowment=-10**400), "endowment"),
+        (lambda data: data["bundles"][0].update(members=[1, 10**400]), r"bundles\[0\]\.members"),
+        (lambda data: data["distributions"][0].update(probs=[10**400, 0]),
+         r"distributions\[0\]\.probs"),
+    ])
+    def test_spec_file_int_beyond_the_float_range(self, t2, edit, field):
+        # float() of such an int raises OverflowError; the reader refuses it, tagged.
+        data = spec_to_dict(t2)
+        edit(data)
+        with pytest.raises(ValueError, match=f"^{field}: a 1329-bit integer is beyond the float"):
+            spec_from_dict(data)
+
     @pytest.mark.parametrize("spec, edit, message", [
         ("t2", lambda data: [data], r"spec: \[.*\] is not a table"),
         ("t2", lambda data: data.update(n=None), "n: None is not a number"),

@@ -164,6 +164,18 @@ class TestConfigDict:
         with pytest.raises(ValueError, match=f"^{message}"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("data, field", [
+        ({"master_seed": 10**400}, "master_seed"),
+        ({"runs": [{"kind": "fixed", "g": -10**400}]}, "runs[0].g"),
+        ({"generator": {"endowment": 10**400}}, "generator.endowment"),
+        ({"generator": {"bid_mean_range": [3, 10**400]}}, "generator.bid_mean_range"),
+    ])
+    def test_int_beyond_the_float_range_refused(self, data, field):
+        # float() of such an int raises OverflowError; the reader refuses it, tagged.
+        with pytest.raises(ValueError) as err:
+            config_from_dict(data)
+        assert str(err.value).startswith(f"{field}: ")
+
     @pytest.mark.parametrize("data, message", [
         ({"generator": {"bid_mean_range": 5}},
          "generator.bid_mean_range: 5 is not a pair of numbers"),

@@ -7,8 +7,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqbid.continuous import UniformFixed, Vg1, solve_grid
+from oracles import SOLUTION_HEADERS, csv_bytes, discrete_solution_rows, grid_solution_rows
+from seqbid.continuous import (
+    DeltaLedger,
+    GridSolution,
+    HybridValueFunction,
+    UniformFixed,
+    Vg1,
+    Vg2,
+    solve_grid,
+)
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
@@ -18,7 +29,7 @@ from seqbid.core import (
     TruncatedGaussian,
     to_discrete,
 )
-from seqbid.discrete import solve_discrete
+from seqbid.discrete import DiscreteSolution, solve_discrete
 from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.io import (
     read_discrete_solution,
@@ -255,3 +266,103 @@ class TestSpecMismatch:
         with open(t2_file, "a", newline="") as fh:
             fh.write("2,3,0,7.0\n")
         self.refused(read_discrete_solution, t2_file, t2, "line 30 has 4 fields")
+
+
+# Floats whose repr is easy to get wrong: a signed zero, an exponent form either
+# way, a sum that is not 0.3 and the smallest subnormal.
+TRICKY = (-0.0, 1e-07, 1e16, 0.1 + 0.2, 5e-324)
+numbers = st.sampled_from(TRICKY) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes")
+
+
+def assert_csv_writer_bytes(sol, path):
+    """The writer's file is the one csv.writer writes from the oracle's rows."""
+    if isinstance(sol, GridSolution):
+        write_grid_solution(sol, path)
+        want = csv_bytes(SOLUTION_HEADERS["grid"], grid_solution_rows(sol))
+    else:
+        write_discrete_solution(sol, path)
+        want = csv_bytes(SOLUTION_HEADERS["discrete"], discrete_solution_rows(sol))
+    assert path.read_bytes() == want
+
+
+@st.composite
+def hand_built_discrete(draw):
+    """Components that share a few value vectors and bid vectors, so blocks repeat
+    and also differ in their bids only, or in being settled only (all-zero bids)."""
+    n, e = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    vector = st.lists(numbers, min_size=e + 1, max_size=e + 1).map(np.array)
+    values = draw(st.lists(vector, min_size=1, max_size=3))
+    bid = st.lists(st.integers(0, e), min_size=e + 1, max_size=e + 1)
+    bids = [np.zeros(e + 1, np.int64)] + [np.array(z, np.int64)
+                                          for z in draw(st.lists(bid, max_size=2))]
+    stage_values = [{m: draw(st.sampled_from(values)) for m in range(1 << t)}
+                    for t in range(n + 1)]
+    stage_bids = [{m: draw(st.sampled_from(bids)) for m in range(1 << t) if draw(st.booleans())}
+                  for t in range(n)]
+    return DiscreteSolution(n, e, stage_values, stage_bids, frozenset(), 0)
+
+
+@st.composite
+def hand_built_grid(draw):
+    """Components that share a few knot, value and bid tuples of one length."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    tuples = st.lists(numbers, min_size=k, max_size=k).map(tuple)
+    xs = draw(st.lists(st.lists(numbers, min_size=k, max_size=k, unique=True)
+                       .map(lambda x: tuple(sorted(x))), min_size=1, max_size=2))
+    ys = draw(st.lists(tuples, min_size=1, max_size=2))
+    curves = [PwlFunction(x, y) for x in xs for y in ys]
+    bids = [np.array(z) for z in draw(st.lists(tuples, min_size=1, max_size=2))]
+    components = [{m: draw(st.sampled_from(curves)) for m in range(1 << t)} for t in range(n + 1)]
+    knot_bids = {(t, m): draw(st.sampled_from(bids))
+                 for t in range(n) for m in range(1 << t) if draw(st.booleans())}
+    return GridSolution(HybridValueFunction(components, 1.0), DeltaLedger([0.0] * (n + 1)), 0,
+                        knot_bids, frozenset())
+
+
+class TestWriterBytes:
+    """The writers format each distinct component block once; their files are
+    csv.writer's, byte for byte: repr for floats, str for ints, CRLF line ends."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), vg2=st.booleans())
+    def test_generator_instances_and_their_round_trip(self, out_dir, seed, vg2):
+        spec = generate_instance(GeneratorParams(seed=seed))
+        twin = to_discrete(spec)
+        exact = solve_discrete(twin)
+        grid = solve_grid(spec, Vg2(RefinementBudget(9, 0.01)) if vg2 else UniformFixed(5))
+        assert_csv_writer_bytes(exact, out_dir / "discrete.csv")
+        assert_same_discrete(read_discrete_solution(out_dir / "discrete.csv", twin), exact)
+        assert_csv_writer_bytes(grid, out_dir / "grid.csv")
+        assert_same_grid(read_grid_solution(out_dir / "grid.csv", spec), grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sol=hand_built_discrete() | hand_built_grid())
+    def test_hand_built_solutions(self, out_dir, sol):
+        assert_csv_writer_bytes(sol, out_dir / "hand.csv")
+
+    def test_tricky_floats_in_blocks_that_differ_by_one_field(self, tmp_path):
+        # Stages 0 and 1 repeat one value vector: unsettled with zero bids, settled,
+        # and unsettled with other bids; stage 2's differs from it in the sign of a
+        # zero only.  The grid curves differ from the first in the sign of a zero or
+        # in one knot.
+        same = np.array(TRICKY)
+        other_zero = np.array([0.0, *TRICKY[1:]])
+        values = [{0: same}, {0: same, 1: same}, {m: other_zero for m in range(4)}]
+        bids = [{0: np.zeros(5, np.int64)}, {1: np.array([0, 1, 2, 3, 4])}]
+        sol = DiscreteSolution(2, 4, values, bids, frozenset(), 0)
+        assert_csv_writer_bytes(sol, tmp_path / "discrete.csv")
+        assert (tmp_path / "discrete.csv").read_bytes().splitlines()[1:3] == [
+            b"0,0,0,-0.0,0,0", b"0,0,1,1e-07,0,0"]
+        curve = PwlFunction((0.0, 1e-07, 0.1 + 0.2, 1e16), (-0.0, 5e-324, 0.1 + 0.2, 1e16))
+        twins = [PwlFunction(curve.xs, (0.0,) + curve.ys[1:]),
+                 PwlFunction(curve.xs[:-1] + (2e16,), curve.ys)]
+        knot_bids = {(0, 0): np.array([0.0, -0.0, 1e-07, 5e-324])}
+        grid = GridSolution(HybridValueFunction([{0: curve}, {0: curve, 1: twins[0]},
+                                                 {0: curve, 1: twins[1]}], 1.0),
+                            DeltaLedger([0.0, 0.0, 0.0]), 0, knot_bids, frozenset())
+        assert_csv_writer_bytes(grid, tmp_path / "grid.csv")
