@@ -39,6 +39,13 @@ def parse_grid_strategy(text: str):
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {err}") from None
 
 
+def _seed(text: str) -> int:
+    """A --seed: numpy seeds from nonnegative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 @contextmanager
 def _bad_input_exits():
     """Turn unreadable or invalid input into `error: ...` on stderr and exit status 2."""
@@ -95,19 +102,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config == "default":
-        config = ExperimentConfig()
-    else:
-        try:
-            with open(args.config) as fh:
-                config = config_from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
-            print(f"error: bad experiment config: {err}", file=sys.stderr)
-            return 2
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
+    try:
+        config = ExperimentConfig() if args.config == "default" else config_from_dict(
+            json.loads(Path(args.config).read_text()))
+        overrides = {"master_seed": args.seed, "output_dir": args.out}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    except (OSError, ValueError) as err:
+        print(f"error: bad experiment config: {err}", file=sys.stderr)
+        return 2
     result = run_experiment_suite(config)
     print(f"suite written to {result.output_dir}")
     for name, agg in result.aggregate.items():
@@ -139,14 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("spec", help="problem spec JSON file")
     sim.add_argument("--policy", required=True, help="solution CSV from `solve`")
     sim.add_argument("--rounds", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", help="optional directory for per-round CSV")
     sim.set_defaults(func=_cmd_simulate)
 
     exp = sub.add_parser("experiment", help="run a randomized benchmark suite")
     exp.add_argument("--config", required=True,
                      help="config JSON file, or `default` for the stock suite")
-    exp.add_argument("--seed", type=int, help="override the master seed")
+    exp.add_argument("--seed", type=_seed, help="override the master seed")
     exp.add_argument("--out", help="override the output directory")
     exp.set_defaults(func=_cmd_experiment)
     return p

@@ -56,11 +56,11 @@ class Bundle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
-            raise ValueError("bundle must have at least one member")
-        if any((not isinstance(i, (int, np.integer))) or i < 1 for i in self.members):
-            raise ValueError("bundle members must be resource indices >= 1")
+            raise ValueError("members: a bundle needs at least one member")
+        if bad := [i for i in self.members if not isinstance(i, (int, np.integer)) or i < 1]:
+            raise ValueError(f"members: {bad[0]!r} is not a resource index >= 1")
         if not self.value > 0:
-            raise ValueError("bundle value must be positive")
+            raise ValueError(f"value: {self.value!r} must be positive")
 
     @property
     def mask(self) -> int:
@@ -76,11 +76,11 @@ class DiscreteMultinomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.probs) < 1:
-            raise ValueError("multinomial needs at least one level")
+            raise ValueError("probs: a multinomial needs at least one level")
         if not all(p >= 0 for p in self.probs):
-            raise ValueError("multinomial probabilities must be nonnegative")
+            raise ValueError("probs: must be nonnegative")
         if not abs(sum(self.probs) - 1.0) <= 1e-12:  # so that NaN fails too
-            raise ValueError("multinomial probabilities must sum to 1")
+            raise ValueError(f"probs: must sum to 1, not {sum(self.probs)!r}")
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -126,10 +126,10 @@ class TruncatedGaussian:
     std: float
 
     def __post_init__(self) -> None:
-        if not self.std > 0:
-            raise ValueError("std must be positive")
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ValueError("mean and std must be finite")
+        if not 0 < self.std < math.inf:
+            raise ValueError(f"std: {self.std!r} must be positive and finite")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean: {self.mean!r} must be finite")
 
     @cached_property
     def _f0(self) -> float:

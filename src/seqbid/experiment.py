@@ -33,9 +33,8 @@ from .core import (
 )
 from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
 from .io import (
-    _integer,
-    _number,
-    _typed,
+    _read,
+    _table,
     _write_csv,
     save_spec,
     write_delta_ledger,
@@ -85,7 +84,7 @@ class GeneratorParams:
             ("residual_slope", self.residual_slope >= 0, "nonnegative"),
         ):
             if not ok:
-                raise ValueError(f"generator.{name}: {getattr(self, name)!r} must be {rule}")
+                raise ValueError(f"{name}: {getattr(self, name)!r} must be {rule}")
 
 
 def generate_instance(params: GeneratorParams) -> ProblemSpec:
@@ -178,8 +177,9 @@ class ExperimentConfig:
     generator: GeneratorParams = field(default_factory=GeneratorParams)
 
     def __post_init__(self) -> None:
-        if self.n_experiments < 0:
-            raise ValueError(f"n_experiments: {self.n_experiments} must be nonnegative")
+        for name in ("n_experiments", "master_seed"):  # numpy seeds nonnegative ints only
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: {getattr(self, name)} must be nonnegative")
         e = self.generator.endowment
         if abs(e - round(e)) > _ENDOWMENT_SLACK or (round(e) + 1) ** 2 > _MAX_LATTICE_CELLS:
             raise ValueError(f"generator.endowment: {e!r} must be a whole number of at most "
@@ -190,29 +190,6 @@ class ExperimentConfig:
                 raise ValueError(f"runs[{i}]: duplicate run name {run.name}")
 
 
-def _cast_fields(default, data: dict, skip: tuple = (), where: str = "", also: tuple = ()) -> dict:
-    """data's entries for default's fields, each cast to the type of default's value;
-    data that is not a table, a key that is neither a field nor in `also`, and a value
-    that does not cast (or is non-integral for an int) are refused, tagged with the key."""
-    def cast(name):
-        kind, value = type(getattr(default, name)), data[name]
-        if isinstance(value, int):  # refused past the float range with _number's message
-            _number(value, where + name)
-        try:
-            return (_integer(value, where + name) if kind is int
-                    else tuple(map(float, value)) if kind is tuple else kind(value))
-        except (TypeError, ValueError, OverflowError):
-            what = {int: "an integer", tuple: "a pair of numbers"}.get(kind, "a number")
-            raise ValueError(f"{where}{name}: {value!r} is not {what}") from None
-
-    _typed(data, dict, where.rstrip(".") or "config")
-    names = [f.name for f in fields(default)]
-    for key in data:
-        if key not in names and key not in also:
-            raise ValueError(f"{where}{key}: unknown setting; known: {', '.join(names)}")
-    return {name: cast(name) for name in names if name in data and name not in skip}
-
-
 def _plain_fields(obj, skip: tuple = ()) -> dict:
     return {f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
             for f in fields(obj) if f.name not in skip}
@@ -221,31 +198,18 @@ def _plain_fields(obj, skip: tuple = ()) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from config_to_dict's layout; a missing field keeps its default.
 
-    Unknown keys are refused, but for a manifest's `experiments`; generator.seed
-    is not read, as every experiment derives its own seed.  A `maximizer` table,
-    which manifests of earlier versions hold, may only repeat the fixed settings.
+    Unknown keys are refused, but for a manifest's `experiments`. A `maximizer`
+    table, which manifests of earlier versions hold, may only repeat the fixed
+    settings. Every experiment derives its own generator seed.
     """
-    base = ExperimentConfig()
-    cfg = replace(base, **_cast_fields(base, data, ("runs", "generator"),
-                                       also=("maximizer", "experiments")))
-    fixed, block = _plain_fields(_MAXIMIZER), _typed(data.get("maximizer", {}), dict, "maximizer")
-    for key, value in block.items():
+    fixed = _plain_fields(_MAXIMIZER)
+    for key, value in _read(_read(data, dict, "config").get("maximizer", {}), dict,
+                            "maximizer").items():
         if key not in fixed or value != fixed[key]:
             raise ValueError(f"maximizer.{key}: {value!r} cannot be set; the bid maximizer's "
                              f"settings are fixed at {fixed}")
-    if "runs" in data:
-        if not isinstance(data["runs"], list):
-            raise ValueError(f"runs: {data['runs']!r} is not a list of run tables")
-        runs = []
-        for i, r in enumerate(data["runs"]):
-            cast = _cast_fields(RunSpec("discrete"), r, ("kind",), f"runs[{i}].")
-            try:
-                runs.append(RunSpec(r.get("kind"), **cast))
-            except ValueError as err:
-                raise ValueError(f"runs[{i}].{err}") from None
-        cfg = replace(cfg, runs=tuple(runs))
-    return replace(cfg, generator=GeneratorParams(
-        **_cast_fields(base.generator, data.get("generator", {}), ("seed",), "generator.")))
+    return _table(ExperimentConfig, {k: v for k, v in data.items()
+                                     if k not in ("maximizer", "experiments")}, "")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

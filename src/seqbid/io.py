@@ -2,29 +2,32 @@
 
 The JSON layout is the interchange format for the command-line tools:
 
-    {
-      "n": 2,
-      "bundles": [{"members": [1, 2], "value": 10.0}],
-      "endowment": 3,
-      "residual": {"knots": [[0, 0], [3, 2.1]]}  |  {"linear_slope": 0.7},
-      "distributions": [
-        {"kind": "multinomial", "probs": [0.5, 0.5]},
-        {"kind": "gaussian", "mean": 1.0, "std": 0.5}
-      ],
-      "mode": "discrete" | "continuous"
-    }
+    {"n": 2, "bundles": [{"members": [1, 2], "value": 10.0}], "endowment": 3,
+     "residual": {"knots": [[0, 0], [3, 2.1]]}  |  {"linear_slope": 0.7},
+     "distributions": [{"kind": "multinomial", "probs": [0.5, 0.5]},
+                       {"kind": "gaussian", "mean": 1.0, "std": 0.5}],
+     "mode": "discrete" | "continuous"}
+
+One reader, _read and _table, reads spec files and suite configs (config_from_dict), each
+value as its field's type hint says. An unknown or missing key, a value of the wrong type
+and a constructor's refusal raise a ValueError that starts with the field's path, as in
+distributions[0].std: -1.0 must be positive and finite. Solution CSV fields go through
+the same reader, must be finite, and are tagged path: line N, column.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
-from dataclasses import fields
+from contextlib import suppress
+from dataclasses import MISSING, fields, is_dataclass
+from decimal import Decimal
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,89 +44,94 @@ from .pwl import PwlFunction
 from .simulate import ErrorReport, StageErrors
 
 PathLike = Union[str, Path]
+_LAWS = {"multinomial": DiscreteMultinomial, "gaussian": TruncatedGaussian}
+_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "a table", list: "a list"}
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
-    dists = []
-    for d in spec.distributions:
-        if isinstance(d, DiscreteMultinomial):
-            dists.append({"kind": "multinomial", "probs": list(d.probs)})
-        else:
-            dists.append({"kind": "gaussian", "mean": d.mean, "std": d.std})
     return {
         "n": spec.n,
-        "bundles": [
-            {"members": sorted(b.members), "value": b.value} for b in spec.bundles
-        ],
+        "bundles": [{"members": sorted(b.members), "value": b.value} for b in spec.bundles],
         "endowment": spec.endowment,
         "residual": {"knots": [[x, y] for x, y in spec.residual.knots]},
-        "distributions": dists,
+        "distributions": [{"kind": "multinomial", "probs": list(d.probs)}
+                          if isinstance(d, DiscreteMultinomial) else
+                          {"kind": "gaussian", "mean": d.mean, "std": d.std}
+                          for d in spec.distributions],
         "mode": spec.mode,
     }
 
 
-def _number(value, field: str) -> float:
-    if isinstance(value, int) and not abs(value) <= sys.float_info.max:  # int to float compare
-        raise ValueError(f"{field}: a {value.bit_length()}-bit integer is beyond the float range")
+def _read(value, kind, field: str):
+    """value read as kind: an int or float (9, 9.0 and "9.0" alike, never a bool), a str,
+    dict (a table) or list, a tuple (a pair if tuple[float, float]) or frozenset of one kind
+    from a list, or a dataclass from a table; else a ValueError "field: ...". A collection's
+    entries are tagged field if numbers, else field[i]."""
+    if kind in (int, float) and type(value) in (int, float, str):
+        if type(value) is int and not abs(value) <= sys.float_info.max:  # exact int compare
+            raise ValueError(f"{field}: a {value.bit_length()}-bit integer is beyond the "
+                             "float range")
+        with suppress(ValueError):
+            number = float(value)
+            if kind is float or number.is_integer():  # Decimal: exact above 2**53 too
+                return number if kind is float else int(Decimal(value))
+    elif kind in (str, dict, list) and isinstance(value, kind):
+        return value
+    elif is_dataclass(kind):
+        return _table(kind, _read(value, dict, field), field)
+    pair = (args := get_args(kind)) == (float, float)
+    if args and isinstance(value, list) and (len(value) == 2 or not pair):
+        return get_origin(kind)(_read(v, args[0], field if args[0] in _KINDS else f"{field}[{i}]")
+                                for i, v in enumerate(value))
+    raise ValueError(f"{field}: {value!r} is not "
+                     f"{'a pair of numbers' if pair else 'a list' if args else _KINDS[kind]}")
+
+
+def _table(cls, data: dict, field: str, **readers):
+    """A cls of data's entries for its fields, each read as its type hint says (by _read,
+    or by readers[name]); an unknown key, a missing one without a default and a ValueError
+    of the constructor are refused, tagged with their path below field."""
+    hints, at = get_type_hints(cls), f"{field}." if field else ""
+    if unknown := [key for key in data if key not in hints]:
+        raise ValueError(f"{at}{unknown[0]}: unknown setting; known: {', '.join(hints)}")
+    if missing := [f.name for f in fields(cls)
+                   if f.name not in data and f.default is f.default_factory is MISSING]:
+        raise ValueError(f"{at}{missing[0]}: missing")
+    read = {k: readers.get(k, _read)(v, hints[k], at + k) for k, v in data.items()}
+    return _tagged(at, cls, **read)
+
+
+def _tagged(tag: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised again with tag before the message."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: {value!r} is not a number") from None
-
-
-def _integer(value, field: str) -> int:
-    """An integer-valued field, an int or read as a number ("9.0" is 9); 1.5 is refused."""
-    if not _number(value, field).is_integer():
-        raise ValueError(f"{field}: {value!r} is not an integer")
-    return int(value) if isinstance(value, int) else int(float(value))
-
-
-def _typed(value, kind: type, field: str):
-    """value if it is a kind (dict: a table, list: a list), else a ValueError naming field."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{field}: {value!r} is not a {'table' if kind is dict else 'list'}")
-    return value
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"{tag}{err}") from None
 
 
 def spec_from_dict(data: dict) -> ProblemSpec:
-    """The spec of spec_to_dict's layout; a field missing, of the wrong type or not a
-    number where one belongs is refused, tagged with its path: distributions[0].mean."""
-    try:
-        n = _integer(_typed(data, dict, "spec")["n"], "n")
-        endowment = _number(data["endowment"], "endowment")
-        bundles = []
-        for j, b in enumerate(_typed(data["bundles"], list, "bundles")):
-            where = f"bundles[{j}]"
-            members = _typed(_typed(b, dict, where)["members"], list, f"{where}.members")
-            bundles.append(Bundle(frozenset(_integer(i, f"{where}.members") for i in members),
-                                  _number(b["value"], f"{where}.value")))
-        residual_data = _typed(data["residual"], dict, "residual")
-        if "knots" in residual_data:
-            where = "residual.knots"
-            residual = PwlFunction.from_knots(
-                [_number(v, f"{where}[{k}]") for v in _typed(xy, list, f"{where}[{k}]")]
-                for k, xy in enumerate(_typed(residual_data["knots"], list, where)))
-        elif "linear_slope" in residual_data:
-            residual = PwlFunction.linear(
-                _number(residual_data["linear_slope"], "residual.linear_slope"), 0.0, endowment)
+    """The spec of spec_to_dict's layout; a key unknown or missing, a value of the wrong
+    type and a constructor's refusal are tagged with their path: distributions[0].std."""
+    def residual(value, _, field):
+        table = _read(value, dict, field)
+        if list(table) == ["knots"]:
+            knots = _read(table["knots"], tuple[tuple[float, float], ...], f"{field}.knots")
+        elif list(table) == ["linear_slope"]:
+            slope = _read(table["linear_slope"], float, f"{field}.linear_slope")
+            knots = [(x, slope * x) for x in (0.0, _read(data["endowment"], float, "endowment"))]
         else:
-            raise KeyError("residual needs 'knots' or 'linear_slope'")
-        dists = []
-        for i, d in enumerate(_typed(data["distributions"], list, "distributions")):
-            where = f"distributions[{i}]"
-            kind = _typed(d, dict, where)["kind"]
-            if kind == "multinomial":
-                probs = _typed(d["probs"], list, f"{where}.probs")
-                dists.append(DiscreteMultinomial([_number(p, f"{where}.probs") for p in probs]))
-            elif kind == "gaussian":
-                dists.append(TruncatedGaussian(_number(d["mean"], f"{where}.mean"),
-                                               _number(d["std"], f"{where}.std")))
-            else:
-                raise ValueError(f"{where}.kind: unknown kind {kind!r}")
-        mode = str(data["mode"])
-    except KeyError as err:
-        raise ValueError(f"spec file missing field {err.args[0]!r}") from None
-    return ProblemSpec(n, tuple(bundles), endowment, residual, tuple(dists), mode)
+            raise ValueError(f"{field}: needs one key, knots or linear_slope, not {list(table)}")
+        return _tagged(f"{field}.", PwlFunction.from_knots, knots)
+
+    def law(value, field):
+        table = _read(value, dict, field)
+        if (kind := table.get("kind")) not in tuple(_LAWS):
+            raise ValueError(f"{field}.kind: {kind!r} is not one of {', '.join(_LAWS)}")
+        return _table(_LAWS[kind], {k: v for k, v in table.items() if k != "kind"}, field)
+
+    return _table(ProblemSpec, _read(data, dict, "spec"), "", residual=residual,
+                  distributions=lambda value, _, field: tuple(
+                      law(v, f"{field}[{i}]") for i, v in enumerate(_read(value, list, field))))
 
 
 def load_spec(path: PathLike) -> ProblemSpec:
@@ -145,17 +153,20 @@ def _write_csv(path: PathLike, header: list[str], rows: Iterable) -> None:
         out.writerows(rows)
 
 
-_DISCRETE_HEADER = ["stage", "holdings_mask", "endowment", "value", "bid", "settled"]
-_GRID_HEADER = _DISCRETE_HEADER[:-1]
+# A solution file's columns, each with the kind its fields are read as.
+_DISCRETE_COLUMNS = {"stage": int, "holdings_mask": int, "endowment": int, "value": float,
+                     "bid": int, "settled": int}
+_GRID_COLUMNS = {"stage": int, "holdings_mask": int, "endowment": float, "value": float,
+                 "bid": float}
 
 
-def _write_blocks(path: PathLike, header: list[str], layers: list[dict], block) -> None:
-    """_write_csv's bytes (repr for floats, str for ints, \r\n line ends) for header, then
+def _write_blocks(path: PathLike, columns: dict, layers: list[dict], block) -> None:
+    """_write_csv's bytes (repr for floats, str for ints, \r\n line ends) for columns, then
     per stage t and ascending mask of layers[t] the lines rows() each after "t,mask,", with
     key, rows = block(t, mask, layers[t][mask]): each distinct key's rows formatted once."""
     lines: dict = {}
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(columns) + "\r\n")
         for t, layer in enumerate(layers):
             for mask in sorted(layer):
                 key, rows = block(t, mask, layer[mask])
@@ -174,22 +185,27 @@ def write_discrete_solution(sol: DiscreteSolution, path: PathLike) -> None:
             f"{d},{v!r},{z},{int(bids is None)}" for d, (v, z) in
             enumerate(zip(values.tolist(), repeat(0) if bids is None else bids.tolist()))]
 
-    _write_blocks(path, _DISCRETE_HEADER, sol.stage_values, block)
+    _write_blocks(path, _DISCRETE_COLUMNS, sol.stage_values, block)
 
 
-def _components(path: PathLike, spec: ProblemSpec, header: list[str]) -> dict:
-    """A solution file's rows by (stage, mask) component, each row without its
-    stage and mask, once every stage and mask is checked against spec and every
-    unsettled component's two successors are found in the file."""
+def _components(path: PathLike, spec: ProblemSpec, columns: dict) -> dict:
+    """A solution file's rows by (stage, mask) component, each read as columns says and
+    without its stage and mask, once every stage and mask is checked against spec and
+    every unsettled component's two successors are found in the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         groups: dict[tuple[int, int], list] = {}
         for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                 f"not {len(header)}")
-            groups.setdefault((int(row[0]), int(row[1])), []).append(row[2:])
+            at = f"{path}: line {reader.line_num}"
+            if len(row) != len(columns):
+                raise ValueError(f"{at} has {len(row)} fields, not {len(columns)}")
+            names = [f"{at}, {column}" for column in columns]
+            t, mask, *rest = cells = list(map(_read, row, columns.values(), names))
+            for name, text, value in zip(names, row, cells):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name}: {text!r} is not finite")
+            groups.setdefault((t, mask), []).append(rest)
     if (0, 0) not in groups:
         raise ValueError(f"{path}: no rows for stage 0, holdings_mask 0")
     for t, mask in groups:
@@ -211,17 +227,19 @@ def read_discrete_solution(path: PathLike, spec: ProblemSpec) -> DiscreteSolutio
     n = spec.n
     values: list[dict] = [dict() for _ in range(n + 1)]
     bids: list[dict] = [dict() for _ in range(n)]
-    for (t, mask), rows in _components(path, spec, _DISCRETE_HEADER).items():
-        if [int(row[0]) for row in rows] != list(range(e + 1)):
+    for (t, mask), rows in _components(path, spec, _DISCRETE_COLUMNS).items():
+        if [row[0] for row in rows] != list(range(e + 1)):
             raise ValueError(f"{path}: endowment rows of stage {t}, holdings_mask {mask} "
                              f"are not the spec's 0..{e}")
         is_settled = spec.settled(t, mask)
-        if any(int(row[3]) != is_settled for row in rows):
+        if any(row[3] != is_settled for row in rows):
             raise ValueError(f"{path}: settled flag of stage {t}, holdings_mask {mask} "
                              f"is not the spec's {int(is_settled)}")
-        values[t][mask] = np.array([float(row[1]) for row in rows])
+        if any(not 0 <= row[2] <= row[0] for row in rows):
+            raise ValueError(f"{path}: a bid of stage {t}, holdings_mask {mask} is outside 0..d")
+        values[t][mask] = np.array([row[1] for row in rows])
         if not is_settled:
-            bids[t][mask] = np.array([int(row[2]) for row in rows], dtype=np.int64)
+            bids[t][mask] = np.array([row[2] for row in rows], dtype=np.int64)
     return _solution(n, e, closed_form, values, bids)
 
 
@@ -235,7 +253,7 @@ def write_grid_solution(sol: GridSolution, path: PathLike) -> None:
             f"{x!r},{y!r},{z!r}" for x, y, z in
             zip(c.xs, c.ys, repeat(0.0) if bids is None else bids.tolist())]
 
-    _write_blocks(path, _GRID_HEADER, sol.values.components, block)
+    _write_blocks(path, _GRID_COLUMNS, sol.values.components, block)
 
 
 def read_grid_solution(path: PathLike, spec: ProblemSpec) -> GridSolution:
@@ -244,15 +262,16 @@ def read_grid_solution(path: PathLike, spec: ProblemSpec) -> GridSolution:
     closed_form = _closed_form(spec, "read_grid_solution")
     layers: list[dict] = [dict() for _ in range(spec.n + 1)]
     knot_bids = {}
-    for (t, mask), rows in _components(path, spec, _GRID_HEADER).items():
-        comp = PwlFunction.from_knots((float(x), float(y)) for x, y, _ in rows)
+    for (t, mask), rows in _components(path, spec, _GRID_COLUMNS).items():
+        comp = _tagged(f"{path}: stage {t}, holdings_mask {mask}, ", PwlFunction.from_knots,
+                       [(x, y) for x, y, _ in rows])
         lo, hi = comp.domain
         if abs(lo) > _ENDOWMENT_SLACK or abs(hi - spec.endowment) > _ENDOWMENT_SLACK:
             raise ValueError(f"{path}: endowment knots of stage {t}, holdings_mask {mask} "
                              f"span [{lo}, {hi}], not the spec's [0, {spec.endowment}]")
         layers[t][mask] = comp
         if not spec.settled(t, mask):
-            knot_bids[t, mask] = np.array([float(row[2]) for row in rows])
+            knot_bids[t, mask] = np.array([row[2] for row in rows])
     return _grid_solution(spec, closed_form, layers, knot_bids)
 
 

@@ -43,16 +43,16 @@ class PwlFunction:
 
     def __post_init__(self) -> None:
         if len(self.xs) < 2:
-            raise ValueError("a piecewise-linear function needs at least two knots")
+            raise ValueError("knots: a piecewise-linear function needs at least two")
         if len(self.xs) != len(self.ys):
-            raise ValueError("knot abscissa and value lists differ in length")
+            raise ValueError("knots: abscissa and value lists differ in length")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("knot abscissae must be strictly increasing")
+            raise ValueError("knots: abscissae must be strictly increasing")
 
     @classmethod
     def from_knots(cls, knots: Iterable[tuple[float, float]]) -> "PwlFunction":
-        xs, ys = zip(*knots)
-        return cls(tuple(float(x) for x in xs), tuple(float(y) for y in ys))
+        knots = tuple(knots)
+        return cls(tuple(float(x) for x, _ in knots), tuple(float(y) for _, y in knots))
 
     @classmethod
     def linear(cls, slope: float, lo: float, hi: float) -> "PwlFunction":

@@ -145,7 +145,7 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda data: data.update(n=None), "n: None is not a number"),
+        (lambda data: data.update(n=None), "n: None is not an integer"),
         (lambda data: data.update(bundles=[5]), "bundles[0]: 5 is not a table"),
         (lambda data: [data], "spec: [{"),
         (lambda data: data["distributions"][0].update(mean="x"),
@@ -368,6 +368,45 @@ class TestExperimentCommand:
             f"error: bad experiment config: runs[0].threshold: {float(threshold)} "
             "must be nonnegative\n")
         assert not (tmp_path / "x").exists()
+
+
+class TestSeedArgument:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "spec.json", "--policy", "solution.csv", "--seed", "-1"],
+        ["experiment", "--config", "default", "--seed", "-1"],
+        ["experiment", "--config", "default", "--seed", "1.5"],
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: {argv[-1]!r} is not a nonnegative integer" in err
+
+    def test_negative_master_seed_is_a_bad_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"master_seed": -1}))
+        rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bad experiment config: master_seed: -1 must be nonnegative\n")
+
+    def test_nan_in_a_grid_policy_is_bad_input(self, c1_file, tmp_path, capsys):
+        out = tmp_path / "solved"
+        main(["solve", str(c1_file), "--mode", "grid", "--grid", "fixed:3", "--out", str(out)])
+        with open(out / "solution.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][3] = "nan"
+        with open(out / "solution.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(c1_file), "--policy", str(out / "solution.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("solution.csv: line 3, value: 'nan' is not finite\n")
 
 
 class TestOptionSurface:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import time
 import tracemalloc
@@ -442,8 +443,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("spec, edit, message", [
         ("t2", lambda data: [data], r"spec: \[.*\] is not a table"),
-        ("t2", lambda data: data.update(n=None), "n: None is not a number"),
-        ("t2", lambda data: data.update(n="two"), "n: 'two' is not a number"),
+        ("t2", lambda data: data.update(n=None), "n: None is not an integer"),
+        ("t2", lambda data: data.update(n="two"), "n: 'two' is not an integer"),
         ("t2", lambda data: data.update(bundles=[5]), r"bundles\[0\]: 5 is not a table"),
         ("t2", lambda data: data.update(bundles={"members": [1]}), "bundles: .* is not a list"),
         ("t2", lambda data: data["bundles"][1].update(members=2),
@@ -452,7 +453,7 @@ class TestValidation:
         ("t2", lambda data: data.update(endowment=[3]), r"endowment: \[3\] is not a number"),
         ("t2", lambda data: data.update(residual=0.7), "residual: 0.7 is not a table"),
         ("t2", lambda data: data["residual"].update(knots=[[0, 0], 3]),
-         r"residual\.knots\[1\]: 3 is not a list"),
+         r"residual\.knots\[1\]: 3 is not a pair of numbers"),
         ("t2", lambda data: data["residual"].update(knots=[[0, 0], [3, "x"]]),
          r"residual\.knots\[1\]: 'x' is not a number"),
         ("t2", lambda data: data.update(distributions=[0.5]),
@@ -466,6 +467,59 @@ class TestValidation:
         data = spec_to_dict(request.getfixturevalue(spec))
         with pytest.raises(ValueError, match=message):
             spec_from_dict(edit(data) or data)
+
+    @pytest.mark.parametrize("spec, edit, message", [
+        ("t2", lambda data: data.update(n=True), "n: True is not an integer"),
+        ("t2", lambda data: data.update(endowment=False), "endowment: False is not a number"),
+        ("t2", lambda data: data["bundles"][0].update(members=[1, True]),
+         r"bundles\[0\]\.members: True is not an integer"),
+        ("t2", lambda data: data["distributions"][0].update(probs=[True, 0]),
+         r"distributions\[0\]\.probs: True is not a number"),
+    ])
+    def test_spec_file_booleans_are_not_numbers(self, request, spec, edit, message):
+        # JSON true used to load as 1, so "n": true read as a one-resource spec.
+        data = spec_to_dict(request.getfixturevalue(spec))
+        edit(data)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize("spec, edit, message", [
+        ("c1", lambda data: data["distributions"][0].update(std=-1),
+         r"distributions\[0\]\.std: -1\.0 must be positive and finite"),
+        ("c1", lambda data: data["distributions"][0].update(mean=math.inf),
+         r"distributions\[0\]\.mean: inf must be finite"),
+        ("t2", lambda data: data["distributions"][1].update(probs=[0.5, 0.75]),
+         r"distributions\[1\]\.probs: must sum to 1, not 1\.25"),
+        ("t2", lambda data: data["distributions"][0].update(probs=[]),
+         r"distributions\[0\]\.probs: a multinomial needs at least one level"),
+        ("t2", lambda data: data["bundles"][0].update(members=[0, 1]),
+         r"bundles\[0\]\.members: 0 is not a resource index >= 1"),
+        ("t2", lambda data: data["bundles"][1].update(members=[]),
+         r"bundles\[1\]\.members: a bundle needs at least one member"),
+        ("t2", lambda data: data["bundles"][1].update(value=0),
+         r"bundles\[1\]\.value: 0\.0 must be positive"),
+        ("t2", lambda data: data["residual"].update(knots=[[0, 0], [0, 1]]),
+         r"residual\.knots: abscissae must be strictly increasing"),
+        ("t2", lambda data: data["residual"].update(knots=[]),
+         r"residual\.knots: a piecewise-linear function needs at least two"),
+        ("t2", lambda data: data.update(residual={"linear_slope": 0.7, "knots": []}),
+         r"residual: needs one key, knots or linear_slope, not \['linear_slope', 'knots'\]"),
+        ("t2", lambda data: data["distributions"][0].update(kind="poisson"),
+         r"distributions\[0\]\.kind: 'poisson' is not one of multinomial, gaussian"),
+        ("t2", lambda data: data["distributions"][0].update(mean=1.0),
+         r"distributions\[0\]\.mean: unknown setting; known: probs"),
+        ("c1", lambda data: data["distributions"][0].pop("std"),
+         r"distributions\[0\]\.std: missing"),
+        ("t2", lambda data: data.update(modes="discrete"), "modes: unknown setting; known: n, "),
+        ("t2", lambda data: data.pop("mode"), "mode: missing"),
+    ])
+    def test_spec_file_refusals_name_the_field_path(self, request, spec, edit, message):
+        # Constructor refusals used to come back untagged ("std must be positive"), and
+        # a spec file's unknown keys were ignored.
+        data = spec_to_dict(request.getfixturevalue(spec))
+        edit(data)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            spec_from_dict(data)
 
     def test_bundle_value_must_be_positive(self):
         with pytest.raises(ValueError):

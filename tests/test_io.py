@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +262,50 @@ class TestSpecMismatch:
         path = tmp_path / "empty.csv"
         path.write_text("stage,holdings_mask,endowment,value,bid,settled\n")
         self.refused(read_discrete_solution, path, t2, "stage 0, holdings_mask 0")
+
+    @staticmethod
+    def set_field(path, line, column, text):
+        """Write text into one field of a CSV file, at 1-based line and column index."""
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[line - 1][column] = text
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("column, text, message", [
+        (3, "abc", "line 3, value: 'abc' is not a number"),
+        (2, "1.5", "line 3, endowment: '1.5' is not an integer"),
+        (4, "0.0", None),  # an integral bid reads as an int
+        (4, "True", "line 3, bid: 'True' is not an integer"),
+        (3, "nan", "line 3, value: 'nan' is not finite"),
+        (3, "-inf", "line 3, value: '-inf' is not finite"),
+        (0, "", "line 3, stage: '' is not an integer"),
+        (4, "2", "a bid of stage 0, holdings_mask 0 is outside 0..d"),  # d = 1 on line 3
+        (4, str(10**23), "a bid of stage 0, holdings_mask 0 is outside 0..d"),
+    ])
+    def test_discrete_fields_are_read_as_finite_numbers(self, t2, t2_file, column, text,
+                                                         message):
+        self.set_field(t2_file, 3, column, text)
+        if message is None:
+            assert_same_discrete(read_discrete_solution(t2_file, t2), solve_discrete(t2))
+        else:
+            self.refused(read_discrete_solution, t2_file, t2, re.escape(message))
+
+    @pytest.mark.parametrize("column, text, message", [
+        (3, "x", "line 3, value: 'x' is not a number"),
+        (2, "inf", "line 3, endowment: 'inf' is not finite"),
+        (3, "nan", "line 3, value: 'nan' is not finite"),
+        (4, "NaN", "line 3, bid: 'NaN' is not finite"),
+        (1, "0.5", "line 3, holdings_mask: '0.5' is not an integer"),
+        (2, "0.0", "stage 0, holdings_mask 0, knots: abscissae must be strictly increasing"),
+    ])
+    def test_grid_fields_are_read_as_finite_numbers(self, c1, tmp_path, column, text, message):
+        # Before this was refused, a NaN knot value read back silently and the greedy
+        # policy of `seqbid simulate` bid 0 wherever its interpolation met the NaN.
+        path = tmp_path / "c1.csv"
+        write_grid_solution(solve_grid(c1, UniformFixed(4)), path)
+        self.set_field(path, 3, column, text)
+        self.refused(read_grid_solution, path, c1, re.escape(message))
 
     def test_short_row(self, t2, t2_file):
         with open(t2_file, "a", newline="") as fh:
