@@ -9,6 +9,7 @@ from .continuous import (
     Vg2,
     error_bound,
     solve_grid,
+    solve_grids,
 )
 from .core import (
     BidDistribution,
@@ -43,6 +44,7 @@ from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 from .simulate import (
     ErrorReport,
     RoundTrace,
+    compare_all,
     compare_solutions,
     estimate_policy_value,
     relative_sq_error,

@@ -514,17 +514,19 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
 def _maximize_pairs(pairs: list[tuple[PwlFunction, PwlFunction]], rows, dist
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Best bids and values of each (win, lose) pair at its own endowment row under one
-    truncated Gaussian or a list of one per pair: one _maximize_batch call per row
-    length, whatever the pairs' knot counts (522 calls per suite pass)."""
-    laws = dist if isinstance(dist, list) else [dist] * len(pairs)
-    out: dict = {}
-    for idx in _groups(map(len, rows)):
-        zs, qs = _maximize_batch(CurveStack([pairs[i][0] for i in idx]),
-                                 CurveStack([pairs[i][1] for i in idx]),
-                                 [laws[i] for i in idx],
-                                 np.array([rows[i] for i in idx], dtype=float), _MAXIMIZER)
-        out.update(zip(idx, zip(zs, qs)))
-    return [out[i] for i in range(len(pairs))]
+    truncated Gaussian or a list of one per pair, in one _maximize_batch call whatever the
+    knot counts and row lengths (174 calls per suite pass).  A shorter row is padded with
+    its last endowment: a repeated bracket leaves the pair's polish steps and bits as they are."""
+    if not pairs:
+        return []
+    width = max(map(len, rows))
+    zs, qs = _maximize_batch(CurveStack([win for win, _ in pairs]),
+                             CurveStack([lose for _, lose in pairs]),
+                             dist if isinstance(dist, list) else [dist] * len(pairs),
+                             np.array([row if len(row) == width else
+                                       (*row, *(row[-1],) * (width - len(row))) for row in rows],
+                                      dtype=float), _MAXIMIZER)
+    return [(z[: len(row)], q[: len(row)]) for z, q, row in zip(zs, qs, rows)]
 
 
 class _Unsolved(Exception):
@@ -569,54 +571,70 @@ def _stored(curve: PwlFunction) -> PwlFunction:
 
 
 def solve_grid(spec: ProblemSpec, strategy: GridStrategy) -> GridSolution:
-    """Backward grid solve of a continuous-mode spec under a grid strategy.
+    """Backward grid solve of a continuous-mode spec: solve_grids(spec, [strategy])[0]."""
+    return solve_grids(spec, [strategy])[0]
+
+
+def solve_grids(spec: ProblemSpec, strategies: list[GridStrategy]) -> list[GridSolution]:
+    """Backward grid solves of a continuous-mode spec, one per grid strategy, in one sweep.
 
     The terminal stage is taken exactly from the terminal payoff.  At earlier
     stages every settled component is the residual curve shifted by the
-    holdings' bundle value, contributing neither evaluations nor ledger delta;
-    every unsettled component is built from exact knot backups, with the knot
-    set chosen by the strategy's refine.  A stage's components whose win and
-    lose curves are equal bit for bit back up alike, so one refine serves them
-    all and each gets its curve and its own knot bids (G15 on generator instance
-    1000: 161 unsettled components, 42 distinct pairs, 630 maximizer rows, not
-    2,415).  The distinct pairs refine in lockstep rounds: each round re-runs
-    every unfinished refine against its memo of solved knots, then solves the
-    knots it asked for and lacked in one maximizer call, whatever the pairs'
-    knot counts, one endowment row per ask (372 calls per adaptive pass).
+    holdings' bundle value, one closed form for every strategy, contributing
+    neither evaluations nor ledger delta; every unsettled component is built,
+    per strategy, from exact knot backups at the knots the strategy's refine
+    chooses.  A stage's components whose win and lose curves of one strategy
+    are equal bit for bit back up alike, so one refine serves them all and each
+    gets its curve and its own knot bids (G15 on generator instance 1000: 161
+    unsettled components, 42 distinct pairs, 630 maximizer rows, not 2,415).
+    The distinct (strategy, win, lose) units of a stage refine in lockstep
+    rounds: each round re-runs every unfinished refine against its memo of
+    solved knots, then solves the knots it asked for and lacked in one
+    maximizer call, whatever the strategies and knot counts, one endowment row
+    per ask (372 calls for the 8 solves of the benchmark's `adaptive` pass).
     UniformFixed asks for all g knots as one tuple and finishes in the second
     round.  Vg1 and Vg2 ask for one knot at a time and run ahead on guessed
-    values for up to max(2, solved knots) unsolved knots per round; a refine
-    is final only once it runs against solved values alone, so its curve is
-    the one that solving each knot as it is asked would give.
+    values for up to max(2, solved knots) unsolved knots per round; a refine is
+    final only once it runs against solved values alone, so its curve is the
+    one that solving each knot as it is asked would give.  No unit depends on
+    another, so each solution is bit for bit its strategy's lone solve.
     """
     closed_form = _closed_form(spec, "solve_grid")
     m = float(spec.endowment)
-    knot_bids: dict[tuple[int, int], np.ndarray] = {}
+    knot_bids: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in strategies]
 
     def backup(t, jobs):
-        firsts, which = _distinct([job[1:] for job in jobs])
-        memos: list[dict[float, tuple[float, float]]] = [{} for _ in firsts]
-        curves: list = [None] * len(firsts)
+        units, which = [], []  # (strategy, pair) per unit; per strategy, each job's unit
+        for s, strategy in enumerate(strategies):
+            pairs = [(win[s], lose[s]) for _, win, lose in jobs]
+            firsts, numbers = _distinct(pairs)
+            which.append([len(units) + g for g in numbers])
+            units += [(strategy, pairs[i]) for i in firsts]
+        memos: list[dict[float, tuple[float, float]]] = [{} for _ in units]
+        curves: list = [None] * len(units)
         while None in curves:
             wanted = []
-            for i, memo in enumerate(memos):
-                if curves[i] is None:
+            for u, (strategy, _) in enumerate(units):
+                if curves[u] is None:
                     asked: list = []
                     with suppress(_Unsolved):
-                        curve = strategy.refine(_answer_from(memo, asked), m)
+                        curve = strategy.refine(_answer_from(memos[u], asked), m)
                     if asked:
-                        wanted += [(i, ds) for ds in asked]
+                        wanted += [(u, ds) for ds in asked]
                     else:
-                        curves[i] = curve
-            solved = _maximize_pairs([jobs[firsts[i]][1:] for i, _ in wanted],
+                        curves[u] = curve
+            solved = _maximize_pairs([units[u][1] for u, _ in wanted],
                                      [ds for _, ds in wanted], spec.distributions[t])
-            for (i, ds), (zs, qs) in zip(wanted, solved):
-                memos[i].update(zip(ds, zip(zs.tolist(), qs.tolist())))
-        for (mask, _, _), g in zip(jobs, which):
-            knot_bids[(t, mask)] = np.array([memos[g][x][0] for x in curves[g].xs])
+            for (u, ds), (zs, qs) in zip(wanted, solved):
+                memos[u].update(zip(ds, zip(zs.tolist(), qs.tolist())))
+        for bids, numbers in zip(knot_bids, which):
+            for (mask, _, _), u in zip(jobs, numbers):
+                bids[(t, mask)] = np.array([memos[u][x][0] for x in curves[u].xs])
         stored = [_stored(c) for c in curves]
-        return [stored[g] for g in which]
+        return [tuple(stored[numbers[j]] for numbers in which) for j in range(len(jobs))]
 
     layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
-                   closed_form)
-    return _grid_solution(spec, closed_form, layers, knot_bids)
+                   lambda mask: (closed_form(mask),) * len(strategies))
+    return [_grid_solution(spec, closed_form, [{mask: each[s] for mask, each in layer.items()}
+                                               for layer in layers], bids)
+            for s, bids in enumerate(knot_bids)]

@@ -233,6 +233,9 @@ def terminal_value(held: Union[int, Iterable[int]], d, spec: ProblemSpec):
 
 
 _ENDOWMENT_SLACK = 1e-9
+# discretize_distribution builds ceil(mean + 4 std) + 1 levels: refuse more than this
+# (a tuple of about 3 MB) before allocating any.
+_MAX_LEVELS = 100_001
 
 
 def discretize_distribution(g: TruncatedGaussian) -> DiscreteMultinomial:
@@ -243,6 +246,9 @@ def discretize_distribution(g: TruncatedGaussian) -> DiscreteMultinomial:
     absorbs [0, 0.5] and the top level absorbs the upper tail, so the masses
     sum to one by construction.
     """
+    if not g.mean + 4.0 * g.std <= _MAX_LEVELS - 1:  # ceil(x) + 1 > L exactly when x > L - 1
+        raise ValueError(f"mean: {g.mean!r} with std {g.std!r} needs ceil(mean + 4 std) + 1 "
+                         f"levels, above the discretization limit of {_MAX_LEVELS:,}")
     w_max = math.ceil(g.mean + 4.0 * g.std)
     edges = np.arange(0, w_max) + 0.5
     cdf = g.win_probability_vec(edges)
@@ -258,12 +264,14 @@ def to_discrete(spec: ProblemSpec) -> ProblemSpec:
     """Discrete-mode copy of a spec, discretizing any Gaussian distributions."""
     if abs(spec.endowment - round(spec.endowment)) > _ENDOWMENT_SLACK:
         raise ValueError("discrete mode needs an integer endowment")
-    dists = tuple(
-        discretize_distribution(d) if isinstance(d, TruncatedGaussian) else d
-        for d in spec.distributions
-    )
+    dists = []
+    for t, d in enumerate(spec.distributions):
+        try:
+            dists.append(discretize_distribution(d) if isinstance(d, TruncatedGaussian) else d)
+        except ValueError as err:
+            raise ValueError(f"distributions[{t}].{err}") from None
     return replace(spec, endowment=float(round(spec.endowment)),
-                   distributions=dists, mode=MODE_DISCRETE)
+                   distributions=tuple(dists), mode=MODE_DISCRETE)
 
 
 def validate_problem(spec: ProblemSpec) -> list[str]:

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_grid
+# solve_grid and compare_solutions stay bound here: perfbench/spans.py patches them by name.
+from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_grid, solve_grids
 from .core import (
     _ENDOWMENT_SLACK,
     Bundle,
@@ -43,7 +44,7 @@ from .io import (
     write_grid_solution,
 )
 from .pwl import PwlFunction, RefinementBudget
-from .simulate import ErrorReport, StageErrors, compare_solutions
+from .simulate import ErrorReport, StageErrors, compare_all, compare_solutions
 
 log = logging.getLogger(__name__)
 
@@ -264,16 +265,19 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
             gold = solve_discrete(twin)
             exp_dir.mkdir(exist_ok=True)
             save_spec(instance, exp_dir / "instance.json")
+            grids = [run for run in config.runs if run.kind != "discrete"]
+            sols = solve_grids(instance, [run.strategy() for run in grids])
+            reports = compare_all(gold, [sol.values for sol in sols], instance)
+            solved = dict(zip(grids, zip(sols, reports)))
             done = []  # counted in the aggregates only once every run has succeeded
             for run in config.runs:
                 if run.kind == "discrete":
                     write_discrete_solution(gold, exp_dir / "Discrete_solution.csv")
                     states, report, ledger = gold.state_count, _self_report(gold), None
                 else:
-                    sol = solve_grid(instance, run.strategy())
+                    sol, report = solved[run]
                     write_grid_solution(sol, exp_dir / f"{run.name}_solution.csv")
                     write_delta_ledger(sol.ledger, exp_dir / f"{run.name}_ledger.csv")
-                    report = compare_solutions(gold, sol.values, instance)
                     states, ledger = sol.state_count, sol.ledger
                 write_error_report(report, exp_dir / f"{run.name}_errors.csv")
                 done.append((run.name, (float(states), report, ledger)))

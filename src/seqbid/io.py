@@ -196,15 +196,23 @@ def _components(path: PathLike, spec: ProblemSpec, columns: dict) -> dict:
         reader = csv.reader(fh)
         next(reader, None)
         groups: dict[tuple[int, int], list] = {}
+        kinds = list(columns.values())
         for row in reader:
-            at = f"{path}: line {reader.line_num}"
-            if len(row) != len(columns):
-                raise ValueError(f"{at} has {len(row)} fields, not {len(columns)}")
-            names = [f"{at}, {column}" for column in columns]
-            t, mask, *rest = cells = list(map(_read, row, columns.values(), names))
-            for name, text, value in zip(names, row, cells):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name}: {text!r} is not finite")
+            try:  # bare int and float: where they give finite values, _read gives the same
+                cells = [kind(text) for kind, text in zip(kinds, row)]
+                fast = len(row) == len(columns) and all(map(math.isfinite, cells))
+            except (ValueError, OverflowError):
+                fast = False
+            if not fast:
+                at = f"{path}: line {reader.line_num}"
+                if len(row) != len(columns):
+                    raise ValueError(f"{at} has {len(row)} fields, not {len(columns)}")
+                names = [f"{at}, {column}" for column in columns]
+                cells = list(map(_read, row, kinds, names))
+                for name, text, value in zip(names, row, cells):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name}: {text!r} is not finite")
+            t, mask, *rest = cells
             groups.setdefault((t, mask), []).append(rest)
     if (0, 0) not in groups:
         raise ValueError(f"{path}: no rows for stage 0, holdings_mask 0")

@@ -159,43 +159,52 @@ class ErrorReport:
     states: int
 
 
-def compare_solutions(
-    exact: DiscreteSolution, approx: HybridValueFunction, spec: ProblemSpec
-) -> ErrorReport:
-    """Exhaustive state-by-state comparison on the integer endowment lattice.
+def compare_solutions(exact: DiscreteSolution, approx: HybridValueFunction,
+                      spec: ProblemSpec) -> ErrorReport:
+    """One approximation's lattice comparison: compare_all(exact, [approx], spec)[0]."""
+    return compare_all(exact, [approx], spec)[0]
 
-    spec is the continuous-mode instance the approximation solved; exact comes
+
+def compare_all(exact: DiscreteSolution, approxes: list[HybridValueFunction],
+                spec: ProblemSpec) -> list[ErrorReport]:
+    """Each approximation's exhaustive state-by-state comparison on the integer endowment
+    lattice.  spec is the continuous-mode instance the approximations solved; exact comes
     from its discretized copy.  The states compared are those of the
     unsettled components the exact solve stores, in ascending mask order per
     stage.  For each, the value error pits the interpolated curve against the
     exact value, and the policy error pits the greedy bid recomputed from the
     curves against the exact bid.  Greedy bids solve each stage's distinct (win, lose)
-    curve pairs, equal bit for bit, once, under the stage's distribution, in one
-    maximizer call for all stages and knot counts (G15 on generator instance 1000:
-    1,302 rows, not 4,991, in 1 call, not 13).
+    curve pairs, equal bit for bit across all approximations, once, under the stage's
+    distribution, in one maximizer call for all approximations, stages and knot counts
+    (G15 on generator instance 1000: 1,302 rows, not 4,991, in 1 call, not 13).
     """
     _require_continuous(spec, "compare_solutions")
-    if exact.n != approx.n:
+    if any(exact.n != approx.n for approx in approxes):
         raise ValueError("stage counts differ between exact and approximate solutions")
     lattice = np.arange(exact.endowment + 1, dtype=float)
-    value_errs: list[list[np.ndarray]] = []
+    value_errs: list[list[list[np.ndarray]]] = [[] for _ in approxes]  # [approx][t][mask]
     pairs, dists, stages = [], [], []
     for t in range(exact.n):
-        nxt = approx.components[t + 1]
         masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
-        stage_pairs = [(nxt[m | 1 << t], nxt[m]) for m in masks]
+        stage_pairs = [(nxt[m | 1 << t], nxt[m]) for nxt in
+                       (approx.components[t + 1] for approx in approxes) for m in masks]
         firsts, which = _distinct(stage_pairs)
         stages.append((masks, [len(pairs) + g for g in which]))
         pairs += [stage_pairs[i] for i in firsts]
         dists += [spec.distributions[t]] * len(firsts)
-        value_errs.append([relative_sq_error(approx.components[t][m].values(lattice),
-                                             exact.stage_values[t][m]) for m in masks])
+        for approx, errs in zip(approxes, value_errs):
+            errs.append([relative_sq_error(approx.components[t][m].values(lattice),
+                                           exact.stage_values[t][m]) for m in masks])
     greedy = _maximize_pairs(pairs, [lattice] * len(pairs), dists)
-    policy_errs = [[relative_sq_error(greedy[g][0], exact.stage_bids[t][m].astype(float))
-                    for g, m in zip(which, masks)] for t, (masks, which) in enumerate(stages)]
-    per_stage = [StageErrors(t, *_pooled(v, p))
-                 for t, (v, p) in enumerate(zip(value_errs, policy_errs))]
-    return ErrorReport(per_stage, *_pooled(sum(value_errs, []), sum(policy_errs, [])))
+    reports = []
+    for k, errs in enumerate(value_errs):
+        policy_errs = [[relative_sq_error(greedy[g][0], exact.stage_bids[t][m].astype(float))
+                        for g, m in zip(which[k * len(masks):], masks)]
+                       for t, (masks, which) in enumerate(stages)]
+        reports.append(ErrorReport([StageErrors(t, *_pooled(*e)) for t, e in
+                                    enumerate(zip(errs, policy_errs))],
+                                   *_pooled(sum(errs, []), sum(policy_errs, []))))
+    return reports
 
 
 def _pooled(value_errs: list[np.ndarray], policy_errs: list[np.ndarray]) -> tuple:

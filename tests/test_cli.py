@@ -136,6 +136,19 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: endowment: 5000 needs")
         assert not (tmp_path / "out").exists()
 
+    def test_discretization_limit_is_bad_input(self, c1, tmp_path, capsys, monkeypatch):
+        # A Gaussian that needs more levels than the limit is refused before any is built.
+        from seqbid import core
+
+        monkeypatch.setattr(core, "_MAX_LEVELS", 3)
+        spec = tmp_path / "c.json"
+        save_spec(c1, spec)  # mean 1, std 0.5: levels 0..3, one too many
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: distributions[0].mean: 1.0 with std")
+        assert not (tmp_path / "out").exists()
+
     def test_fractional_endowment_in_discrete_mode(self, c1, tmp_path, capsys):
         spec = tmp_path / "c.json"
         save_spec(replace(c1, endowment=2.5, residual=PwlFunction.linear(0.7, 0.0, 2.5)), spec)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_q_max, per_component_compare, per_knot_grid, random_small_instance
-from seqbid import continuous, core, simulate
+from seqbid import continuous, core, experiment, simulate
 from seqbid.continuous import (
     CurveStack,
     DeltaLedger,
@@ -30,7 +32,8 @@ from seqbid.continuous import (
 )
 from seqbid.core import Bundle, ProblemSpec, TruncatedGaussian, ensure_valid, to_discrete
 from seqbid.discrete import solve_discrete
-from seqbid.experiment import GeneratorParams, generate_instance
+from seqbid.experiment import (ExperimentConfig, GeneratorParams, generate_instance,
+                               run_experiment_suite)
 from seqbid.io import read_grid_solution, write_grid_solution
 from seqbid.pwl import MAX_KNOTS, PwlFunction, RefinementBudget
 
@@ -530,6 +533,29 @@ class TestStackedMaximizer:
             z1, q1 = _maximize_batch(win, lose, law, d, continuous._MAXIMIZER)
             assert np.array_equal(z, z1) and np.array_equal(q, q1)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_padding_and_rows_of_other_lengths_change_nothing(self, stage_pools, data):
+        # _maximize_pairs pads shorter rows with their last endowment to make one call:
+        # each pair gets what its lone call on its own row gives, whatever the lengths of
+        # the rows stacked with it, and a lone call on a padded row gives the same bits.
+        entries = data.draw(st.lists(st.sampled_from(stage_pools), min_size=1, max_size=3))
+        pairs, dists, rows = [], [], []
+        for dist, m, curves in entries:
+            for _ in range(data.draw(st.integers(1, 4))):
+                pairs.append(data.draw(st.tuples(st.sampled_from(curves),
+                                                 st.sampled_from(curves))))
+                dists.append(dist)
+                rows.append(np.array(data.draw(st.lists(st.floats(0.0, m), min_size=1,
+                                                        max_size=8))))
+        assert_stack_matches_pairs(pairs, dists, rows)
+        (win, lose), dist, row = pairs[0], dists[0], rows[0]
+        padded = np.concatenate([row, np.repeat(row[-1:], data.draw(st.integers(1, 8)))])
+        z, q = _maximize_batch(win, lose, dist, row, continuous._MAXIMIZER)
+        zp, qp = _maximize_batch(win, lose, dist, padded, continuous._MAXIMIZER)
+        assert np.array_equal(zp[: len(row)], z) and np.array_equal(qp[: len(row)], q)
+        assert (zp[len(row):] == z[-1]).all() and (qp[len(row):] == q[-1]).all()
+
     def test_bracket_across_a_win_knot(self):
         # At d = 2 the best candidate is the kink d - 0.8, where winning reaches the
         # win curve's middle knot, and the best bid lies just below it: the polish
@@ -704,6 +730,27 @@ class TestStageBatchedCalls:
         assert len(seen) > 1 and all(got == cells * own for got, cells, own, _ in seen)
         assert any(own < laws for _, _, own, laws in seen)  # the call's laws would be more
 
+    def test_suite_experiment(self, tmp_path, monkeypatch, shapes):
+        # An experiment solves G5, G10 and G15 in one call per stage that has unsettled
+        # components, rows padded to 15 knots, and scores all three in one more call.
+        specs, first_call = [], []
+        generate = experiment.generate_instance
+
+        def generating(params):
+            first_call.append(len(shapes))
+            specs.append(generate(params))
+            return specs[-1]
+
+        monkeypatch.setattr(experiment, "generate_instance", generating)
+        run_experiment_suite(ExperimentConfig(n_experiments=3, master_seed=42,
+                                              output_dir=str(tmp_path)))
+        first_call.append(len(shapes))
+        for spec, start, stop in zip(specs, first_call, first_call[1:]):
+            stages = {t for t, _ in solve_grid(spec, UniformFixed(5)).knot_bids}
+            assert stop - start == len(stages) + 1
+            assert all(shape[1] == 15 for _, shape in shapes[start : stop - 1])
+            assert shapes[stop - 1][1][1] == int(spec.endowment) + 1
+
     @pytest.mark.parametrize("kind, knots, distinct_knots, n_calls, n_rows",
                              [(Vg1, 2415, 630, 45, 669), (Vg2, 2291, 600, 63, 622)])
     def test_lockstep_refiners(self, instance_1000, shapes, rounds, kind, knots,
@@ -720,6 +767,48 @@ class TestStageBatchedCalls:
         assert [pairs for pairs, _ in shapes] == rounds and len(rounds) == n_calls
         rows = sum(rounds)
         assert rows == n_rows and distinct_knots <= rows <= 1.15 * distinct_knots
+
+
+GRID_STRATEGIES = (UniformFixed(5), UniformFixed(10), UniformFixed(15),
+                   Vg1(RefinementBudget(15, 0.01)), Vg2(RefinementBudget(15, 0.01)))
+
+
+def assert_same_solution(sol, ref) -> None:
+    """Curves, knot bids, ledger, state_count and settled pairs equal bit for bit."""
+    assert [list(layer) for layer in sol.values.components] == \
+        [list(layer) for layer in ref.values.components]
+    for layer, ref_layer in zip(sol.values.components, ref.values.components):
+        for mask, curve in layer.items():
+            assert curve._ax.tobytes() == ref_layer[mask]._ax.tobytes()
+            assert curve._ay.tobytes() == ref_layer[mask]._ay.tobytes()
+    assert list(sol.knot_bids) == list(ref.knot_bids)
+    assert all(sol.knot_bids[key].tobytes() == ref.knot_bids[key].tobytes()
+               for key in ref.knot_bids)
+    assert np.array(sol.ledger.deltas).tobytes() == np.array(ref.ledger.deltas).tobytes()
+    assert sol.state_count == ref.state_count and set(sol.settled) == set(ref.settled)
+
+
+class TestAllGridsTogether:
+    """solve_grids and compare_all, which the suite calls once per experiment, give
+    bit for bit what one solve_grid and one compare_solutions call per grid give."""
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_match_one_call_per_grid(self, seed):
+        spec = generate_instance(GeneratorParams(seed=seed))
+        sols = continuous.solve_grids(spec, list(GRID_STRATEGIES))
+        exact = solve_discrete(to_discrete(spec))
+        reports = simulate.compare_all(exact, [sol.values for sol in sols], spec)
+        assert len(sols) == len(reports) == len(GRID_STRATEGIES)
+        for strategy, sol, report in zip(GRID_STRATEGIES, sols, reports):
+            ref = solve_grid(spec, strategy)
+            assert_same_solution(sol, ref)
+            # repr tells every float's bits apart, -0.0 from 0.0 included
+            assert repr(astuple(report)) == repr(astuple(
+                simulate.compare_solutions(exact, ref.values, spec)))
+
+    def test_no_grids(self, c1):
+        exact = solve_discrete(to_discrete(c1))
+        assert continuous.solve_grids(c1, []) == simulate.compare_all(exact, [], c1) == []
 
 
 MORE_INSTANCES = {"generator 2000": GeneratorParams(seed=2000),

@@ -318,6 +318,31 @@ class TestToDiscrete:
     def test_discrete_spec_unchanged(self, t2):
         assert to_discrete(t2) == t2
 
+    def test_level_limit(self, c2, monkeypatch):
+        # Levels 0..ceil(mean + 4 std): mean + 4 std = 9 makes 10 levels, a hair more 11.
+        # The limit is read from the module, so a small one tests it without allocating.
+        from seqbid import core
+
+        monkeypatch.setattr(core, "_MAX_LEVELS", 10)
+        assert len(discretize_distribution(TruncatedGaussian(5.0, 1.0)).probs) == 10
+        assert len(to_discrete(replace(c2, distributions=(TruncatedGaussian(5.0, 1.0),) * 2))
+                   .distributions[1].probs) == 10
+        over = replace(c2, distributions=(TruncatedGaussian(5.0, 1.0),
+                                          TruncatedGaussian(5.0 + 1e-9, 1.0)))
+        with pytest.raises(ValueError, match=r"^distributions\[1\]\.mean: 5\.000000001 with std "
+                                             r"1\.0 needs ceil\(mean \+ 4 std\) \+ 1 levels, above "
+                                             r"the discretization limit of 10$"):
+            to_discrete(over)
+        with pytest.raises(ValueError, match=r"^mean: 1e\+308 with std 1e\+308 needs"):
+            discretize_distribution(TruncatedGaussian(1e308, 1e308))  # mean + 4 std is inf
+
+    def test_stock_instances_are_far_below_the_level_limit(self):
+        from seqbid import core
+
+        for seed in (1000, 1001, 1002, 1003):
+            twin = to_discrete(generate_instance(GeneratorParams(seed=seed)))
+            assert max(len(d.probs) for d in twin.distributions) <= 11 < core._MAX_LEVELS
+
 
 def refused(base: ProblemSpec, tagged: str, **changes) -> None:
     """base with `changes` is refused at construction and at replace, with an

@@ -355,16 +355,16 @@ class TestFailedExperiment:
         from seqbid import experiment
         from seqbid.continuous import UniformFixed
 
-        solve_grid, g10_calls = experiment.solve_grid, []
+        solve_grids, g10_calls = experiment.solve_grids, []
 
-        def failing_second_g10(spec, strategy):
-            if strategy == UniformFixed(10):
+        def failing_second_g10(spec, strategies):
+            if UniformFixed(10) in strategies:
                 g10_calls.append(spec)
                 if len(g10_calls) == 2:
                     raise RuntimeError("injected failure")
-            return solve_grid(spec, strategy)
+            return solve_grids(spec, strategies)
 
-        monkeypatch.setattr(experiment, "solve_grid", failing_second_g10)
+        monkeypatch.setattr(experiment, "solve_grids", failing_second_g10)
         out = tmp_path / "suite"
         result = run_experiment_suite(ExperimentConfig(n_experiments=3, master_seed=42,
                                                        output_dir=str(out)))
