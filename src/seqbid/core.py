@@ -91,14 +91,13 @@ class DiscreteMultinomial:
         return c
 
     def win_probability(self, z: float) -> float:
-        if z < 0:
+        if not z >= 0:
             raise ValueError("bids must be nonnegative")
-        cut = min(math.ceil(z), len(self.probs))
-        return float(self._cum[cut])
+        return float(self.win_probability_vec(z))
 
     def win_probability_vec(self, z: np.ndarray) -> np.ndarray:
-        cut = np.minimum(np.ceil(z).astype(np.int64), len(self.probs))
-        return self._cum[cut]
+        # Capped before the cast, so that a bid beyond any int64 wins too.
+        return self._cum[np.ceil(np.minimum(z, len(self.probs))).astype(np.int64)]
 
     def mean(self) -> float:
         return float(np.dot(np.arange(len(self.probs)), self.probs))
@@ -108,9 +107,7 @@ class DiscreteMultinomial:
         # Generator.choice(len(p), p=p)'s own table, normalized as numpy
         # normalizes it; kept apart from _cum, whose bits the win
         # probabilities read.
-        cdf = np.cumsum(self.probs)
-        cdf /= cdf[-1]
-        return cdf
+        return self._cum[1:] / self._cum[-1]
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """The high bids of uniform doubles u in [0, 1): each the draw that
@@ -140,9 +137,9 @@ class TruncatedGaussian:
         return 1.0 - self._f0
 
     def win_probability(self, z: float) -> float:
-        if z < 0:
+        if not z >= 0:
             raise ValueError("bids must be nonnegative")
-        return float((ndtr((z - self.mean) / self.std) - self._f0) / self._scale)
+        return float(self.win_probability_vec(z))
 
     def win_probability_vec(self, z: np.ndarray) -> np.ndarray:
         p = (ndtr((z - self.mean) / self.std) - self._f0) / self._scale
@@ -244,18 +241,14 @@ def discretize_distribution(g: TruncatedGaussian) -> DiscreteMultinomial:
 
     Level k receives the probability mass of (k - 0.5, k + 0.5]; level 0 also
     absorbs [0, 0.5] and the top level absorbs the upper tail, so the masses
-    sum to one by construction.
+    sum to one by construction (one level 0 when ceil(mean + 4 std) <= 0).
     """
     if not g.mean + 4.0 * g.std <= _MAX_LEVELS - 1:  # ceil(x) + 1 > L exactly when x > L - 1
         raise ValueError(f"mean: {g.mean!r} with std {g.std!r} needs ceil(mean + 4 std) + 1 "
                          f"levels, above the discretization limit of {_MAX_LEVELS:,}")
-    w_max = math.ceil(g.mean + 4.0 * g.std)
-    edges = np.arange(0, w_max) + 0.5
-    cdf = g.win_probability_vec(edges)
-    masses = np.empty(w_max + 1)
-    masses[0] = cdf[0]
-    masses[1:w_max] = np.diff(cdf)
-    masses[w_max] = 1.0 - cdf[-1]
+    w_max = max(math.ceil(g.mean + 4.0 * g.std), 0)
+    cdf = g.win_probability_vec(np.arange(0, w_max) + 0.5)
+    masses = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     masses /= masses.sum()
     return DiscreteMultinomial(tuple(masses))
 

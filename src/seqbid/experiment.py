@@ -14,10 +14,9 @@ reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, fields, replace
-from math import isqrt, sqrt
+from math import inf, isfinite, isqrt, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,9 @@ from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
 from .io import (
     _read,
     _table,
+    _untable,
     _write_csv,
+    _write_json,
     save_spec,
     write_delta_ledger,
     write_discrete_solution,
@@ -47,6 +48,7 @@ from .pwl import PwlFunction, RefinementBudget
 from .simulate import ErrorReport, StageErrors, compare_all, compare_solutions
 
 log = logging.getLogger(__name__)
+_MAX_DRAWS = 10_000  # most resources and bundles a generator draws per instance
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,19 @@ class GeneratorParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        means = self.bid_mean_range
+        means, cap = self.bid_mean_range, f"at least 1 and at most {_MAX_DRAWS:,}"
         for name, ok, rule in (
-            ("n_resources", self.n_resources >= 1, "at least 1"),
-            ("n_bundles", self.n_bundles >= 1, "at least 1"),
-            ("bundle_size_std", self.bundle_size_std >= 0, "nonnegative"),
-            ("value_var", self.value_var >= 0, "nonnegative"),
-            ("bid_mean_range", len(means) == 2 and means[0] <= means[1], "a (low, high) pair"),
-            ("bid_var", self.bid_var > 0, "positive"),
-            ("endowment", 0 < self.endowment < float("inf"), "positive and finite"),
-            ("residual_slope", self.residual_slope >= 0, "nonnegative"),
+            ("n_resources", 1 <= self.n_resources <= _MAX_DRAWS, cap),
+            ("n_bundles", 1 <= self.n_bundles <= _MAX_DRAWS, cap),
+            ("bundle_size_mean", isfinite(self.bundle_size_mean), "finite"),
+            ("bundle_size_std", 0 <= self.bundle_size_std < inf, "nonnegative and finite"),
+            ("value_mean", isfinite(self.value_mean), "finite"),
+            ("value_var", 0 <= self.value_var < inf, "nonnegative and finite"),
+            ("bid_mean_range", len(means) == 2 and 0 <= means[1] - means[0] < inf,
+             "a (low, high) pair with high - low finite"),
+            ("bid_var", 0 < self.bid_var < inf, "positive and finite"),
+            ("endowment", 0 < self.endowment < inf, "positive and finite"),
+            ("residual_slope", 0 <= self.residual_slope < inf, "nonnegative and finite"),
         ):
             if not ok:
                 raise ValueError(f"{name}: {getattr(self, name)!r} must be {rule}")
@@ -191,11 +196,6 @@ class ExperimentConfig:
                 raise ValueError(f"runs[{i}]: duplicate run name {run.name}")
 
 
-def _plain_fields(obj, skip: tuple = ()) -> dict:
-    return {f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
-            for f in fields(obj) if f.name not in skip}
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from config_to_dict's layout; a missing field keeps its default.
 
@@ -203,7 +203,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     table, which manifests of earlier versions hold, may only repeat the fixed
     settings. Every experiment derives its own generator seed.
     """
-    fixed = _plain_fields(_MAXIMIZER)
+    fixed = _untable(_MAXIMIZER)
     for key, value in _read(_read(data, dict, "config").get("maximizer", {}), dict,
                             "maximizer").items():
         if key not in fixed or value != fixed[key]:
@@ -215,12 +215,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The manifest's config fields; output_dir and generator.seed are left out."""
-    return {
-        "n_experiments": config.n_experiments,
-        "master_seed": config.master_seed,
-        "runs": [_plain_fields(r) for r in config.runs],
-        "generator": _plain_fields(config.generator, ("seed",)),
-    }
+    return _untable(config, ("output_dir", "generator.seed"))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -326,10 +321,7 @@ def run_experiment_suite(config: ExperimentConfig) -> SuiteResult:
     _write_csv(out / "bounds.csv", ["run", "stage", "mean_delta", "mean_cumulative_bound"],
                bound_rows)
 
-    manifest = config_to_dict(config)
-    manifest["experiments"] = manifest_experiments
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json",
+                {**config_to_dict(config), "experiments": manifest_experiments})
 
     return SuiteResult(out, aggregate, failures)

@@ -9,10 +9,10 @@ The JSON layout is the interchange format for the command-line tools:
      "mode": "discrete" | "continuous"}
 
 One reader, _read and _table, reads spec files and suite configs (config_from_dict), each
-value as its field's type hint says. An unknown or missing key, a value of the wrong type
-and a constructor's refusal raise a ValueError that starts with the field's path, as in
-distributions[0].std: -1.0 must be positive and finite. Solution CSV fields go through
-the same reader, must be finite, and are tagged path: line N, column.
+value as its field's type hint says; its inverse, _untable, writes them. An unknown or
+missing key, a value of the wrong type and a constructor's refusal raise a ValueError that
+starts with the field's path: distributions[0].std: -1.0 must be positive and finite.
+Solution CSV fields are read alike, must be finite, and are tagged path: line N, column.
 """
 
 from __future__ import annotations
@@ -45,21 +45,14 @@ from .simulate import ErrorReport, StageErrors
 
 PathLike = Union[str, Path]
 _LAWS = {"multinomial": DiscreteMultinomial, "gaussian": TruncatedGaussian}
+_KIND_OF = {law: kind for kind, law in _LAWS.items()}
 _KINDS = {int: "an integer", float: "a number", str: "a string", dict: "a table", list: "a list"}
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
-    return {
-        "n": spec.n,
-        "bundles": [{"members": sorted(b.members), "value": b.value} for b in spec.bundles],
-        "endowment": spec.endowment,
-        "residual": {"knots": [[x, y] for x, y in spec.residual.knots]},
-        "distributions": [{"kind": "multinomial", "probs": list(d.probs)}
-                          if isinstance(d, DiscreteMultinomial) else
-                          {"kind": "gaussian", "mean": d.mean, "std": d.std}
-                          for d in spec.distributions],
-        "mode": spec.mode,
-    }
+    return _untable(spec, residual=lambda r: {"knots": list(map(list, r.knots))},
+                    distributions=lambda laws: [{"kind": _KIND_OF[type(d)], **_untable(d)}
+                                                for d in laws])
 
 
 def _read(value, kind, field: str):
@@ -101,6 +94,22 @@ def _table(cls, data: dict, field: str, **readers):
     return _tagged(at, cls, **read)
 
 
+def _untable(obj, skip=(), **writers) -> dict:
+    """obj as the table _table reads: a tuple as a list, a frozenset sorted, a dataclass as a
+    table and field name as writers[name] says; skip's fields, table.name if nested, left out."""
+    def write(value, name):
+        if name in writers:
+            return writers[name](value)
+        if is_dataclass(value):
+            return _untable(value, [s.split(".", 1)[1] for s in skip if s.startswith(f"{name}.")])
+        if isinstance(value, frozenset):
+            return sorted(value)
+        return [write(v, name) for v in value] if isinstance(value, tuple) else value
+
+    return {f.name: write(getattr(obj, f.name), f.name)
+            for f in fields(obj) if f.name not in skip}
+
+
 def _tagged(tag: str, make, /, *args, **kwargs):
     """make(*args, **kwargs), its ValueError raised again with tag before the message."""
     try:
@@ -140,8 +149,12 @@ def load_spec(path: PathLike) -> ProblemSpec:
 
 
 def save_spec(spec: ProblemSpec, path: PathLike) -> None:
+    _write_json(path, spec_to_dict(spec))
+
+
+def _write_json(path: PathLike, data: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields, replace
 
 import pytest
 
 from seqbid.cli import build_parser, main, parse_grid_strategy
 from seqbid.continuous import UniformFixed, Vg1, Vg2
-from seqbid.core import to_discrete
+from seqbid.core import TruncatedGaussian, to_discrete
 from seqbid.discrete import solve_discrete
 from seqbid.experiment import ExperimentConfig, config_to_dict
 from seqbid.io import read_discrete_solution, save_spec, spec_to_dict
@@ -176,6 +177,40 @@ class TestSolveCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("spec, edit, mode, problem", [
+        ("c1", lambda data: data.update(n=0, distributions=[]), "grid",
+         "n: must be at least 1, got 0"),
+        ("c1", lambda data: data.update(bundles=[]), "grid",
+         "bundles: at least one bundle is required"),
+        ("c1", lambda data: data.update(mode="sealed"), "grid", "mode: unknown mode 'sealed'"),
+        ("t2", lambda data: data.update(endowment=2.5, residual={"linear_slope": 0.7}),
+         "discrete", "endowment: discrete mode needs an integer endowment, got 2.5"),
+    ])
+    def test_invalid_problem_spec_is_bad_input(self, request, tmp_path, capsys, spec, edit,
+                                               mode, problem):
+        data = spec_to_dict(request.getfixturevalue(spec))
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), "--mode", mode, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid problem spec:\n") and f"\n  {problem}\n" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gaussian_with_no_level_above_zero_solves_discretely(self, c1, tmp_path, capsys):
+        # mean -3, std 0.707: ceil(mean + 4 std) = 0 and P(w > 0) = 1.1e-5, so the
+        # discrete twin's high bid is 0 for sure and bidding 1 wins.
+        spec = replace(c1, distributions=(TruncatedGaussian(-3.0, 0.707),))
+        save_spec(spec, tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["solve", str(tmp_path / "c.json"), "--mode", "discrete",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(", bid 1\n")
+        back = read_discrete_solution(out / "solution.csv", to_discrete(spec))
+        assert back.value(0, 0, 2) == pytest.approx(10.0 + 0.7)
+
     def test_missing_spec_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["solve", str(tmp_path / "nope.json"), "--mode", "discrete",
@@ -326,6 +361,18 @@ class TestExperimentCommand:
         ({"runs": [{"kind": "vg1", "max_knots": 10**9}]}, "runs[0].max_knots: 1000000000 must"),
         ({"generator": {"endowment": 30.5}}, "generator.endowment: 30.5 must be a whole number"),
         ({"generator": {"endowment": 5000}}, "generator.endowment: 5000.0 must be a whole"),
+        # Each of these used to load, then fail every experiment or allocate without bound.
+        ({"generator": {"value_var": math.inf}},
+         "generator.value_var: inf must be nonnegative and finite"),
+        ({"generator": {"bid_var": math.inf}},
+         "generator.bid_var: inf must be positive and finite"),
+        ({"generator": {"residual_slope": math.inf}},
+         "generator.residual_slope: inf must be nonnegative and finite"),
+        ({"generator": {"bid_mean_range": [3, math.inf]}},
+         "generator.bid_mean_range: (3.0, inf) must be a (low, high) pair with high - low finite"),
+        ({"generator": {"n_resources": 10_001}},
+         "generator.n_resources: 10001 must be at least 1 and at most 10,000"),
+        ({"generator": {"n_bundles": 10**300}}, "generator.n_bundles: 1000000000000000000000"),
     ])
     def test_config_every_experiment_fails_on_is_refused(self, tmp_path, capsys, monkeypatch,
                                                          cfg, message):
@@ -336,6 +383,26 @@ class TestExperimentCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
         assert not (tmp_path / "x").exists()
+
+    def test_suite_whose_every_experiment_fails(self, tmp_path, capsys):
+        # Mean high bids near -45 leave P(w > 0) at 0: every generated spec is invalid.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n_experiments": 2, "runs": [{"kind": "discrete"}, {"kind": "fixed", "g": 5}],
+            "generator": {"n_resources": 3, "n_bundles": 1, "endowment": 4,
+                          "bid_mean_range": [-50, -40]}}))
+        out = tmp_path / "suite"
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"suite written to {out}\n"
+        assert captured.err.endswith("  failed experiments: [0, 1]\n")
+        assert (out / "aggregate.csv").read_bytes() == (
+            b"run,states,mean_sq_value_error,mean_max_sq_value_error,mean_sq_policy_error,"
+            b"mean_max_sq_policy_error\r\n")
+        statuses = [e["status"] for e in json.loads((out / "manifest.json").read_text())
+                    ["experiments"]]
+        assert [s.split(":\n")[0] for s in statuses] == [
+            "error: ValueError: invalid problem spec"] * 2
 
     @pytest.mark.parametrize("cfg, message", [
         ({"generator": {"endowmnet": 5}}, "generator.endowmnet: unknown setting"),

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -279,6 +279,38 @@ class TestTruncatedGaussian:
             TruncatedGaussian(1.0, -1.0)
 
 
+@st.composite
+def laws(draw):
+    """A multinomial of 1 to 12 levels, or a Gaussian validation accepts: P(w > 0) >= 3e-6."""
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+        assume(sum(weights) > 0)
+        return DiscreteMultinomial(tuple(w / sum(weights) for w in weights))
+    std = draw(st.floats(1e-3, 1e3))
+    return TruncatedGaussian(draw(st.floats(-4.5, 20.0)) * std, std)
+
+
+class TestOneBid:
+    """The scalar win probability is the vector formula read at one bid."""
+
+    @given(laws(), st.floats(0.0, 1e6))
+    @settings(max_examples=400)
+    def test_bit_for_bit_the_vector_formula(self, law, z):
+        want = float(law.win_probability_vec(np.array([z]))[0])
+        assert law.win_probability(z).hex() == want.hex()
+
+    @pytest.mark.parametrize("law", [DiscreteMultinomial((0.5, 0.5)), TruncatedGaussian(1.0, 0.5)])
+    def test_beyond_any_level_or_int64_wins(self, law):
+        for z in (20.0, 1e300, math.inf):
+            assert law.win_probability(z) == 1.0
+
+    @pytest.mark.parametrize("law", [DiscreteMultinomial((0.5, 0.5)), TruncatedGaussian(1.0, 0.5)])
+    @pytest.mark.parametrize("z", [-0.5, -1e-300, -math.inf, math.nan])
+    def test_negative_or_nan_bid_refused(self, law, z):
+        with pytest.raises(ValueError, match="^bids must be nonnegative$"):
+            law.win_probability(z)
+
+
 class TestDiscretization:
     def test_near_degenerate_concentrates_on_mean(self):
         d = discretize_distribution(TruncatedGaussian(3.0, 1e-9))
@@ -304,6 +336,14 @@ class TestDiscretization:
         g = TruncatedGaussian(5.0, 0.7)
         d = discretize_distribution(g)
         assert d.mean() == pytest.approx(g.mean_value(), abs=0.05)
+
+    @pytest.mark.parametrize("mean, std", [(-3.0, 0.707), (-6.65, 1.4), (-50.0, 1.0)])
+    def test_no_level_above_zero_is_one_level(self, c1, mean, std):
+        # ceil(mean + 4 std) is 0, -1 and -46: every high bid is level 0.
+        assert discretize_distribution(TruncatedGaussian(mean, std)).probs == (1.0,)
+        if mean > -10:  # P(w > 0) = 1.1e-5 and 1.0e-6: valid specs
+            twin = to_discrete(replace(c1, distributions=(TruncatedGaussian(mean, std),)))
+            assert twin.distributions == (DiscreteMultinomial((1.0,)),)
 
 
 class TestToDiscrete:

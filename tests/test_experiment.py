@@ -131,6 +131,12 @@ class TestConfigDict:
         ({"generator": {"value_var": -1}}, "generator.value_var: -1.0 must be nonnegative"),
         ({"generator": {"bundle_size_std": -0.5}}, "generator.bundle_size_std: -0.5 must be"),
         ({"generator": {"bid_mean_range": [6, 3]}}, r"generator.bid_mean_range: \(6.0, 3.0\) must"),
+        # numpy's uniform draw raises OverflowError for an infinite high - low.
+        ({"generator": {"bid_mean_range": [3, math.inf]}}, "generator.bid_mean_range: .* must "
+                                                           "be a .* pair with high - low finite"),
+        ({"generator": {"bid_mean_range": [-math.inf, 3]}}, "generator.bid_mean_range: .* must"),
+        ({"generator": {"bid_mean_range": [math.nan, 3]}}, "generator.bid_mean_range: .* must"),
+        ({"generator": {"bid_mean_range": [-1e308, 1e308]}}, "generator.bid_mean_range: .* must"),
         ({"generator": {"endowment": 0}}, "generator.endowment: 0.0 must be positive"),
         ({"generator": {"endowment": -1}}, "generator.endowment: -1.0 must be positive"),
         ({"generator": {"residual_slope": -0.1}}, "generator.residual_slope: -0.1 must be"),
@@ -204,6 +210,24 @@ class TestConfigDict:
         with pytest.raises(ValueError) as err:
             config_from_dict(data)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["n_resources", "n_bundles"])
+    def test_draw_counts_are_capped(self, name):
+        # generate_instance draws arrays of these lengths before any solve.
+        from seqbid.experiment import _MAX_DRAWS
+
+        assert getattr(GeneratorParams(**{name: _MAX_DRAWS}), name) == _MAX_DRAWS
+        for count in (_MAX_DRAWS + 1, 10**300):
+            with pytest.raises(ValueError, match=f"^generator.{name}: {count} must be at least "
+                                                 f"1 and at most {_MAX_DRAWS:,}$"):
+                config_from_dict({"generator": {name: count}})
+
+    @pytest.mark.parametrize("name", ["bundle_size_mean", "bundle_size_std", "value_mean",
+                                      "value_var", "bid_var", "endowment", "residual_slope"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_every_float_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^generator.{name}: {value} must be "):
+            config_from_dict({"generator": {name: value}})
 
     def test_negative_master_seed_refused(self):
         # numpy seeds nonnegative integers only; a negative seed used to end in an
@@ -348,6 +372,13 @@ class TestSuite:
 def csv_rows(path) -> list[dict]:
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def test_high_bids_below_every_level_solve(tmp_path):
+    # Means in [-3, -2.9] at std 0.707: every discrete twin has the one level 0.
+    config = replace(TINY, n_experiments=1, output_dir=str(tmp_path / "suite"),
+                     generator=replace(TINY.generator, bid_mean_range=(-3.0, -2.9)))
+    assert run_experiment_suite(config).failures == []
 
 
 class TestFailedExperiment:

@@ -173,6 +173,12 @@ class TestVg2:
         f = vg2_refine(lambda d: 0.7 * d, (0.0, 30.0), RefinementBudget(15, 1e-6))
         assert f.xs == (0.0, 15.0, 30.0)
 
+    def test_budget_two_is_just_the_endpoints(self):
+        seen = []
+        f = vg2_refine(lambda d: seen.append(d) or kink_oracle(d), (0.0, 8.0),
+                       RefinementBudget(2, 0.0))
+        assert (f.xs, f.ys, seen) == ((0.0, 8.0), (0.0, 12.0), [0.0, 8.0])
+
     def test_budget_three_is_just_the_seed(self):
         f = vg2_refine(kink_oracle, (0.0, 8.0), RefinementBudget(3, 0.0))
         assert f.xs == (0.0, 4.0, 8.0)

@@ -4,6 +4,8 @@ Each example takes a valid spec or config dict and replaces, deletes or appends 
 or two of its nodes. The mutant must load, or be refused with a ValueError whose
 message (each listed line, for an invalid problem spec) starts with a field path;
 `seqbid solve` and `seqbid experiment` on its JSON file exit 0 or 2 accordingly.
+
+Random valid specs and configs, written and read back through JSON, come back equal.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import copy
 import io
 import json
 import re
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -28,11 +31,12 @@ from seqbid.experiment import (
     GeneratorParams,
     RunSpec,
     SuiteResult,
+    _MAX_DRAWS,
     config_from_dict,
     config_to_dict,
 )
 from seqbid.io import spec_from_dict, spec_to_dict
-from seqbid.pwl import PwlFunction
+from seqbid.pwl import MAX_KNOTS, PwlFunction
 
 T2 = ProblemSpec(2, (Bundle(frozenset({1, 2}), 10.0), Bundle(frozenset({2}), 4.0)), 3.0,
                  PwlFunction.linear(0.7, 0.0, 3.0), (DiscreteMultinomial((0.5, 0.5)),) * 2,
@@ -159,3 +163,65 @@ def test_the_bases_load():
         assert loads(spec_from_dict, tree)
     for tree in CONFIGS:
         assert loads(config_from_dict, tree)
+
+
+@st.composite
+def specs(draw) -> ProblemSpec:
+    """A valid discrete or continuous spec of 1 to 4 resources, its floats at full precision."""
+    n, discrete = draw(st.integers(1, 4)), draw(st.booleans())
+    members = [frozenset(range(1, n + 1)),  # every resource in some bundle
+               *draw(st.lists(st.frozensets(st.integers(1, n), min_size=1), max_size=3))]
+    bundles = tuple(Bundle(m, draw(st.floats(1e-300, 1e300))) for m in members)
+    e = float(draw(st.integers(1, 50))) if discrete else draw(st.floats(1e-3, 1e6))
+    xs = sorted(draw(st.sets(st.floats(0.0, e, exclude_min=True, exclude_max=True),
+                             max_size=3)))
+    ys = [0.0]
+    for _ in xs + [e]:
+        ys.append(ys[-1] + draw(st.floats(0.0, 1e6)))
+    if discrete:
+        weights = [draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)) for _ in range(n)]
+        assume(all(sum(w) > 0 for w in weights))
+        laws = tuple(DiscreteMultinomial(tuple(x / sum(w) for x in w)) for w in weights)
+    else:
+        stds = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        laws = tuple(TruncatedGaussian(draw(st.floats(-4.5, 20.0)) * std, std) for std in stds)
+    return ProblemSpec(n, bundles, e, PwlFunction((0.0, *xs, e), tuple(ys)), laws,
+                       "discrete" if discrete else "continuous")
+
+
+runs = (st.builds(RunSpec, st.just("discrete"))
+        | st.builds(RunSpec, st.just("fixed"), g=st.integers(2, MAX_KNOTS))
+        | st.builds(RunSpec, st.sampled_from(["vg1", "vg2"]),
+                    max_knots=st.integers(2, MAX_KNOTS), threshold=st.floats(0.0, 1e300)))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+generators = st.builds(
+    GeneratorParams, n_resources=st.integers(1, _MAX_DRAWS), n_bundles=st.integers(1, _MAX_DRAWS),
+    bundle_size_mean=finite, bundle_size_std=st.floats(0.0, 1e300), value_mean=finite,
+    value_var=st.floats(0.0, 1e300),
+    bid_mean_range=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(
+        lambda pair: tuple(sorted(pair))),
+    bid_var=st.floats(0.0, 1e300, exclude_min=True), endowment=st.integers(1, 4000).map(float),
+    residual_slope=st.floats(0.0, 1e300), seed=st.integers(0, 2**64))
+configs = st.builds(
+    ExperimentConfig, n_experiments=st.integers(0, 10**6),
+    runs=st.lists(runs, max_size=5, unique_by=lambda run: run.name).map(tuple),
+    output_dir=st.text(), master_seed=st.integers(0, 2**128), generator=generators)
+
+
+def through_json(data: dict) -> dict:
+    return json.loads(json.dumps(data))
+
+
+@given(specs())
+@settings(max_examples=200, deadline=None)
+def test_a_written_spec_reads_back_equal(spec):
+    assert spec_from_dict(through_json(spec_to_dict(spec))) == spec
+
+
+@given(configs)
+@settings(max_examples=200, deadline=None)
+def test_a_written_config_reads_back_equal_but_for_what_it_leaves_out(config):
+    # config_to_dict leaves out the output directory and the generator's seed.
+    want = replace(config, output_dir=ExperimentConfig().output_dir,
+                   generator=replace(config.generator, seed=GeneratorParams().seed))
+    assert config_from_dict(through_json(config_to_dict(config))) == want
