@@ -15,13 +15,11 @@ from .core import (
     BidDistribution,
     Bundle,
     DiscreteMultinomial,
-    Holdings,
     ProblemSpec,
     TruncatedGaussian,
     discretize_distribution,
     ensure_valid,
     holdings_mask,
-    mask_holdings,
     terminal_value,
     to_discrete,
     useful_resources,
@@ -43,7 +41,6 @@ from .experiment import (
 from .pwl import PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 from .simulate import (
     ErrorReport,
-    RoundTrace,
     compare_all,
     compare_solutions,
     estimate_policy_value,

@@ -9,8 +9,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .continuous import error_bound, solve_grid
-from .core import holdings_mask, to_discrete
+from .core import to_discrete
 from .discrete import solve_discrete
 from .experiment import ExperimentConfig, RunSpec, config_from_dict, run_experiment_suite
 from .io import (
@@ -88,16 +90,19 @@ def _cmd_simulate(args) -> int:
             bidder = table_policy(read_discrete_solution(args.policy, spec))
         else:
             bidder = greedy_policy(read_grid_solution(args.policy, spec).values, spec)
-        traces = collect_rounds(spec, bidder, args.rounds, args.seed)
-    mean, stderr = summarize_utilities([tr.utility for tr in traces])
+        rec = collect_rounds(spec, bidder, args.rounds, args.seed)
+    mean, stderr = summarize_utilities(rec.utility)
     print(f"rounds {args.rounds}  mean utility {mean:.6f}  stderr {stderr:.6f}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        # Bit t of a round's holdings mask is won[t], as a Python int of any width.
+        masks = (int.from_bytes(row, "little")
+                 for row in np.packbits(rec.won, axis=1, bitorder="little"))
         _write_csv(out / "rounds.csv",
                    ["round", "utility", "final_endowment", "holdings_mask", "auctions_won"],
-                   ([r, tr.utility, tr.endowments[-1], holdings_mask(tr.final_holdings),
-                     sum(tr.won)] for r, tr in enumerate(traces)))
+                   zip(range(args.rounds), rec.utility.tolist(), rec.endowments[:, -1].tolist(),
+                       masks, rec.won.sum(axis=1).tolist()))
     return 0
 
 

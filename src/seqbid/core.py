@@ -24,9 +24,6 @@ from scipy.special import ndtr, ndtri
 
 from .pwl import PwlFunction
 
-Holdings = frozenset[int]
-
-
 def holdings_mask(held: Union[int, Iterable[int]]) -> int:
     """Pack resource indices into a bitmask; passes bitmasks through."""
     if isinstance(held, (int, np.integer)):
@@ -39,11 +36,6 @@ def holdings_mask(held: Union[int, Iterable[int]]) -> int:
             raise ValueError(f"resource index {i} out of range (1-based)")
         mask |= 1 << (i - 1)
     return mask
-
-
-def mask_holdings(mask: int) -> Holdings:
-    """Unpack a holdings bitmask into the set of resource indices."""
-    return frozenset(i + 1 for i in range(int(mask).bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,6 @@ class DiscreteMultinomial:
         # Capped before the cast, so that a bid beyond any int64 wins too.
         return self._cum[np.ceil(np.minimum(z, len(self.probs))).astype(np.int64)]
 
-    def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.probs)), self.probs))
-
     @cached_property
     def _sample_cdf(self) -> np.ndarray:
         # Generator.choice(len(p), p=p)'s own table, normalized as numpy
@@ -144,12 +133,6 @@ class TruncatedGaussian:
     def win_probability_vec(self, z: np.ndarray) -> np.ndarray:
         p = (ndtr((z - self.mean) / self.std) - self._f0) / self._scale
         return np.minimum(np.maximum(p, 0.0), 1.0)
-
-    def mean_value(self) -> float:
-        """Mean of the truncated distribution (not the underlying Gaussian)."""
-        a = -self.mean / self.std
-        phi_a = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
-        return self.mean + self.std * phi_a / self._scale
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """The high bids of uniform doubles u in [0, 1), through the inverse CDF."""
@@ -230,6 +213,7 @@ def terminal_value(held: Union[int, Iterable[int]], d, spec: ProblemSpec):
 
 
 _ENDOWMENT_SLACK = 1e-9
+_MIN_P_POSITIVE = 1e-6  # least P(w > 0) of a valid Gaussian: mean above about -4.75 std
 # discretize_distribution builds ceil(mean + 4 std) + 1 levels: refuse more than this
 # (a tuple of about 3 MB) before allocating any.
 _MAX_LEVELS = 100_001
@@ -327,9 +311,10 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
         if not isinstance(dist, kind):
             problems.append(f"distributions[{t}]: mode/distribution mismatch; "
                             f"{spec.mode} mode needs {label} distributions")
-        elif not discrete and not dist._scale >= 1e-6:  # mean below about -4.75 std
-            problems.append(f"distributions[{t}]: P(w > 0) = {dist._scale:.3g} is below 1e-06, "
-                            "so win probabilities would lose most of their digits")
+        elif not discrete and not dist._scale >= _MIN_P_POSITIVE:
+            problems.append(f"distributions[{t}]: P(w > 0) = {dist._scale:.3g} is below "
+                            f"{_MIN_P_POSITIVE:g}, so win probabilities would lose most of "
+                            "their digits")
     return problems
 
 

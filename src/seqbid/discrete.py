@@ -26,6 +26,10 @@ Bidder = Callable[[int, int, np.ndarray], np.ndarray]
 # above 4,000 (about 128 MB per float array) before allocating any.
 _MAX_LATTICE_CELLS = 4_001**2
 
+# Most components a sweep's plan reaches, stage n's included: tests and benchmarks reach a
+# few hundred, a 30-resource generator instance 749,631 (441,235 unsettled; 747 MB).
+_MAX_COMPONENTS = 400_000
+
 
 class Layer(dict):
     """One stage's stored components, keyed by holdings mask.
@@ -107,15 +111,20 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
     pass sets each reached component to leaf(mask), the closed form, or if it
     grew to its result from backup(t, jobs), which backs up a whole stage: jobs
     lists (mask, win, lose) for its grown components in ascending mask order,
-    win None when not reached.  Returns one dict of results per stage 0..n.
+    win None when not reached.  Returns one dict of results per stage 0..n; a plan is
+    refused as soon as it reaches more than _MAX_COMPONENTS components.
     """
     plan: list[list[tuple[int, Optional[bool]]]] = []
-    frontier = [0]
+    frontier, total = [0], 1
     for t in range(n):
         plan.append([(mask, grow(t, mask)) for mask in frontier])
         reached = {mask for mask, wins in plan[t] if wins is not None}
         reached.update(mask | 1 << t for mask, wins in plan[t] if wins)
         frontier = sorted(reached) or frontier[:1]
+        total += len(frontier)
+        if total > _MAX_COMPONENTS:
+            raise ValueError(f"n: the solve reaches {total:,} components by stage {t + 1}, "
+                             f"above the limit of {_MAX_COMPONENTS:,}")
     results = [dict() for _ in range(n)] + [{mask: leaf(mask) for mask in frontier}]
     for t in range(n - 1, -1, -1):
         nxt = results[t + 1]

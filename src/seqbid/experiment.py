@@ -25,6 +25,7 @@ import numpy as np
 from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_grid, solve_grids
 from .core import (
     _ENDOWMENT_SLACK,
+    _MIN_P_POSITIVE,
     Bundle,
     MODE_CONTINUOUS,
     ProblemSpec,
@@ -34,6 +35,7 @@ from .core import (
 from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
 from .io import (
     _read,
+    _shown,
     _table,
     _untable,
     _write_csv,
@@ -90,7 +92,11 @@ class GeneratorParams:
             ("residual_slope", 0 <= self.residual_slope < inf, "nonnegative and finite"),
         ):
             if not ok:
-                raise ValueError(f"{name}: {getattr(self, name)!r} must be {rule}")
+                raise ValueError(f"{name}: {_shown(getattr(self, name))} must be {rule}")
+        top = TruncatedGaussian(means[1], sqrt(self.bid_var))._scale  # no mean drawn is above
+        if not top >= _MIN_P_POSITIVE:
+            raise ValueError(f"bid_mean_range: a high of {means[1]!r} leaves P(w > 0) = "
+                             f"{top:.3g} < {_MIN_P_POSITIVE:g} at bid_var {self.bid_var!r}")
 
 
 def generate_instance(params: GeneratorParams) -> ProblemSpec:

@@ -62,8 +62,7 @@ def _read(value, kind, field: str):
     entries are tagged field if numbers, else field[i]."""
     if kind in (int, float) and type(value) in (int, float, str):
         if type(value) is int and not abs(value) <= sys.float_info.max:  # exact int compare
-            raise ValueError(f"{field}: a {value.bit_length()}-bit integer is beyond the "
-                             "float range")
+            raise ValueError(f"{field}: {_shown(value)} is beyond the float range")
         with suppress(ValueError):
             number = float(value)
             if kind is float or number.is_integer():  # Decimal: exact above 2**53 too
@@ -76,8 +75,14 @@ def _read(value, kind, field: str):
     if args and isinstance(value, list) and (len(value) == 2 or not pair):
         return get_origin(kind)(_read(v, args[0], field if args[0] in _KINDS else f"{field}[{i}]")
                                 for i, v in enumerate(value))
-    raise ValueError(f"{field}: {value!r} is not "
+    raise ValueError(f"{field}: {_shown(value)} is not "
                      f"{'a pair of numbers' if pair else 'a list' if args else _KINDS[kind]}")
+
+
+def _shown(value) -> str:
+    """repr(value) for a refusal, or "a N-bit integer" for an int of more than 64 bits."""
+    big = type(value) is int and value.bit_length() > 64
+    return f"a {value.bit_length()}-bit integer" if big else repr(value)
 
 
 def _table(cls, data: dict, field: str, **readers):

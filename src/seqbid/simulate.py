@@ -16,10 +16,12 @@ import numpy as np
 
 from .continuous import (_MAXIMIZER, CurveStack, HybridValueFunction, _distinct,
                          _maximize_batch, _maximize_pairs, _require_continuous)
-from .core import ProblemSpec, mask_holdings, terminal_value
+from .core import ProblemSpec, terminal_value
 from .discrete import Bidder, DiscreteSolution
 
-_MAX_ROUNDS = 1_000_000  # per collect_rounds call: about 2.1 GB of traces at n = 9
+# Most rounds * n cells per collect_rounds call: about 2.1 GB of traces, as a cell takes at
+# most 41 B (25 B of record, an 8 B uniform and, at n = 1, the round's 8 B of utility).
+_MAX_CELLS = 51_000_000
 
 
 def relative_sq_error(estimate: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -29,19 +31,7 @@ def relative_sq_error(estimate: np.ndarray, target: np.ndarray) -> np.ndarray:
                     diff * diff)
 
 
-@dataclass
-class RoundTrace:
-    """Everything observed in one simulated pass through the auction sequence."""
-
-    high_bids: tuple[float, ...]
-    bids: tuple[float, ...]
-    won: tuple[bool, ...]
-    endowments: tuple[float, ...]
-    final_holdings: frozenset
-    utility: float
-
-
-def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> RoundTrace:
+def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> np.record:
     """Run the n auctions once: round 0 of collect_rounds(spec, bidder, 1, seed)."""
     return collect_rounds(spec, bidder, 1, seed)[0]
 
@@ -51,21 +41,27 @@ def _rows_by_group(group: np.ndarray) -> list[np.ndarray]:
     return np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
 
 
-def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> list[RoundTrace]:
-    """Traces of `rounds` independent passes through the n auctions, at most _MAX_ROUNDS.
+def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> np.recarray:
+    """A record per round of `rounds` passes through the n auctions, rounds * n <= _MAX_CELLS.
 
-    Round r's stage-t high bid is u[r, t] through distributions[t].sample, u =
-    default_rng(seed).random((rounds, n)): a trace does not depend on the
-    rounds after it, and a lone round draws the doubles of default_rng(seed).
-    The rounds advance stage by stage; those holding the same resources share
-    one call bidder(t, holdings_mask, endowments), which must bid in
-    [0, endowment] for each.  A bid wins only by strictly exceeding the high bid.
+    high_bids[t], bids[t], won[t] and endowments[t] are stage t's high bid, bid, win and
+    the endowment after it; a round holds resource t + 1 exactly when won[t].  Round r's
+    stage-t high bid is u[r, t] through distributions[t].sample, u = default_rng(seed)
+    .random((rounds, n)): a trace does not depend on the rounds after it, and a lone round
+    draws the doubles of default_rng(seed).  The rounds advance stage by stage; those
+    holding the same resources share one call bidder(t, holdings_mask, endowments), which
+    must bid in [0, endowment] for each.  A bid wins only by strictly exceeding the high bid.
     """
-    if not 1 <= rounds <= _MAX_ROUNDS:
-        raise ValueError("need at least one round" if rounds < 1 else
-                         f"rounds: {rounds:,} is above the limit of {_MAX_ROUNDS:,}")
-    u = np.random.default_rng(seed).random((rounds, spec.n))
-    d, stages = np.full(rounds, float(spec.endowment)), []
+    n = spec.n
+    if not 1 <= rounds * n <= _MAX_CELLS:
+        raise ValueError("need at least one round" if rounds < 1 else f"rounds: {rounds:,} "
+                         f"rounds of {n:,} auctions are {rounds * n:,} cells, above the "
+                         f"limit of {_MAX_CELLS:,}")
+    u = np.random.default_rng(seed).random((rounds, n))
+    rec = np.recarray(rounds, [("high_bids", float, (n,)), ("bids", float, (n,)),
+                               ("won", bool, (n,)), ("endowments", float, (n,)),
+                               ("utility", float)])
+    d = np.full(rounds, float(spec.endowment))
     masks, group = [0], np.zeros(rounds, dtype=np.intp)  # holdings of each group; round's group
     for t, dist in enumerate(spec.distributions):
         w, z = dist.sample(u[:, t]).astype(float), np.empty(rounds)
@@ -76,21 +72,17 @@ def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> list
             raise ValueError(f"bidder returned infeasible bid {float(z[bad[0]])!r} at stage {t}")
         win = z > w
         d = np.where(win, d - np.minimum(z, d), d)
+        rec.high_bids[:, t], rec.bids[:, t], rec.won[:, t], rec.endowments[:, t] = w, z, win, d
         keys, group = np.unique(2 * group + win, return_inverse=True)
         masks = [masks[k >> 1] | (k & 1) << t for k in keys.tolist()]
-        stages.append((w, z, win, d))
-    utility = np.empty(rounds)
     for mask, rows in zip(masks, _rows_by_group(group)):
-        utility[rows] = terminal_value(mask, d[rows], spec)
-    holdings = [mask_holdings(mask) for mask in masks]
-    # Zipping a column's per-stage lists gives each round its tuple.
-    columns = [zip(*(a.tolist() for a in column)) for column in zip(*stages)]
-    return list(map(RoundTrace, *columns, map(holdings.__getitem__, group.tolist()),
-                    utility.tolist()))
+        rec.utility[rows] = terminal_value(mask, d[rows], spec)
+    return rec
 
 
-def summarize_utilities(utilities: list[float]) -> tuple[float, float]:
-    """Sample mean and standard error, order-independent."""
+def summarize_utilities(utilities) -> tuple[float, float]:
+    """Sample mean and standard error of a list or array of utilities, order-independent."""
+    utilities = np.asarray(utilities, dtype=float).tolist()  # Python floats for fsum
     rounds = len(utilities)
     mean = math.fsum(utilities) / rounds
     if rounds == 1:
@@ -103,7 +95,7 @@ def estimate_policy_value(
     spec: ProblemSpec, bidder: Bidder, rounds: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of a policy's realized utility."""
-    return summarize_utilities([tr.utility for tr in collect_rounds(spec, bidder, rounds, seed)])
+    return summarize_utilities(collect_rounds(spec, bidder, rounds, seed).utility)
 
 
 def constant_bid_policy(z: float) -> Bidder:

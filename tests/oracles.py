@@ -24,6 +24,7 @@ from scipy.special import ndtr, ndtri
 from seqbid import continuous
 from seqbid.continuous import GridSolution, UniformFixed, Vg1
 from seqbid.core import (
+    MODE_DISCRETE,
     Bundle,
     DiscreteMultinomial,
     ProblemSpec,
@@ -31,7 +32,7 @@ from seqbid.core import (
 )
 from seqbid.discrete import sweep
 from seqbid.pwl import PwlFunction, vg1_refine, vg2_refine
-from seqbid.simulate import ErrorReport, RoundTrace, StageErrors, _pooled, relative_sq_error
+from seqbid.simulate import ErrorReport, StageErrors, _pooled, relative_sq_error
 
 
 def _raw(spec: ProblemSpec):
@@ -123,7 +124,21 @@ class Replay(np.random.Generator):
         return self.us.pop(0)
 
 
-def scalar_round(spec: ProblemSpec, bid, rng: np.random.Generator) -> RoundTrace:
+def truncated_mean(mean: float, std: float) -> float:
+    """Mean of a Gaussian truncated below at zero: mean + std phi(a) / (1 - Phi(a)),
+    a = -mean / std."""
+    a = -mean / std
+    return mean + std * math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi) / float(ndtr(-a))
+
+
+def round_dtype(n: int) -> np.dtype:
+    """A simulated round's record: each stage's high bid, bid, win and endowment after it,
+    then the utility."""
+    return np.dtype([("high_bids", float, (n,)), ("bids", float, (n,)), ("won", bool, (n,)),
+                     ("endowments", float, (n,)), ("utility", float)])
+
+
+def scalar_round(spec: ProblemSpec, bid, rng: np.random.Generator) -> np.record:
     """One pass through the auctions, one stage at a time, as seqbid once ran it.
 
     Each stage draws its high bid from rng: rng.choice(len(probs), p=probs)
@@ -150,16 +165,40 @@ def scalar_round(spec: ProblemSpec, bid, rng: np.random.Generator) -> RoundTrace
         bids.append(z)
         won.append(win)
         endowments.append(d)
-    return RoundTrace(tuple(high_bids), tuple(bids), tuple(won), tuple(endowments),
-                      frozenset(i + 1 for i in range(n) if held >> i & 1), terminal(held, d))
+    return np.rec.array([(high_bids, bids, won, endowments, terminal(held, d))],
+                        dtype=round_dtype(n))[0]
 
 
-def reference_rounds(spec: ProblemSpec, bid, rounds: int, seed: int) -> list[RoundTrace]:
+def reference_rounds(spec: ProblemSpec, bid, rounds: int, seed: int) -> np.recarray:
     """Monte Carlo traces of the scalar bidder bid(t, holdings, d), one round
     at a time: round r runs scalar_round on row r of
     default_rng(seed).random((rounds, n)), replayed double by double."""
     us = np.random.default_rng(seed).random((rounds, spec.n))
-    return [scalar_round(spec, bid, Replay(row.tolist())) for row in us]
+    return np.array([scalar_round(spec, bid, Replay(row.tolist())) for row in us],
+                    dtype=round_dtype(spec.n)).view(np.recarray)
+
+
+def seventy_resources() -> ProblemSpec:
+    """Seventy auctions, one bundle per pair of them: holdings masks pass 2**64."""
+    return ProblemSpec(
+        n=70, bundles=tuple(Bundle(frozenset({i, i + 1}), 1.0) for i in range(1, 70, 2)),
+        endowment=100.0, residual=PwlFunction.linear(0.1, 0.0, 100.0),
+        distributions=(DiscreteMultinomial((0.5, 0.2, 0.3)),) * 70, mode=MODE_DISCRETE)
+
+
+def same_rounds(a, b) -> bool:
+    """Two records, or record arrays, of rounds alike in every field, bit for bit."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rounds_csv_bytes(rounds) -> bytes:
+    """seqbid simulate's rounds.csv of these rounds, one csv.writer row per round: the
+    holdings mask sets bit t for each auction t won."""
+    return csv_bytes(
+        ["round", "utility", "final_endowment", "holdings_mask", "auctions_won"],
+        ([r, float(tr.utility), float(tr.endowments[-1]),
+          sum(1 << t for t, won in enumerate(tr.won.tolist()) if won), int(tr.won.sum())]
+         for r, tr in enumerate(rounds)))
 
 
 def table_bid(solution):

@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from oracles import reference_rounds, rounds_csv_bytes, seventy_resources, table_bid
 from seqbid.cli import build_parser, main, parse_grid_strategy
 from seqbid.continuous import UniformFixed, Vg1, Vg2
 from seqbid.core import TruncatedGaussian, to_discrete
@@ -16,6 +17,7 @@ from seqbid.discrete import solve_discrete
 from seqbid.experiment import ExperimentConfig, config_to_dict
 from seqbid.io import read_discrete_solution, save_spec, spec_to_dict
 from seqbid.pwl import PwlFunction
+from seqbid.simulate import constant_bid_policy
 
 
 @pytest.fixture
@@ -137,6 +139,21 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: endowment: 5000 needs")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["discrete", "grid"])
+    def test_component_limit_is_bad_input(self, c2, tmp_path, capsys, monkeypatch, mode):
+        # c2's sweep reaches (0, 0), two stage-1 and four stage-2 components.
+        from seqbid import discrete
+
+        monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 6)
+        spec = tmp_path / "c2.json"
+        save_spec(c2, spec)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(spec), "--mode", mode, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: n: the solve reaches 7 components by stage 2, above the limit of 6\n")
+        assert not (tmp_path / "out").exists()
+
     def test_discretization_limit_is_bad_input(self, c1, tmp_path, capsys, monkeypatch):
         # A Gaussian that needs more levels than the limit is refused before any is built.
         from seqbid import core
@@ -233,6 +250,28 @@ class TestSimulateCommand:
         mean = sum(float(r["utility"]) for r in rows) / len(rows)
         assert abs(mean - 7.35) < 0.5
 
+    def test_rounds_csv_is_the_reference_bytes(self, t2, t2_file, tmp_path):
+        out = tmp_path / "solved"
+        main(["solve", str(t2_file), "--mode", "discrete", "--out", str(out)])
+        main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
+              "--rounds", "500", "--seed", "3", "--out", str(tmp_path / "rounds")])
+        expect = rounds_csv_bytes(reference_rounds(t2, table_bid(solve_discrete(t2)), 500, 3))
+        assert (tmp_path / "rounds" / "rounds.csv").read_bytes() == expect
+
+    def test_holdings_masks_beyond_64_bits(self, tmp_path, monkeypatch):
+        # No policy file of seventy_resources() can be solved for: every round bids min(1, d).
+        spec = seventy_resources()
+        save_spec(spec, tmp_path / "spec.json")
+        (tmp_path / "solution.csv").write_text("stage,holdings_mask,endowment,value,bid,settled\n")
+        monkeypatch.setattr("seqbid.cli.read_discrete_solution", lambda path, spec: None)
+        monkeypatch.setattr("seqbid.cli.table_policy", lambda _: constant_bid_policy(1.0))
+        main(["simulate", str(tmp_path / "spec.json"), "--policy", str(tmp_path / "solution.csv"),
+              "--rounds", "300", "--seed", "4", "--out", str(tmp_path / "rounds")])
+        written = (tmp_path / "rounds" / "rounds.csv").read_bytes()
+        assert written == rounds_csv_bytes(
+            reference_rounds(spec, lambda t, held, d: min(1.0, d), 300, 4))
+        assert max(int(line.split(b",")[3]) for line in written.splitlines()[1:]) >= 2**69
+
     def test_grid_policy(self, c1_file, tmp_path, capsys):
         out = tmp_path / "solved"
         main(["solve", str(c1_file), "--mode", "grid", "--grid", "fixed:5",
@@ -290,13 +329,14 @@ class TestSimulateCommand:
         out = tmp_path / "solved"
         main(["solve", str(t2_file), "--mode", "discrete", "--out", str(out)])
         capsys.readouterr()
-        monkeypatch.setattr(simulate, "_MAX_ROUNDS", 1000)
+        monkeypatch.setattr(simulate, "_MAX_CELLS", 1000)
         with pytest.raises(SystemExit) as exc:
             main(["simulate", str(t2_file), "--policy", str(out / "solution.csv"),
                   "--rounds", "1000000000000000"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
-            "error: rounds: 1,000,000,000,000,000 is above the limit of 1,000\n")
+            "error: rounds: 1,000,000,000,000,000 rounds of 2 auctions are "
+            "2,000,000,000,000,000 cells, above the limit of 1,000\n")
 
 
 class TestExperimentCommand:
@@ -372,7 +412,10 @@ class TestExperimentCommand:
          "generator.bid_mean_range: (3.0, inf) must be a (low, high) pair with high - low finite"),
         ({"generator": {"n_resources": 10_001}},
          "generator.n_resources: 10001 must be at least 1 and at most 10,000"),
-        ({"generator": {"n_bundles": 10**300}}, "generator.n_bundles: 1000000000000000000000"),
+        ({"generator": {"n_bundles": 10**300}},
+         "generator.n_bundles: a 997-bit integer must be at least 1 and at most 10,000\n"),
+        ({"generator": {"bid_mean_range": [-50, -40]}},
+         "generator.bid_mean_range: a high of -40.0 leaves P(w > 0) = 0 < 1e-06 at bid_var 0.5\n"),
     ])
     def test_config_every_experiment_fails_on_is_refused(self, tmp_path, capsys, monkeypatch,
                                                          cfg, message):
@@ -384,13 +427,19 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
         assert not (tmp_path / "x").exists()
 
-    def test_suite_whose_every_experiment_fails(self, tmp_path, capsys):
-        # Mean high bids near -45 leave P(w > 0) at 0: every generated spec is invalid.
+    def test_suite_whose_every_experiment_fails(self, tmp_path, capsys, monkeypatch):
+        # A mean high bid of -45 leaves P(w > 0) at 0: every generated spec is invalid.
+        from seqbid import experiment
+
+        def invalid(params, _generate=experiment.generate_instance):
+            spec = _generate(params)
+            return replace(spec, distributions=(TruncatedGaussian(-45.0, 0.5),) * spec.n)
+
+        monkeypatch.setattr(experiment, "generate_instance", invalid)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "n_experiments": 2, "runs": [{"kind": "discrete"}, {"kind": "fixed", "g": 5}],
-            "generator": {"n_resources": 3, "n_bundles": 1, "endowment": 4,
-                          "bid_mean_range": [-50, -40]}}))
+            "generator": {"n_resources": 3, "n_bundles": 1, "endowment": 4}}))
         out = tmp_path / "suite"
         assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()

@@ -13,7 +13,7 @@ from seqbid.core import (
     ProblemSpec,
 )
 from seqbid import discrete
-from seqbid.discrete import evaluate_policy_exact, solve_discrete
+from seqbid.discrete import evaluate_policy_exact, solve_discrete, sweep
 from seqbid.io import read_discrete_solution, write_discrete_solution
 from seqbid.pwl import PwlFunction
 
@@ -288,6 +288,25 @@ class TestSweep:
             # one call per component it visits below stage n
             assert len(calls) == n * (n + 1) // 2
             assert sum(len(layer) for layer in replay) == n * (n + 1) // 2 + n + 1
+
+    def test_components_above_the_limit_refused_before_any_backup(self, monkeypatch):
+        # wide_lattice(18) reaches 37 components: (0, 0), then two per stage.
+        spec, backups = wide_lattice(18), []
+
+        def grow(t, mask):
+            return None if spec.settled(t, mask) else True
+
+        monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 36)
+        with pytest.raises(ValueError, match=r"^n: the solve reaches 37 components by stage "
+                                             r"18, above the limit of 36$"):
+            sweep(spec.n, grow, lambda t, jobs: backups.append(t), lambda mask: 0.0)
+        assert backups == []
+        with pytest.raises(ValueError, match="^n: the solve reaches 37 components"):
+            solve_discrete(spec)
+        with pytest.raises(ValueError, match=r"^n: the solve reaches \d+ components"):
+            evaluate_policy_exact(spec, lambda t, mask, d: 0)
+        monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 37)
+        assert sum(map(len, solve_discrete(spec).stage_values)) == 37
 
     def test_optimal_policy_replays_the_solve_bit_for_bit(self):
         spec = wide_lattice(18)

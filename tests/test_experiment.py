@@ -217,10 +217,31 @@ class TestConfigDict:
         from seqbid.experiment import _MAX_DRAWS
 
         assert getattr(GeneratorParams(**{name: _MAX_DRAWS}), name) == _MAX_DRAWS
-        for count in (_MAX_DRAWS + 1, 10**300):
-            with pytest.raises(ValueError, match=f"^generator.{name}: {count} must be at least "
+        for count, shown in ((_MAX_DRAWS + 1, "10001"), (10**300, "a 997-bit integer")):
+            with pytest.raises(ValueError, match=f"^generator.{name}: {shown} must be at least "
                                                  f"1 and at most {_MAX_DRAWS:,}$"):
                 config_from_dict({"generator": {name: count}})
+
+    @pytest.mark.parametrize("value, shown", [(1e300, "a 997-bit integer"),
+                                              (10**300, "a 997-bit integer"),
+                                              (2**64, "a 65-bit integer")])
+    def test_a_huge_count_is_refused_in_a_short_message(self, value, shown):
+        # 1e300 reads as an exact 997-bit integer; its 301 digits used to be echoed.
+        with pytest.raises(ValueError, match=f"^generator.n_bundles: {shown} must be ") as err:
+            config_from_dict({"generator": {"n_bundles": value}})
+        assert len(str(err.value)) <= 80
+
+    @pytest.mark.parametrize("low, high, shown", [(-50, -40, "-40.0"), (-3.4, -3.4, "-3.4")])
+    def test_a_generator_of_only_invalid_instances_is_refused(self, low, high, shown):
+        # Every mean drawn is at most the high, whose P(w > 0) is already below
+        # validate_problem's threshold: no generated spec could be valid.
+        from seqbid.core import _MIN_P_POSITIVE
+
+        with pytest.raises(ValueError, match=rf"^generator.bid_mean_range: a high of {shown} "
+                                             r"leaves P\(w > 0\) = .* < 1e-06 at bid_var 0.5$"):
+            config_from_dict({"generator": {"bid_mean_range": [low, high]}})
+        assert TruncatedGaussian(-3.3, math.sqrt(0.5))._scale >= _MIN_P_POSITIVE
+        config_from_dict({"generator": {"bid_mean_range": [-50, -3.3]}})
 
     @pytest.mark.parametrize("name", ["bundle_size_mean", "bundle_size_std", "value_mean",
                                       "value_var", "bid_var", "endowment", "residual_slope"])

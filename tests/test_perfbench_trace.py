@@ -39,7 +39,7 @@ def test_every_patched_layer_records_a_span(c1, tmp_path, monkeypatch):
     assert {"core.validate", "continuous.maximize", "pwl.refine", "simulate.round"} <= layers
     assert sorted(layers - set(by_name)) == []
     # One bidder call per (stage, holdings) of the batch, and one per stage of the lone round.
-    groups = {(t, tr.won[:t]) for tr in traces for t in range(twin.n)}
+    groups = {(t, tuple(tr.won[:t])) for tr in traces for t in range(twin.n)}
     assert by_name["simulate.bidder"]["calls"] == len(groups) + twin.n
     assert by_name["simulate.round"]["calls"] == 1
     assert counts["discrete.policy_calls"] > 0

@@ -198,7 +198,8 @@ generators = st.builds(
     GeneratorParams, n_resources=st.integers(1, _MAX_DRAWS), n_bundles=st.integers(1, _MAX_DRAWS),
     bundle_size_mean=finite, bundle_size_std=st.floats(0.0, 1e300), value_mean=finite,
     value_var=st.floats(0.0, 1e300),
-    bid_mean_range=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(
+    # A high of 0 or more: a high whose P(w > 0) is below 1e-6 is refused.
+    bid_mean_range=st.tuples(st.floats(-1e300, 1e300), st.floats(0.0, 1e300)).map(
         lambda pair: tuple(sorted(pair))),
     bid_var=st.floats(0.0, 1e300, exclude_min=True), endowment=st.integers(1, 4000).map(float),
     residual_slope=st.floats(0.0, 1e300), seed=st.integers(0, 2**64))
