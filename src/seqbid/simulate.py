@@ -19,8 +19,12 @@ from .continuous import (_MAXIMIZER, CurveStack, HybridValueFunction, _distinct,
 from .core import ProblemSpec, terminal_value
 from .discrete import Bidder, DiscreteSolution
 
-# Most rounds * n cells per collect_rounds call: about 2.1 GB of traces, as a cell takes at
-# most 41 B (25 B of record, an 8 B uniform and, at n = 1, the round's 8 B of utility).
+# A collect_rounds batch of R rounds of n auctions counts R * (n + _ROUND_CELLS) cells, at
+# most _MAX_CELLS of them.  Each auction of a round takes 33 B (25 B of record and an 8 B
+# uniform); each round adds 70 to 260 B of stage vectors and group bookkeeping, the most
+# when n is near 20 and every round's holdings differ.  tracemalloc peaks stay under 38 B
+# a cell for n from 1 to 100, so a batch stays under 40 B a cell, about 2.0 GB.
+_ROUND_CELLS = 4
 _MAX_CELLS = 51_000_000
 
 
@@ -36,13 +40,8 @@ def simulate_round(spec: ProblemSpec, bidder: Bidder, seed) -> np.record:
     return collect_rounds(spec, bidder, 1, seed)[0]
 
 
-def _rows_by_group(group: np.ndarray) -> list[np.ndarray]:
-    """The ascending indices of the rounds in each group 0, 1, ..., group.max()."""
-    return np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-
-
 def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> np.recarray:
-    """A record per round of `rounds` passes through the n auctions, rounds * n <= _MAX_CELLS.
+    """A record per round of `rounds` passes through the n auctions, at most _MAX_CELLS cells.
 
     high_bids[t], bids[t], won[t] and endowments[t] are stage t's high bid, bid, win and
     the endowment after it; a round holds resource t + 1 exactly when won[t].  Round r's
@@ -53,41 +52,64 @@ def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> np.r
     must bid in [0, endowment] for each.  A bid wins only by strictly exceeding the high bid.
     """
     n = spec.n
-    if not 1 <= rounds * n <= _MAX_CELLS:
+    cells = rounds * (n + _ROUND_CELLS)
+    if rounds < 1 or cells > _MAX_CELLS:
         raise ValueError("need at least one round" if rounds < 1 else f"rounds: {rounds:,} "
-                         f"rounds of {n:,} auctions are {rounds * n:,} cells, above the "
-                         f"limit of {_MAX_CELLS:,}")
+                         f"rounds of {n:,} auctions count {cells:,} cells (n + {_ROUND_CELLS} "
+                         f"a round), above the limit of {_MAX_CELLS:,}")
     u = np.random.default_rng(seed).random((rounds, n))
     rec = np.recarray(rounds, [("high_bids", float, (n,)), ("bids", float, (n,)),
                                ("won", bool, (n,)), ("endowments", float, (n,)),
                                ("utility", float)])
-    d = np.full(rounds, float(spec.endowment))
-    masks, group = [0], np.zeros(rounds, dtype=np.intp)  # holdings of each group; round's group
+    fields = rec.view(np.ndarray)
+    columns = [fields[name] for name in ("high_bids", "bids", "won", "endowments")]
+    d, z = np.full(rounds, float(spec.endowment)), np.empty(rounds)
+    # Group g holds masks[g]; its rounds are order[bounds[g]:bounds[g + 1]], ascending, and
+    # group[r] is round r's group.
+    masks, bounds = [0], [0, rounds]
+    group, order = np.zeros(rounds, dtype=np.intp), np.arange(rounds)
     for t, dist in enumerate(spec.distributions):
-        w, z = dist.sample(u[:, t]).astype(float), np.empty(rounds)
-        for mask, rows in zip(masks, _rows_by_group(group)):
-            z[rows] = bidder(t, mask, d[rows])
-        bad = np.flatnonzero(~((z >= 0.0) & (z <= d + 1e-9)))
-        if len(bad):
-            raise ValueError(f"bidder returned infeasible bid {float(z[bad[0]])!r} at stage {t}")
+        w = dist.sample(u[:, t]).astype(float)
+        for mask, a, b in zip(masks, bounds, bounds[1:]):
+            r = order[a:b]
+            z[r] = bidder(t, mask, d[r])
+        ok = (z >= 0.0) & (z <= d + 1e-9)
+        if not ok.all():
+            raise ValueError(f"bidder returned infeasible bid {float(z[~ok][0])!r} at stage {t}")
         win = z > w
         d = np.where(win, d - np.minimum(z, d), d)
-        rec.high_bids[:, t], rec.bids[:, t], rec.won[:, t], rec.endowments[:, t] = w, z, win, d
-        keys, group = np.unique(2 * group + win, return_inverse=True)
+        for column, value in zip(columns, (w, z, win, d)):
+            column[:, t] = value
+        # Split each group by this stage's win: the groups that follow are numbered by
+        # ascending key = 2 group + win, each group's losers before its winners.
+        key = 2 * group + win
+        count = np.bincount(key, minlength=2 * len(masks))
+        keys = count.nonzero()[0]
+        group = ((count > 0).cumsum() - 1)[key]
+        order = group.argsort(kind="stable")
+        bounds = [0, *count[keys].cumsum().tolist()]
         masks = [masks[k >> 1] | (k & 1) << t for k in keys.tolist()]
-    for mask, rows in zip(masks, _rows_by_group(group)):
-        rec.utility[rows] = terminal_value(mask, d[rows], spec)
+    utility = fields["utility"]
+    for mask, a, b in zip(masks, bounds, bounds[1:]):
+        r = order[a:b]
+        utility[r] = terminal_value(mask, d[r], spec)
     return rec
+
+
+def _python_floats(values: np.ndarray):
+    """The elements of a float array as Python floats, converted 65,536 at a time."""
+    for i in range(0, len(values), 1 << 16):
+        yield from values[i:i + (1 << 16)].tolist()
 
 
 def summarize_utilities(utilities) -> tuple[float, float]:
     """Sample mean and standard error of a list or array of utilities, order-independent."""
-    utilities = np.asarray(utilities, dtype=float).tolist()  # Python floats for fsum
+    utilities = np.asarray(utilities, dtype=float)
     rounds = len(utilities)
-    mean = math.fsum(utilities) / rounds
+    mean = math.fsum(_python_floats(utilities)) / rounds
     if rounds == 1:
         return mean, 0.0
-    var = math.fsum((u - mean) ** 2 for u in utilities) / (rounds - 1)
+    var = math.fsum((u - mean) ** 2 for u in _python_floats(utilities)) / (rounds - 1)
     return mean, math.sqrt(var / rounds)
 
 

@@ -335,8 +335,8 @@ class TestSimulateCommand:
                   "--rounds", "1000000000000000"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
-            "error: rounds: 1,000,000,000,000,000 rounds of 2 auctions are "
-            "2,000,000,000,000,000 cells, above the limit of 1,000\n")
+            "error: rounds: 1,000,000,000,000,000 rounds of 2 auctions count "
+            "6,000,000,000,000,000 cells (n + 4 a round), above the limit of 1,000\n")
 
 
 class TestExperimentCommand:

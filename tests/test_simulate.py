@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_rounds, same_rounds, scalar_round, seventy_resources, table_bid
+from oracles import (random_micro_instance, random_small_instance, reference_rounds, same_rounds,
+                     scalar_round, seventy_resources, table_bid)
 from seqbid.continuous import (_MAXIMIZER, HybridValueFunction, UniformFixed, _maximize_batch,
                                solve_grid)
 from seqbid.core import (
@@ -137,12 +142,30 @@ class TestCollectRounds:
         # The limit is lowered, so no test allocates a refused batch.
         from seqbid import simulate
 
-        monkeypatch.setattr(simulate, "_MAX_CELLS", 10)
+        monkeypatch.setattr(simulate, "_MAX_CELLS", 12)
         bidder = table_policy(solve_discrete(t2))
-        assert len(collect_rounds(t2, bidder, 5, seed=0)) == 5
-        with pytest.raises(ValueError, match=r"^rounds: 6 rounds of 2 auctions are 12 cells, "
-                                             r"above the limit of 10$"):
-            collect_rounds(t2, bidder, 6, seed=0)
+        assert len(collect_rounds(t2, bidder, 2, seed=0)) == 2
+        with pytest.raises(ValueError, match=r"^rounds: 3 rounds of 2 auctions count 18 cells "
+                                             r"\(n \+ 4 a round\), above the limit of 12$"):
+            collect_rounds(t2, bidder, 3, seed=0)
+
+    def test_peak_stays_under_the_documented_bytes_a_cell(self, t1, monkeypatch):
+        # The cap's comment and README promise at most 40 B of peak memory per cell the
+        # cap counts.  At n = 1 a round's stage vectors outweigh its one auction's record.
+        from seqbid import simulate
+
+        bidder, rounds = table_policy(solve_discrete(t1)), 200_000
+        tracemalloc.start()
+        try:
+            collect_rounds(t1, bidder, rounds, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(simulate, "_MAX_CELLS", 0)
+        with pytest.raises(ValueError) as refused:
+            collect_rounds(t1, bidder, rounds, seed=0)
+        cells = int(re.search(r"([\d,]+) cells", str(refused.value)).group(1).replace(",", ""))
+        assert peak <= 40 * cells
 
     def test_spec_is_not_validated_again(self, t2, monkeypatch):
         import sys
@@ -241,6 +264,32 @@ class TestBatchStream:
                 expect.setdefault(mask, []).append(tr.endowments[t - 1] if t else spec.endowment)
             assert {mask: d.tolist() for s, mask, d in calls if s == t} == expect
 
+    @settings(max_examples=60, deadline=None)
+    @given(instance=st.integers(0, 2**32 - 1), micro=st.booleans(),
+           rounds=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_regrouping_matches_the_reference_loop(self, instance, micro, rounds, seed):
+        # A bid level per (stage, holdings) splits the groups unevenly: some win every
+        # auction they reach, some none, so holdings diverge stage by stage.
+        rng = np.random.default_rng(instance)
+        spec = random_micro_instance(rng) if micro else random_small_instance(rng)
+        levels = (1.3, 0.6, 2.4, 0.0, 5.0)
+
+        def level(t, mask):
+            return levels[(2 * t + 3 * mask) % len(levels)]
+
+        calls = []
+
+        def bidder(t, mask, d):
+            calls.append((t, mask))
+            return np.minimum(level(t, mask), d)
+
+        traces = collect_rounds(spec, bidder, rounds, seed)
+        assert same_rounds(traces, reference_rounds(
+            spec, lambda t, held, d: min(level(t, held), d), rounds, seed))
+        assert sorted(calls) == sorted(
+            {(t, sum(1 << i for i in range(t) if tr.won[i])) for tr in traces
+             for t in range(spec.n)})
+
     def test_infeasible_array_bid_is_reported_as_a_float(self, t1):
         def bidder(t, mask, d):
             assert isinstance(d, np.ndarray)
@@ -276,6 +325,22 @@ class TestSummarize:
                            / (len(listed) - 1) / len(listed))
         assert summarize_utilities(rec.utility) == (mean, stderr)
         assert summarize_utilities([tr.utility for tr in rec]) == (mean, stderr)
+
+    def test_a_million_utilities_are_summed_a_chunk_at_a_time(self):
+        utilities = np.random.default_rng(0).random(1_000_000) * 20.0
+        listed = utilities.tolist()
+        mean = math.fsum(listed) / len(listed)
+        stderr = math.sqrt(math.fsum((u - mean) ** 2 for u in listed)
+                           / (len(listed) - 1) / len(listed))
+        del listed
+        tracemalloc.start()
+        try:
+            assert summarize_utilities(utilities) == (mean, stderr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Python floats of the whole column would take 32 MB; one chunk takes about 2 MB.
+        assert peak < 4_000_000
 
     def test_matches_numpy(self):
         vals = [1.0, 2.0, 4.0, 8.0]
