@@ -104,6 +104,11 @@ class DiscreteMultinomial:
         return np.searchsorted(self._sample_cdf, u, side="right")
 
 
+def _p_positive(mean: float, std: float) -> float:
+    """P(w > 0) of an untruncated Gaussian high bid: the mass truncation keeps."""
+    return 1.0 - float(ndtr(-mean / std))
+
+
 @dataclass(frozen=True)
 class TruncatedGaussian:
     """Gaussian high-bid distribution truncated below at zero and renormalized."""
@@ -116,6 +121,9 @@ class TruncatedGaussian:
             raise ValueError(f"std: {self.std!r} must be positive and finite")
         if not math.isfinite(self.mean):
             raise ValueError(f"mean: {self.mean!r} must be finite")
+        if not self._scale >= _MIN_P_POSITIVE:
+            raise ValueError(f"mean: {self.mean!r} with std {self.std!r} leaves P(w > 0) = "
+                             f"{self._scale:.3g}, below {_MIN_P_POSITIVE:g}")
 
     @cached_property
     def _f0(self) -> float:
@@ -123,7 +131,7 @@ class TruncatedGaussian:
 
     @cached_property
     def _scale(self) -> float:
-        return 1.0 - self._f0
+        return _p_positive(self.mean, self.std)
 
     def win_probability(self, z: float) -> float:
         if not z >= 0:
@@ -237,18 +245,23 @@ def discretize_distribution(g: TruncatedGaussian) -> DiscreteMultinomial:
     return DiscreteMultinomial(tuple(masses))
 
 
+def _tagged(tag: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised again with tag before the message."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"{tag}{err}") from None
+
+
 def to_discrete(spec: ProblemSpec) -> ProblemSpec:
     """Discrete-mode copy of a spec, discretizing any Gaussian distributions."""
     if abs(spec.endowment - round(spec.endowment)) > _ENDOWMENT_SLACK:
         raise ValueError("discrete mode needs an integer endowment")
-    dists = []
-    for t, d in enumerate(spec.distributions):
-        try:
-            dists.append(discretize_distribution(d) if isinstance(d, TruncatedGaussian) else d)
-        except ValueError as err:
-            raise ValueError(f"distributions[{t}].{err}") from None
+    dists = tuple(_tagged(f"distributions[{t}].", discretize_distribution, d)
+                  if isinstance(d, TruncatedGaussian) else d
+                  for t, d in enumerate(spec.distributions))
     return replace(spec, endowment=float(round(spec.endowment)),
-                   distributions=tuple(dists), mode=MODE_DISCRETE)
+                   distributions=dists, mode=MODE_DISCRETE)
 
 
 def validate_problem(spec: ProblemSpec) -> list[str]:
@@ -311,10 +324,6 @@ def validate_problem(spec: ProblemSpec) -> list[str]:
         if not isinstance(dist, kind):
             problems.append(f"distributions[{t}]: mode/distribution mismatch; "
                             f"{spec.mode} mode needs {label} distributions")
-        elif not discrete and not dist._scale >= _MIN_P_POSITIVE:
-            problems.append(f"distributions[{t}]: P(w > 0) = {dist._scale:.3g} is below "
-                            f"{_MIN_P_POSITIVE:g}, so win probabilities would lose most of "
-                            "their digits")
     return problems
 
 

@@ -26,6 +26,8 @@ from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_g
 from .core import (
     _ENDOWMENT_SLACK,
     _MIN_P_POSITIVE,
+    _p_positive,
+    _tagged,
     Bundle,
     MODE_CONTINUOUS,
     ProblemSpec,
@@ -93,7 +95,7 @@ class GeneratorParams:
         ):
             if not ok:
                 raise ValueError(f"{name}: {_shown(getattr(self, name))} must be {rule}")
-        top = TruncatedGaussian(means[1], sqrt(self.bid_var))._scale  # no mean drawn is above
+        top = _p_positive(means[1], sqrt(self.bid_var))  # no mean drawn is above
         if not top >= _MIN_P_POSITIVE:
             raise ValueError(f"bid_mean_range: a high of {means[1]!r} leaves P(w > 0) = "
                              f"{top:.3g} < {_MIN_P_POSITIVE:g} at bid_var {self.bid_var!r}")
@@ -124,10 +126,8 @@ def generate_instance(params: GeneratorParams) -> ProblemSpec:
         Bundle(frozenset(renumber[i] for i in mem.tolist()), float(v))
         for mem, v in zip(members, values)
     )
-    dists = tuple(
-        TruncatedGaussian(float(bid_means[old - 1]), sqrt(params.bid_var))
-        for old in kept
-    )
+    dists = tuple(_tagged(f"distributions[{t}].", TruncatedGaussian, float(bid_means[old - 1]),
+                          sqrt(params.bid_var)) for t, old in enumerate(kept))
     return ProblemSpec(
         n=len(kept),
         bundles=bundles,

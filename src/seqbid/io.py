@@ -38,6 +38,7 @@ from .core import (
     DiscreteMultinomial,
     ProblemSpec,
     TruncatedGaussian,
+    _tagged,
 )
 from .discrete import DiscreteSolution, _lattice, _solution
 from .pwl import PwlFunction
@@ -113,14 +114,6 @@ def _untable(obj, skip=(), **writers) -> dict:
 
     return {f.name: write(getattr(obj, f.name), f.name)
             for f in fields(obj) if f.name not in skip}
-
-
-def _tagged(tag: str, make, /, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError raised again with tag before the message."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as err:
-        raise ValueError(f"{tag}{err}") from None
 
 
 def spec_from_dict(data: dict) -> ProblemSpec:

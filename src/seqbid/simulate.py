@@ -16,7 +16,7 @@ import numpy as np
 
 from .continuous import (_MAXIMIZER, CurveStack, HybridValueFunction, _distinct,
                          _maximize_batch, _maximize_pairs, _require_continuous)
-from .core import ProblemSpec, terminal_value
+from .core import ProblemSpec
 from .discrete import Bidder, DiscreteSolution
 
 # A collect_rounds batch of R rounds of n auctions counts R * (n + _ROUND_CELLS) cells, at
@@ -57,19 +57,19 @@ def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> np.r
         raise ValueError("need at least one round" if rounds < 1 else f"rounds: {rounds:,} "
                          f"rounds of {n:,} auctions count {cells:,} cells (n + {_ROUND_CELLS} "
                          f"a round), above the limit of {_MAX_CELLS:,}")
-    u = np.random.default_rng(seed).random((rounds, n))
+    u = np.random.default_rng(seed).random((rounds, n)).T.copy()  # stage t draws row u[t]
     rec = np.recarray(rounds, [("high_bids", float, (n,)), ("bids", float, (n,)),
                                ("won", bool, (n,)), ("endowments", float, (n,)),
                                ("utility", float)])
     fields = rec.view(np.ndarray)
     columns = [fields[name] for name in ("high_bids", "bids", "won", "endowments")]
     d, z = np.full(rounds, float(spec.endowment)), np.empty(rounds)
-    # Group g holds masks[g]; its rounds are order[bounds[g]:bounds[g + 1]], ascending, and
-    # group[r] is round r's group.
-    masks, bounds = [0], [0, rounds]
-    group, order = np.zeros(rounds, dtype=np.intp), np.arange(rounds)
+    # Group g holds masks[g] and round r is in group[r]; a stable sort of the narrowest ids
+    # (radix for 16 bits) lists group g's rounds, ascending, at order[bounds[g]:bounds[g + 1]].
+    masks, bounds, group = [0], [0, rounds], np.zeros(rounds, dtype=np.intp)
     for t, dist in enumerate(spec.distributions):
-        w = dist.sample(u[:, t]).astype(float)
+        w = dist.sample(u[t]).astype(float)
+        order = group.astype(np.min_scalar_type(len(masks) - 1)).argsort(kind="stable")
         for mask, a, b in zip(masks, bounds, bounds[1:]):
             r = order[a:b]
             z[r] = bidder(t, mask, d[r])
@@ -86,13 +86,11 @@ def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> np.r
         count = np.bincount(key, minlength=2 * len(masks))
         keys = count.nonzero()[0]
         group = ((count > 0).cumsum() - 1)[key]
-        order = group.argsort(kind="stable")
         bounds = [0, *count[keys].cumsum().tolist()]
         masks = [masks[k >> 1] | (k & 1) << t for k in keys.tolist()]
-    utility = fields["utility"]
-    for mask, a, b in zip(masks, bounds, bounds[1:]):
-        r = order[a:b]
-        utility[r] = terminal_value(mask, d[r], spec)
+    # Feasible bids keep d in [0, endowment], so this is terminal_value's sum, bit for bit.
+    bundle_values = np.array([spec.bundle_value(mask) for mask in masks])
+    fields["utility"] = bundle_values[group] + spec.residual.values(d)
     return rec
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -427,19 +428,14 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith(f"error: bad experiment config: {message}")
         assert not (tmp_path / "x").exists()
 
-    def test_suite_whose_every_experiment_fails(self, tmp_path, capsys, monkeypatch):
-        # A mean high bid of -45 leaves P(w > 0) at 0: every generated spec is invalid.
-        from seqbid import experiment
-
-        def invalid(params, _generate=experiment.generate_instance):
-            spec = _generate(params)
-            return replace(spec, distributions=(TruncatedGaussian(-45.0, 0.5),) * spec.n)
-
-        monkeypatch.setattr(experiment, "generate_instance", invalid)
+    def test_suite_whose_every_experiment_fails(self, tmp_path, capsys):
+        # Means drawn from [-45, -3] at std 0.71 leave P(w > 0) at 0 for nearly every
+        # resource, so every generated instance is refused at the law of its first resource.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "n_experiments": 2, "runs": [{"kind": "discrete"}, {"kind": "fixed", "g": 5}],
-            "generator": {"n_resources": 3, "n_bundles": 1, "endowment": 4}}))
+            "generator": {"n_resources": 3, "n_bundles": 1, "endowment": 4,
+                          "bid_mean_range": [-45, -3]}}))
         out = tmp_path / "suite"
         assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -450,8 +446,11 @@ class TestExperimentCommand:
             b"mean_max_sq_policy_error\r\n")
         statuses = [e["status"] for e in json.loads((out / "manifest.json").read_text())
                     ["experiments"]]
-        assert [s.split(":\n")[0] for s in statuses] == [
-            "error: ValueError: invalid problem spec"] * 2
+        assert len(statuses) == 2
+        for status in statuses:
+            assert re.fullmatch(r"error: ValueError: distributions\[0\]\.mean: -\d+\.\d+ with "
+                                r"std 0\.7071067811865476 leaves P\(w > 0\) = 0, below 1e-06",
+                                status), status
 
     @pytest.mark.parametrize("cfg, message", [
         ({"generator": {"endowmnet": 5}}, "generator.endowmnet: unknown setting"),

@@ -520,8 +520,9 @@ class TestStackedMaximizer:
         size = data.draw(st.integers(2, 8))
         pairs = [(random_curve(data, m, [2, 5, 15]), random_curve(data, m, [2, 3, 7]))
                  for _ in range(size)]
-        laws = [TruncatedGaussian(data.draw(st.floats(-1.0, m)), data.draw(st.floats(0.1, 3.0)))
-                for _ in pairs]
+        stds = [data.draw(st.floats(0.1, 3.0)) for _ in pairs]  # P(w > 0) >= 3.4e-6
+        laws = [TruncatedGaussian(data.draw(st.floats(max(-1.0, -4.5 * std), m)), std)
+                for std in stds]
         width = data.draw(st.integers(1, 5))
         row = st.lists(st.floats(0.0, m), min_size=width, max_size=width)
         rows = np.array([data.draw(row)] * size if data.draw(st.booleans())

@@ -333,13 +333,13 @@ class TestDiscretization:
         assert np.dot(np.arange(len(d.probs)), d.probs) == pytest.approx(
             truncated_mean(g.mean, g.std), abs=0.05)
 
-    @pytest.mark.parametrize("mean, std", [(-3.0, 0.707), (-6.65, 1.4), (-50.0, 1.0)])
+    @pytest.mark.parametrize("mean, std", [(-3.0, 0.707), (-6.65, 1.4), (-47.0, 10.0)])
     def test_no_level_above_zero_is_one_level(self, c1, mean, std):
-        # ceil(mean + 4 std) is 0, -1 and -46: every high bid is level 0.
+        # ceil(mean + 4 std) is 0, -1 and -7: every high bid is level 0.  P(w > 0) is
+        # 1.1e-5, 1.0e-6 and 1.3e-6, so each law is valid.
         assert discretize_distribution(TruncatedGaussian(mean, std)).probs == (1.0,)
-        if mean > -10:  # P(w > 0) = 1.1e-5 and 1.0e-6: valid specs
-            twin = to_discrete(replace(c1, distributions=(TruncatedGaussian(mean, std),)))
-            assert twin.distributions == (DiscreteMultinomial((1.0,)),)
+        twin = to_discrete(replace(c1, distributions=(TruncatedGaussian(mean, std),)))
+        assert twin.distributions == (DiscreteMultinomial((1.0,)),)
 
 
 class TestToDiscrete:
@@ -445,12 +445,24 @@ class TestValidation:
 
     def test_deep_tail_gaussian_rejected(self, c1):
         # P(w > 0) is 0.0 at mean -50 std 0.5, 2.9e-7 at -5 std, 3.4e-6 at -4.5 std.
-        for mean, bad in ((-50.0, True), (-2.5, True), (-2.25, False), (1.0, False)):
+        for mean, shown in ((-50.0, "0"), (-2.5, "2.87e-07")):
+            with pytest.raises(ValueError, match=rf"^mean: {mean} with std 0\.5 leaves "
+                                                 rf"P\(w > 0\) = {shown}, below 1e-06$"):
+                TruncatedGaussian(mean, 0.5)
+            data = spec_to_dict(c1)
+            data["distributions"][0]["mean"] = mean
+            with pytest.raises(ValueError, match=r"^distributions\[0\]\.mean: "):
+                spec_from_dict(data)
+        for mean in (-2.25, 1.0):
             dists = (TruncatedGaussian(mean, 0.5),)
-            if bad:
-                refused(c1, r"distributions\[0\]: P\(w > 0\) = ", distributions=dists)
-            else:
-                assert validate_problem(replace(c1, distributions=dists)) == []
+            assert validate_problem(replace(c1, distributions=dists)) == []
+
+    def test_a_law_with_no_mass_above_zero_is_refused(self):
+        # ndtr(9.14) rounds to 1.0: the law would divide 0 by 0, a nan win probability and
+        # an inf high bid.
+        with pytest.raises(ValueError,
+                           match=r"^mean: -1\.0 with std 0\.109375 leaves P\(w > 0\) = 0,"):
+            TruncatedGaussian(-1.0, 0.109375)
 
     def test_spec_file_member_must_be_integral(self, t2):
         data = spec_to_dict(t2)

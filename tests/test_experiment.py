@@ -233,8 +233,8 @@ class TestConfigDict:
 
     @pytest.mark.parametrize("low, high, shown", [(-50, -40, "-40.0"), (-3.4, -3.4, "-3.4")])
     def test_a_generator_of_only_invalid_instances_is_refused(self, low, high, shown):
-        # Every mean drawn is at most the high, whose P(w > 0) is already below
-        # validate_problem's threshold: no generated spec could be valid.
+        # Every mean drawn is at most the high, whose P(w > 0) is already below the
+        # threshold a TruncatedGaussian refuses: no generated law could be built.
         from seqbid.core import _MIN_P_POSITIVE
 
         with pytest.raises(ValueError, match=rf"^generator.bid_mean_range: a high of {shown} "

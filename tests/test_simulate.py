@@ -290,6 +290,48 @@ class TestBatchStream:
             {(t, sum(1 << i for i in range(t) if tr.won[i])) for tr in traces
              for t in range(spec.n)})
 
+    @pytest.mark.parametrize("kind", ["micro", "gaussian", "seventy"])
+    def test_utility_is_terminal_value_bit_for_bit(self, kind):
+        # Bids of all the endowment leave some rounds at exactly 0.
+        spec, top = {"micro": (random_micro_instance(np.random.default_rng(11)), 5.0),
+                     "gaussian": (generate_instance(GeneratorParams(seed=1000)), 30.0),
+                     "seventy": (seventy_resources(), 100.0)}[kind]
+        levels = (1.3, 0.6, top, 0.0, 4.5)
+        traces = collect_rounds(spec, lambda t, mask, d: np.minimum(levels[(t + mask) % 5], d),
+                                400, 5)
+        assert (traces.endowments[:, -1] == 0.0).any()
+        for tr in traces:
+            mask = sum(1 << t for t, won in enumerate(tr.won.tolist()) if won)
+            want = terminal_value(mask, tr.endowments[-1], spec)
+            assert float(tr.utility).hex() == float(want).hex()
+
+    def test_more_groups_than_a_narrow_sort_key_holds(self):
+        # Twenty fair coins that a bid in (0, 1] beats only at level 0: 100,000 rounds reach
+        # about 90,800 holdings before the last stage, so that stage sorts group ids wider
+        # than 16 bits, which numpy does not sort by radix.  The bid tells the holdings.
+        n = 20
+        spec = ProblemSpec(n=n, bundles=(Bundle(frozenset(range(1, n + 1)), 100.0),
+                                         Bundle(frozenset({1, 2}), 5.0)),
+                           endowment=float(n), residual=PwlFunction.linear(0.7, 0.0, float(n)),
+                           distributions=(DiscreteMultinomial((0.5, 0.5)),) * n,
+                           mode=MODE_DISCRETE)
+        calls = []
+
+        def bidder(t, mask, d):
+            calls.append((t, mask))
+            return np.full(d.shape, 0.5 + mask % 3 / 4)
+
+        traces = collect_rounds(spec, bidder, 100_000, 2)
+        held = traces.won.astype(np.int64) * (1 << np.arange(n))
+        before = [held[:, :t].sum(axis=1) for t in range(n + 1)]
+        assert len(np.unique(before[n - 1])) > 1 << 16
+        assert (traces.bids == 0.5 + np.stack(before[:n], axis=1) % 3 / 4).all()
+        assert sorted(calls) == [(t, int(mask)) for t in range(n) for mask in np.unique(before[t])]
+        finals = held.sum(axis=1).tolist()
+        for tr, mask in zip(traces, finals):
+            want = terminal_value(mask, tr.endowments[-1], spec)
+            assert float(tr.utility).hex() == float(want).hex()
+
     def test_infeasible_array_bid_is_reported_as_a_float(self, t1):
         def bidder(t, mask, d):
             assert isinstance(d, np.ndarray)
