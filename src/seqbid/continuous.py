@@ -26,7 +26,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, TruncatedGaussian, holdings_mask
-from .discrete import Layer, Settled, sweep
+from .discrete import _MAX_STACK_CELLS, Layer, Settled, sweep
 from .pwl import MAX_KNOTS, PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
 
@@ -166,9 +166,6 @@ class GridSolution:
     settled: Set
 
 
-# Cells of per-pair scan temporaries in one stacked block: bigger blocks save
-# no time and raise peak memory.
-_MAX_STACK_CELLS = 16_384
 # Candidates per block of _scan_cells, which keeps several arrays of this size.
 _MAX_CELL_BLOCK = 4_096
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

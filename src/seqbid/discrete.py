@@ -1,12 +1,11 @@
 """Exact solver for discrete-mode auction sequences.
 
-States are (stage, holdings, integer endowment).  A state whose holdings can
-no longer be improved by any affordable future bundle is settled: its value is
-the terminal payoff of standing pat and its optimal bid is 0.  Later holdings
-that extend settled ones are settled too, so every unsettled component is
-reachable from (0, 0) through unsettled ones.  `sweep`, the package's one
-backward pass, backs up only those and takes settled and terminal successors
-in closed form: work grows with the unsettled components, not with 2^n.
+States are (stage, holdings, integer endowment).  A state whose holdings can no longer be
+improved by any affordable future bundle is settled: its value is the terminal payoff of
+standing pat and its optimal bid is 0.  Later holdings that extend settled ones are settled
+too, so every unsettled component is reachable from (0, 0) through unsettled ones.  `sweep`,
+the package's one backward pass, backs up only those and takes settled and terminal
+successors in closed form: work grows with the unsettled components, not with 2^n.
 """
 
 from __future__ import annotations
@@ -22,10 +21,11 @@ from .core import MODE_DISCRETE, ProblemSpec, holdings_mask
 # bidder(t, holdings_mask, endowments) -> a bid per endowment, or one bid for them all.
 Bidder = Callable[[int, int, np.ndarray], np.ndarray]
 
-# solve_discrete holds (e + 1)^2-cell arrays per stage: refuse endowments
-# above 4,000 (about 128 MB per float array) before allocating any.
-_MAX_LATTICE_CELLS = 4_001**2
-
+# _lattice refuses an endowment above this before it allocates anything, so the exact
+# solver, the exact evaluator and the discrete solution reader refuse it alike.
+_MAX_ENDOWMENT = 4_000
+# Scores per stacked block of backups in either solver; bigger blocks mostly add memory.
+_MAX_STACK_CELLS = 16_384
 # Most components a sweep's plan reaches, stage n's included: tests and benchmarks reach a
 # few hundred, a 30-resource generator instance 749,631 (441,235 unsettled; 747 MB).
 _MAX_COMPONENTS = 400_000
@@ -70,14 +70,12 @@ class Settled(Set):
 class DiscreteSolution:
     """Value and bid tables per (stage, holdings mask, endowment).
 
-    stage_values[t][mask] is a vector over endowments 0..e for every mask
-    below 2^t, t in 0..n; stage_bids covers t in 0..n-1.  A solve stores the
-    values of the components its sweep reached, every unsettled one plus the
-    settled and terminal successors they read, and the bids of the unsettled
-    ones.  A lookup of any other mask answers it in closed form (bundle value
-    plus residual utility, bid 0).  settled holds the settled (t, mask) pairs
-    with t < n; state_count counts the (t, mask, d) triples of unsettled
-    components.
+    stage_values[t][mask] is a vector over endowments 0..e for every mask below 2^t, t in
+    0..n; stage_bids covers t in 0..n-1.  A solve stores the values of the components its
+    sweep reached, every unsettled one plus the settled and terminal successors they read,
+    and the bids of the unsettled ones.  A lookup of any other mask answers it in closed form
+    (bundle value plus residual utility, bid 0).  settled holds the settled (t, mask) pairs
+    with t < n; state_count counts the (t, mask, d) triples of unsettled components.
     """
 
     n: int
@@ -103,16 +101,15 @@ class DiscreteSolution:
 def sweep(n: int, grow, backup, leaf) -> list[dict]:
     """Results for the components reachable from (0, 0), last stage first.
 
-    The forward pass asks grow(t, mask) about each component it reaches below
-    stage n: None makes it a leaf, like every stage-n component; otherwise it
-    reaches the lose successor (t + 1, mask), and the win successor
-    (t + 1, mask | 1 << t) too if grow returned True.  A stage that grows
-    nothing passes on its smallest mask, so no stage is empty.  The backward
-    pass sets each reached component to leaf(mask), the closed form, or if it
-    grew to its result from backup(t, jobs), which backs up a whole stage: jobs
-    lists (mask, win, lose) for its grown components in ascending mask order,
-    win None when not reached.  Returns one dict of results per stage 0..n; a plan is
-    refused as soon as it reaches more than _MAX_COMPONENTS components.
+    The forward pass asks grow(t, mask) about each component it reaches below stage n: None
+    makes it a leaf, like every stage-n component; otherwise it reaches the lose successor
+    (t + 1, mask), and the win successor (t + 1, mask | 1 << t) too if grow returned True.
+    A stage that grows nothing passes on its smallest mask, so no stage is empty.  The
+    backward pass sets each reached component to leaf(mask), the closed form, or if it grew
+    to its result from backup(t, jobs), which backs up a whole stage: jobs lists (mask, win,
+    lose) for its grown components in ascending mask order, win being lose when not
+    reached.  Returns one dict of results per stage 0..n; a plan is refused as soon as it
+    reaches more than _MAX_COMPONENTS components.
     """
     plan: list[list[tuple[int, Optional[bool]]]] = []
     frontier, total = [0], 1
@@ -128,7 +125,7 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
     results = [dict() for _ in range(n)] + [{mask: leaf(mask) for mask in frontier}]
     for t in range(n - 1, -1, -1):
         nxt = results[t + 1]
-        jobs = [(mask, nxt[mask | 1 << t] if wins else None, nxt[mask])
+        jobs = [(mask, nxt[mask | 1 << t if wins else mask], nxt[mask])
                 for mask, wins in plan[t] if wins is not None]
         done = iter(backup(t, jobs))
         results[t] = {mask: leaf(mask) if wins is None else next(done) for mask, wins in plan[t]}
@@ -140,36 +137,43 @@ def _lattice(spec: ProblemSpec, caller: str):
     if spec.mode != MODE_DISCRETE:
         raise ValueError(f"{caller} needs a discrete-mode spec")
     e = int(round(spec.endowment))
+    if e > _MAX_ENDOWMENT:
+        raise ValueError(f"endowment: {e:,} is above the lattice limit of {_MAX_ENDOWMENT:,}")
     f_vals = spec.residual.values(np.arange(e + 1, dtype=float))
     ws = [dist.win_probability_vec(np.arange(e + 1)) for dist in spec.distributions]
     return e, lambda mask: spec.bundle_value(mask) + f_vals, ws
 
 
+def _backup(w: np.ndarray, win: np.ndarray, lose: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Bellman backup w[z]·win[d − z] + (1 − w[z])·lose[d] of each stacked row of win
+    and lose at each endowment d = 0..e, for bids z[row, d, k] broadcast over rows and
+    endowments: one bid per d (k = 1), or k candidates; a bid above d scores −inf."""
+    d = np.arange(win.shape[-1])[:, None]
+    p = w[z]
+    q = p * win[np.arange(len(win))[:, None, None], d - z] + (1.0 - p) * lose[:, :, None]
+    return np.where(z <= d, q, -np.inf)
+
+
 def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
     """Optimal values and bids for every state of a discrete spec."""
     e, closed_form, ws = _lattice(spec, "solve_discrete")
-    if (e + 1) ** 2 > _MAX_LATTICE_CELLS:
-        raise ValueError(f"endowment: {e} needs (e + 1)^2 = {(e + 1) ** 2:,} cells per lattice "
-                         f"array, above the exact solver's limit of {_MAX_LATTICE_CELLS:,}")
-    n = spec.n
+    n, ds = spec.n, np.arange(e + 1)
     stage_bids: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
 
-    # Lower-triangular index helpers shared by every state: IDX[d, z] = d - z
-    # when z <= d, and TRI masks the infeasible bids out.
-    zs = np.arange(e + 1)
-    tri = zs[None, :] <= zs[:, None]
-    idx = np.where(tri, zs[:, None] - zs[None, :], 0)
+    def backup(t, jobs):
+        # Every bid from len(probs) up wins with the same probability and pays more: when
+        # each win successor is nondecreasing in d, no first best bid lies beyond len(probs).
+        masks, win, lose = zip(*jobs)
+        win, lose = np.array(win), np.array(lose)
+        band = len(spec.distributions[t].probs) if (win[:, 1:] >= win[:, :-1]).all() else e
+        step = max(1, _MAX_STACK_CELLS // ((band + 1) * (e + 1)))
+        for i in range(0, len(jobs), step):
+            q = _backup(ws[t], win[i:i + step], lose[i:i + step], ds[None, None, :band + 1])
+            bids = q.argmax(axis=-1)
+            stage_bids[t].update(zip(masks[i:i + step], bids.astype(np.int64)))
+            yield from q[np.arange(len(q))[:, None], ds, bids]
 
-    def backup(t, mask, win_next, lose_next):
-        w = ws[t]
-        q = w[None, :] * win_next[idx] + (1.0 - w[None, :]) * lose_next[:, None]
-        q[~tri] = -np.inf
-        bids = q.argmax(axis=1)
-        stage_bids[t][mask] = bids.astype(np.int64)
-        return q[zs, bids]
-
-    values = sweep(n, lambda t, mask: None if spec.settled(t, mask) else True,
-                   lambda t, jobs: [backup(t, *job) for job in jobs], closed_form)
+    values = sweep(n, lambda t, m: None if spec.settled(t, m) else True, backup, closed_form)
     return _solution(n, e, closed_form, values, stage_bids)
 
 
@@ -203,18 +207,17 @@ def evaluate_policy_exact(spec: ProblemSpec, bidder: Bidder) -> list[dict[int, n
 
     def grow(t, mask):
         z = np.broadcast_to(bidder(t, mask, ds), ds.shape)
-        bad = np.flatnonzero(~((z >= 0) & (z <= ds) & (z == np.floor(z))))
-        if len(bad):
-            d = int(bad[0])
+        ok = (z >= 0) & (z <= ds) & (z == np.floor(z))
+        if not ok.all():
+            d = int(ok.argmin())  # the first infeasible endowment
             raise ValueError(
                 f"policy bid {z[d].item()!r} infeasible at stage {t}, mask {mask}, d {d}")
         bids[t, mask] = z = z.astype(np.int64)
         return bool(z.any()) or not spec.settled(t, mask)
 
-    def backup(t, mask, win_next, lose_next):
-        z = bids[t, mask]
-        w = ws[t][z]
-        win_next = lose_next if win_next is None else win_next
-        return w * win_next[ds - z] + (1.0 - w) * lose_next
+    def backup(t, jobs):
+        masks, win, lose = zip(*jobs)
+        z = np.array([bids[t, mask] for mask in masks])[..., None]
+        return _backup(ws[t], np.array(win), np.array(lose), z)[..., 0]
 
-    return sweep(spec.n, grow, lambda t, jobs: [backup(t, *job) for job in jobs], closed_form)
+    return sweep(spec.n, grow, backup, closed_form)

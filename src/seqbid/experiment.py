@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields, replace
-from math import inf, isfinite, isqrt, sqrt
+from math import inf, isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .core import (
     TruncatedGaussian,
     to_discrete,
 )
-from .discrete import _MAX_LATTICE_CELLS, DiscreteSolution, solve_discrete
+from .discrete import _MAX_ENDOWMENT, DiscreteSolution, solve_discrete
 from .io import (
     _read,
     _shown,
@@ -193,9 +193,9 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: {getattr(self, name)} must be nonnegative")
         e = self.generator.endowment
-        if abs(e - round(e)) > _ENDOWMENT_SLACK or (round(e) + 1) ** 2 > _MAX_LATTICE_CELLS:
+        if abs(e - round(e)) > _ENDOWMENT_SLACK or round(e) > _MAX_ENDOWMENT:
             raise ValueError(f"generator.endowment: {e!r} must be a whole number of at most "
-                             f"{isqrt(_MAX_LATTICE_CELLS) - 1}, as every experiment solves "
+                             f"{_MAX_ENDOWMENT}, as every experiment solves "
                              "its instance's discrete twin exactly")
         for i, run in enumerate(self.runs):
             if run.name in (r.name for r in self.runs[:i]):

@@ -58,15 +58,27 @@ def _raw(spec: ProblemSpec):
     return n, e, terminal, below
 
 
-def expectimax(spec: ProblemSpec) -> tuple[dict, dict]:
+def expectimax(spec: ProblemSpec, stand_pat: bool = False) -> tuple[dict, dict]:
     """Brute-force optimal values and smallest optimal bids, state by state.
 
     Plain recursion over (stage, holdings mask, integer endowment) with an
     exhaustive scan of every integer bid; win probabilities and terminal
     utilities are rebuilt from the raw problem data.  Stage t only carries
     masks over the resources already auctioned, i.e. mask < 2**t.
+
+    With stand_pat, a state whose holdings no bundle still completable beats
+    takes its terminal value and bids 0, the model solve_discrete solves.
+    Without it such a state still scans every bid: where the residual dips,
+    spending money on nothing can gain up to the dip.
     """
     n, e, terminal, below = _raw(spec)
+    bundle_masks = [(sum(1 << (r - 1) for r in b.members), b.value) for b in spec.bundles]
+
+    def stands_pat(t: int, mask: int) -> bool:
+        held = max((v for bm, v in bundle_masks if bm & mask == bm), default=0.0)
+        still_open = mask | ((1 << n) - (1 << t))
+        return all(v <= held or bm & still_open != bm for bm, v in bundle_masks)
+
     values: dict[tuple[int, int, int], float] = {}
     bids: dict[tuple[int, int, int], int] = {}
     for mask in range(1 << n):
@@ -79,6 +91,9 @@ def expectimax(spec: ProblemSpec) -> tuple[dict, dict]:
         for mask in range(1 << t):
             win_mask = mask | (1 << t)
             for d in range(e + 1):
+                if stand_pat and stands_pat(t, mask):
+                    values[t, mask, d], bids[t, mask, d] = terminal(mask, d), 0
+                    continue
                 best_q = -math.inf
                 best_z = 0
                 for z in range(d + 1):

@@ -128,7 +128,7 @@ class TestSolveCommand:
         assert "continuous" in capsys.readouterr().err
 
     def test_lattice_limit_is_bad_input(self, tmp_path, capsys):
-        # The solver refuses (e + 1)^2 cells above its limit before allocating any.
+        # The solver refuses an endowment above its limit before allocating anything.
         spec = tmp_path / "big.json"
         spec.write_text(json.dumps({
             "n": 1, "bundles": [{"members": [1], "value": 50.0}], "endowment": 5000,
@@ -137,7 +137,28 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: endowment: 5000 needs")
+        assert capsys.readouterr().err == (
+            "error: endowment: 5,000 is above the lattice limit of 4,000\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_billion_endowment_refused_by_solve_and_simulate(self, t2_file, tmp_path, capsys):
+        # Both read the spec, then refuse it before any array over 0..e exists: the lattice
+        # tables of endowment 10^9 would take 7.45 GiB.
+        out = tmp_path / "solved"
+        main(["solve", str(t2_file), "--mode", "discrete", "--out", str(out)])
+        spec = tmp_path / "billion.json"
+        spec.write_text(json.dumps({
+            "n": 2, "bundles": [{"members": [1, 2], "value": 10.0}], "endowment": 10**9,
+            "residual": {"linear_slope": 0.7}, "mode": "discrete",
+            "distributions": [{"kind": "multinomial", "probs": [0.5, 0.5]}] * 2}))
+        capsys.readouterr()
+        for argv in (["solve", str(spec), "--mode", "discrete", "--out", str(tmp_path / "out")],
+                     ["simulate", str(spec), "--policy", str(out / "solution.csv")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == (
+                "error: endowment: 1,000,000,000 is above the lattice limit of 4,000\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["discrete", "grid"])

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import expectimax, policy_values, random_micro_instance
 from seqbid.core import (
@@ -11,9 +16,12 @@ from seqbid.core import (
     DiscreteMultinomial,
     MODE_DISCRETE,
     ProblemSpec,
+    to_discrete,
+    validate_problem,
 )
 from seqbid import discrete
 from seqbid.discrete import evaluate_policy_exact, solve_discrete, sweep
+from seqbid.experiment import GeneratorParams, generate_instance
 from seqbid.io import read_discrete_solution, write_discrete_solution
 from seqbid.pwl import PwlFunction
 
@@ -90,13 +98,34 @@ class TestT2:
         assert solve_discrete(t2).state_count == 12
 
     def test_oversized_lattice_refused(self, t2, monkeypatch):
-        assert 4_001**2 <= discrete._MAX_LATTICE_CELLS < 20_001**2
-        # (e + 1)^2 = 16 cells at endowment 3: refuse one cell below that.
-        monkeypatch.setattr(discrete, "_MAX_LATTICE_CELLS", 15)
+        assert 4_000 <= discrete._MAX_ENDOWMENT < 20_000
+        # t2's endowment is 3: refuse it at a limit of 2, accept it at 3.
+        monkeypatch.setattr(discrete, "_MAX_ENDOWMENT", 2)
         with pytest.raises(ValueError, match=r"^endowment: 3 "):
             solve_discrete(t2)
-        monkeypatch.setattr(discrete, "_MAX_LATTICE_CELLS", 16)
+        monkeypatch.setattr(discrete, "_MAX_ENDOWMENT", 3)
         assert solve_discrete(t2).value(0, 0, 3) == pytest.approx(7.35, abs=1e-12)
+
+
+def test_endowment_limit_refused_before_any_allocation(t2, tmp_path):
+    # At endowment 2,000,000 one float array over 0..e takes 16 MB.  The solver, the
+    # evaluator and the solution reader refuse it with less than 1 MB traced.
+    path = tmp_path / "t2.csv"
+    write_discrete_solution(solve_discrete(t2), path)
+    big = replace(t2, endowment=2e6, residual=PwlFunction.linear(0.7, 0.0, 2e6))
+    assert validate_problem(big) == []
+    for call in (lambda: solve_discrete(big),
+                 lambda: evaluate_policy_exact(big, lambda t, mask, d: 0),
+                 lambda: read_discrete_solution(path, big)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^endowment: 2,000,000 is above the lattice "
+                                                 "limit of 4,000$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSettled:
@@ -138,6 +167,69 @@ class TestSettled:
         assert not sol.stage_bids[1][1].any()
         # settled states are excluded from the work count: only stage 0 remains
         assert sol.state_count == 4
+
+
+class TestBand:
+    """solve_discrete scans bids up to len(probs) only where each win successor is
+    nondecreasing in the endowment; elsewhere it scans every bid up to d."""
+
+    def test_dipping_residual_scans_every_bid(self):
+        # A sure win at any bid from 1 up.  At d = 3, bid 2 keeps f(1) = 1 and bid 1 keeps
+        # f(2) = 1 - 1e-13: a scan that stopped at bid len(probs) = 1 would miss bid 2.
+        spec = ProblemSpec(
+            n=1,
+            bundles=(Bundle(frozenset({1}), 10.0),),
+            endowment=3.0,
+            residual=PwlFunction.from_knots([(0, 0), (1, 1), (2, 1 - 1e-13), (3, 2)]),
+            distributions=(DiscreteMultinomial((1.0,)),),
+            mode=MODE_DISCRETE,
+        )
+        assert validate_problem(spec) == []
+        sol = solve_discrete(spec)
+        assert sol.stage_bids[0][0].tolist() == [0, 1, 1, 2]
+        assert sol.stage_values[0][0].tolist() == [0.0, 10.0, 11.0, 11.0]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_on_random_micro_specs(self, data):
+        # Where the residual dips, the unrestricted optimum may bid at a settled state to
+        # shed money; solve_discrete stands pat there, as expectimax's stand_pat does.
+        spec = data.draw(micro_specs())
+        assert validate_problem(spec) == []
+        values, bids = expectimax(spec, stand_pat=True)
+        optimum, _ = expectimax(spec)
+        sol = solve_discrete(spec)
+        for t, mask in every_mask(spec.n):
+            got, ds = sol.stage_values[t][mask], range(int(spec.endowment) + 1)
+            assert got.tolist() == pytest.approx([values[t, mask, d] for d in ds], abs=1e-9)
+            assert got.tolist() == pytest.approx([optimum[t, mask, d] for d in ds], abs=1e-9)
+            if t < spec.n:
+                assert sol.stage_bids[t][mask].tolist() == [bids[t, mask, d] for d in ds]
+
+
+@st.composite
+def micro_specs(draw):
+    """Valid discrete specs of up to 3 stages and endowment up to 6, whose high bids have
+    up to 8 levels, whose probabilities sum to 1 within 1e-12, and whose residual may dip
+    by up to 1e-12 between knots."""
+    n = draw(st.integers(1, 3))
+    e = draw(st.integers(1, 6))
+    members = [set(range(1, n + 1))] + draw(st.lists(
+        st.sets(st.integers(1, n), min_size=1), max_size=2))
+    bundles = tuple(Bundle(frozenset(m), draw(st.sampled_from([1.0, 2.5, 4.0, 7.25, 10.0])))
+                    for m in members)
+    steps = draw(st.lists(st.sampled_from([0.0, -1e-12, -4e-13, 1e-13, 0.25, 0.7, 1.5]),
+                          min_size=e, max_size=e))
+    ys = np.concatenate(([0.0], np.cumsum(steps)))
+    residual = PwlFunction(tuple(map(float, range(e + 1))), tuple(map(float, ys)))
+    dists = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any))
+        scale = 1.0 + draw(st.sampled_from([0.0, 9e-13, -9e-13, 3e-13]))
+        probs = tuple(w / sum(weights) * scale for w in weights)
+        assume(abs(sum(probs) - 1.0) <= 1e-12)
+        dists.append(DiscreteMultinomial(probs))
+    return ProblemSpec(n, bundles, float(e), residual, tuple(dists), MODE_DISCRETE)
 
 
 class TestOracleEquivalence:
@@ -308,13 +400,29 @@ class TestSweep:
         monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 37)
         assert sum(map(len, solve_discrete(spec).stage_values)) == 37
 
-    def test_optimal_policy_replays_the_solve_bit_for_bit(self):
-        spec = wide_lattice(18)
+    @pytest.mark.parametrize("seed", [None, 1000, 1001, 1002, 1003])
+    def test_optimal_policy_replays_the_solve_bit_for_bit(self, seed):
+        # The solver and the evaluator run one backup, so the optimal bids give back the
+        # solve's values to the bit: on wide_lattice(18), and on generator twins at e = 30.
+        spec = wide_lattice(18) if seed is None else to_discrete(
+            generate_instance(GeneratorParams(seed=seed)))
         sol = solve_discrete(spec)
         replay = evaluate_policy_exact(spec, sol.policy())
         for t, layer in enumerate(sol.stage_values):
             for mask, values in layer.items():
                 assert replay[t][mask].tobytes() == values.tobytes()
+
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        # A stage's backups run in blocks of stacked components; one per block or all at once
+        # must give the same tables.
+        spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
+        whole = solve_discrete(spec)
+        monkeypatch.setattr(discrete, "_MAX_STACK_CELLS", 1)
+        single = solve_discrete(spec)
+        for tables in ("stage_values", "stage_bids"):
+            for layer, other in zip(getattr(whole, tables), getattr(single, tables)):
+                assert sorted(layer) == sorted(other)
+                assert all(layer[mask].tobytes() == other[mask].tobytes() for mask in layer)
 
     def test_lookups_answer_every_mask_in_closed_form(self):
         n = 18
