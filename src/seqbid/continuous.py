@@ -630,8 +630,8 @@ def solve_grids(spec: ProblemSpec, strategies: list[GridStrategy]) -> list[GridS
         stored = [_stored(c) for c in curves]
         return [tuple(stored[numbers[j]] for numbers in which) for j in range(len(jobs))]
 
-    layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
-                   lambda mask: (closed_form(mask),) * len(strategies))
+    layers = sweep(spec.n, lambda t, masks: [None if spec.settled(t, m) else True for m in masks],
+                   backup, lambda mask: (closed_form(mask),) * len(strategies))
     return [_grid_solution(spec, closed_form, [{mask: each[s] for mask, each in layer.items()}
                                                for layer in layers], bids)
             for s, bids in enumerate(knot_bids)]

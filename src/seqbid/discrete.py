@@ -101,35 +101,47 @@ class DiscreteSolution:
 def sweep(n: int, grow, backup, leaf) -> list[dict]:
     """Results for the components reachable from (0, 0), last stage first.
 
-    The forward pass asks grow(t, mask) about each component it reaches below stage n: None
-    makes it a leaf, like every stage-n component; otherwise it reaches the lose successor
-    (t + 1, mask), and the win successor (t + 1, mask | 1 << t) too if grow returned True.
-    A stage that grows nothing passes on its smallest mask, so no stage is empty.  The
-    backward pass sets each reached component to leaf(mask), the closed form, or if it grew
-    to its result from backup(t, jobs), which backs up a whole stage: jobs lists (mask, win,
-    lose) for its grown components in ascending mask order, win being lose when not
-    reached.  Returns one dict of results per stage 0..n; a plan is refused as soon as it
-    reaches more than _MAX_COMPONENTS components.
+    The forward pass asks grow(t, masks) once per stage t < n, masks being the components
+    it reaches there in ascending order, for one answer per mask: None makes that one a
+    leaf, like every stage-n component; otherwise it reaches the lose successor (t + 1,
+    mask), and the win successor (t + 1, mask | 1 << t) too if the answer is True.  A stage
+    that grows nothing passes on its smallest mask, so no stage is empty.  The backward
+    pass sets each reached component to leaf(mask), the closed form, or if it grew to its
+    result from backup(t, jobs), which backs up a whole stage: jobs lists (mask, win, lose)
+    for its grown components in ascending mask order, win being lose when not reached.
+    Returns one dict of results per stage 0..n; a plan is refused as soon as it reaches
+    more than _MAX_COMPONENTS components.
     """
     plan: list[list[tuple[int, Optional[bool]]]] = []
     frontier, total = [0], 1
     for t in range(n):
-        plan.append([(mask, grow(t, mask)) for mask in frontier])
-        reached = {mask for mask, wins in plan[t] if wins is not None}
-        reached.update(mask | 1 << t for mask, wins in plan[t] if wins)
-        frontier = sorted(reached) or frontier[:1]
+        plan.append(list(zip(frontier, grow(t, frontier), strict=True)))
+        frontier = sorted({mask | won << t for mask, wins in plan[t] if wins is not None
+                           for won in (0, wins)}) or frontier[:1]
         total += len(frontier)
         if total > _MAX_COMPONENTS:
             raise ValueError(f"n: the solve reaches {total:,} components by stage {t + 1}, "
                              f"above the limit of {_MAX_COMPONENTS:,}")
     results = [dict() for _ in range(n)] + [{mask: leaf(mask) for mask in frontier}]
     for t in range(n - 1, -1, -1):
-        nxt = results[t + 1]
-        jobs = [(mask, nxt[mask | 1 << t if wins else mask], nxt[mask])
+        jobs = [(mask, results[t + 1][mask | 1 << t if wins else mask], results[t + 1][mask])
                 for mask, wins in plan[t] if wins is not None]
         done = iter(backup(t, jobs))
         results[t] = {mask: leaf(mask) if wins is None else next(done) for mask, wins in plan[t]}
     return results
+
+
+def _ask(bidder: Bidder, t: int, mask: int, d: np.ndarray) -> np.ndarray:
+    """bidder(t, mask, d) as one number per endowment of d, in the bidder's own dtype; an
+    answer that is neither one number nor one per endowment is refused."""
+    z = np.asarray(bidder(t, mask, d))
+    if z.shape == d.shape and z.dtype.kind in "biuf":
+        return z
+    if z.dtype.kind not in "biuf" or z.shape not in ((), (1,)):
+        got = repr(z.item()) if z.ndim == 0 else f"an array of shape {z.shape}, dtype {z.dtype}"
+        raise ValueError(f"bidder: {got} at stage {t}, mask {mask} is neither one bid nor one "
+                         f"per endowment asked ({len(d)})")
+    return np.full(d.shape, z)
 
 
 def _lattice(spec: ProblemSpec, caller: str):
@@ -173,7 +185,8 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
             stage_bids[t].update(zip(masks[i:i + step], bids.astype(np.int64)))
             yield from q[np.arange(len(q))[:, None], ds, bids]
 
-    values = sweep(n, lambda t, m: None if spec.settled(t, m) else True, backup, closed_form)
+    values = sweep(n, lambda t, masks: [None if spec.settled(t, m) else True for m in masks],
+                   backup, closed_form)
     return _solution(n, e, closed_form, values, stage_bids)
 
 
@@ -193,31 +206,32 @@ def _solution(n: int, e: int, closed_form: Callable, values: list[dict],
 def evaluate_policy_exact(spec: ProblemSpec, bidder: Bidder) -> list[dict[int, np.ndarray]]:
     """Exact expected value of an arbitrary bidder at every state it visits.
 
-    bidder(t, holdings_mask, np.arange(e + 1)) is called once per visited component
-    and must bid an integer in 0..d at each endowment d, or one bid for them all.  The
-    sweep starts at (0, 0); each visited component leads to its lose successor, and to
-    its win successor too when it is unsettled or the bidder bids more than 0 there at
-    some endowment (a zero bid never wins).  Returns value tables shaped like
-    DiscreteSolution.stage_values over the visited components, which include every
-    component a solve_discrete result stores.
+    bidder(t, holdings_mask, np.arange(e + 1)) must bid an integer in 0..d at each endowment
+    d, or one bid for them all; an answer of any other shape is refused as it comes.  It is
+    asked once per visited component, for every one of a stage before any of their bids is
+    checked; the first infeasible bid, by mask and then endowment, is named as the bidder
+    gave it.  From (0, 0), each visited component leads to its lose successor, and to its
+    win successor too when it is unsettled or bids above 0 at some endowment.  Returns value
+    tables shaped like DiscreteSolution.stage_values over the visited components, which
+    include every component a solve_discrete result stores.
     """
     e, closed_form, ws = _lattice(spec, "evaluate_policy_exact")
     ds = np.arange(e + 1)
-    bids: dict[tuple[int, int], np.ndarray] = {}
+    bids: dict[int, np.ndarray] = {}  # stage t's bids, a row per mask in ascending order
 
-    def grow(t, mask):
-        z = np.broadcast_to(bidder(t, mask, ds), ds.shape)
+    def grow(t, masks):
+        asked = [_ask(bidder, t, mask, ds) for mask in masks]
+        z = np.array(asked)
         ok = (z >= 0) & (z <= ds) & (z == np.floor(z))
         if not ok.all():
-            d = int(ok.argmin())  # the first infeasible endowment
-            raise ValueError(
-                f"policy bid {z[d].item()!r} infeasible at stage {t}, mask {mask}, d {d}")
-        bids[t, mask] = z = z.astype(np.int64)
-        return bool(z.any()) or not spec.settled(t, mask)
+            i, d = divmod(int(ok.argmin()), e + 1)  # the first infeasible (mask, endowment)
+            raise ValueError(f"policy bid {asked[i][d].item()!r} infeasible at stage {t}, "
+                             f"mask {masks[i]}, d {d}")
+        bids[t] = z = z.astype(np.int64)
+        return [bid or not spec.settled(t, m) for m, bid in zip(masks, z.any(axis=1).tolist())]
 
     def backup(t, jobs):
-        masks, win, lose = zip(*jobs)
-        z = np.array([bids[t, mask] for mask in masks])[..., None]
-        return _backup(ws[t], np.array(win), np.array(lose), z)[..., 0]
+        _, win, lose = zip(*jobs)
+        return _backup(ws[t], np.array(win), np.array(lose), bids[t][..., None])[..., 0]
 
     return sweep(spec.n, grow, backup, closed_form)

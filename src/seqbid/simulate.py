@@ -17,7 +17,7 @@ import numpy as np
 from .continuous import (_MAXIMIZER, CurveStack, HybridValueFunction, _distinct,
                          _maximize_batch, _maximize_pairs, _require_continuous)
 from .core import ProblemSpec
-from .discrete import Bidder, DiscreteSolution
+from .discrete import Bidder, DiscreteSolution, _ask
 
 # A collect_rounds batch of R rounds of n auctions counts R * (n + _ROUND_CELLS) cells, at
 # most _MAX_CELLS of them.  Each auction of a round takes 33 B (25 B of record and an 8 B
@@ -72,7 +72,7 @@ def collect_rounds(spec: ProblemSpec, bidder: Bidder, rounds: int, seed) -> np.r
         order = group.astype(np.min_scalar_type(len(masks) - 1)).argsort(kind="stable")
         for mask, a, b in zip(masks, bounds, bounds[1:]):
             r = order[a:b]
-            z[r] = bidder(t, mask, d[r])
+            z[r] = _ask(bidder, t, mask, d[r])
         ok = (z >= 0.0) & (z <= d + 1e-9)
         if not ok.all():
             raise ValueError(f"bidder returned infeasible bid {float(z[~ok][0])!r} at stage {t}")

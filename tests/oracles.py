@@ -5,9 +5,11 @@ lists, residual knot arrays, scipy's normal CDF) without going through the
 solver code under test, so agreement between the two is evidence rather
 than tautology.  The exceptions are per_knot_grid and per_component_compare,
 reference loops that reuse the solver's parts to pin how solve_grid and
-compare_solutions schedule their maximizer calls.  The solution-file oracles
-(csv_bytes with discrete_solution_rows or grid_solution_rows) write every row
-through csv.writer, one row at a time, with no cache of repeated blocks.
+compare_solutions schedule their maximizer calls, and per_component_evaluate,
+which pins how evaluate_policy_exact checks a stage's bids.  The solution-file
+oracles (csv_bytes with discrete_solution_rows or grid_solution_rows) write
+every row through csv.writer, one row at a time, with no cache of repeated
+blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from seqbid import continuous
+from seqbid import continuous, discrete
 from seqbid.continuous import GridSolution, UniformFixed, Vg1
 from seqbid.core import (
     MODE_DISCRETE,
@@ -352,9 +354,38 @@ def per_knot_grid(spec: ProblemSpec, strategy) -> GridSolution:
             out.append(PwlFunction(curve.xs, tuple(float(y) for y in ys)))
         return out
 
-    layers = sweep(spec.n, lambda t, mask: None if spec.settled(t, mask) else True, backup,
-                   closed_form)
+    layers = sweep(spec.n, lambda t, masks: [None if spec.settled(t, m) else True for m in masks],
+                   backup, closed_form)
     return continuous._grid_solution(spec, closed_form, layers, knot_bids)
+
+
+def per_component_evaluate(spec: ProblemSpec, bidder) -> list[dict[int, np.ndarray]]:
+    """evaluate_policy_exact with each component's bids checked as the bidder returns them.
+
+    Not independent of the evaluator: this is its per-component grow from before it grew a
+    stage per call, wrapped for the stage sweep, with the same lattice and backup.  The two
+    must agree bit for bit, and name the same bid when one is infeasible.
+    """
+    e, closed_form, ws = discrete._lattice(spec, "evaluate_policy_exact")
+    ds = np.arange(e + 1)
+    bids: dict[tuple[int, int], np.ndarray] = {}
+
+    def grow(t, mask):
+        z = np.broadcast_to(bidder(t, mask, ds), ds.shape)
+        ok = (z >= 0) & (z <= ds) & (z == np.floor(z))
+        if not ok.all():
+            d = int(ok.argmin())  # the first infeasible endowment
+            raise ValueError(
+                f"policy bid {z[d].item()!r} infeasible at stage {t}, mask {mask}, d {d}")
+        bids[t, mask] = z = z.astype(np.int64)
+        return bool(z.any()) or not spec.settled(t, mask)
+
+    def backup(t, jobs):
+        masks, win, lose = zip(*jobs)
+        z = np.array([bids[t, mask] for mask in masks])[..., None]
+        return discrete._backup(ws[t], np.array(win), np.array(lose), z)[..., 0]
+
+    return sweep(spec.n, lambda t, masks: [grow(t, mask) for mask in masks], backup, closed_form)
 
 
 def per_component_compare(exact, approx, spec: ProblemSpec) -> ErrorReport:

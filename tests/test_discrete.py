@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import expectimax, policy_values, random_micro_instance
+from oracles import expectimax, per_component_evaluate, policy_values, random_micro_instance
 from seqbid.core import (
     Bundle,
     DiscreteMultinomial,
@@ -347,6 +347,51 @@ class TestPolicyEvaluation:
                                 for mask in sorted(replay[t])]
 
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_component_evaluator(self, data):
+        # Random bids in 0..d at every component, settled ones included, so the evaluator
+        # follows settled components that bid; or infeasible bids at some masks of one stage.
+        spec = data.draw(st.one_of(micro_specs(), small_twins()))
+        bidder = random_bidder(data.draw(st.integers(0, 2**32 - 1)),
+                               data.draw(st.none() | st.integers(0, spec.n - 1)))
+        try:
+            want = per_component_evaluate(spec, bidder)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                evaluate_policy_exact(spec, bidder)
+            assert str(got.value) == str(err)
+            return
+        got = evaluate_policy_exact(spec, bidder)
+        assert [sorted(layer) for layer in got] == [sorted(layer) for layer in want]
+        for layer, other in zip(got, want):
+            assert all(layer[mask].tobytes() == other[mask].tobytes() for mask in layer)
+
+
+def random_bidder(seed: int, bad_stage):
+    """A bidder whose answer at (t, mask) draws from default_rng((seed, t, mask)): bids in
+    0..d as an int array, a float array or a list, or one zero bid as an int or a length-1
+    array.  At bad_stage, most masks instead bid -1, d_max + 1, 0.5 or nan at random
+    endowments, keeping an int array's dtype for the first two."""
+    def bidder(t, mask, d):
+        rng = np.random.default_rng((seed, t, mask))
+        z, kind = rng.integers(0, d + 1), int(rng.integers(5))
+        if t == bad_stage and rng.random() < 0.7:
+            bad = [-1, len(d), 0.5, np.nan][kind % 4]
+            return np.where(rng.random(len(d)) < 0.4, bad, z)
+        return [z, z.astype(float), z.tolist(), 0, np.zeros(1)][kind]
+
+    return bidder
+
+
+@st.composite
+def small_twins(draw):
+    """Discrete twins of small generator instances: up to 6 resources, endowment 4 to 12."""
+    return to_discrete(generate_instance(GeneratorParams(
+        n_resources=draw(st.integers(2, 6)), n_bundles=draw(st.integers(1, 4)),
+        endowment=float(draw(st.integers(4, 12))), seed=draw(st.integers(0, 10_000)))))
+
+
 class TestSolutionIo:
     def test_csv_round_trip(self, t2, tmp_path):
         sol = solve_discrete(t2)
@@ -385,8 +430,8 @@ class TestSweep:
         # wide_lattice(18) reaches 37 components: (0, 0), then two per stage.
         spec, backups = wide_lattice(18), []
 
-        def grow(t, mask):
-            return None if spec.settled(t, mask) else True
+        def grow(t, masks):
+            return [None if spec.settled(t, mask) else True for mask in masks]
 
         monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 36)
         with pytest.raises(ValueError, match=r"^n: the solve reaches 37 components by stage "
@@ -399,6 +444,28 @@ class TestSweep:
             evaluate_policy_exact(spec, lambda t, mask, d: 0)
         monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 37)
         assert sum(map(len, solve_discrete(spec).stage_values)) == 37
+
+    def test_grow_asks_once_per_stage_in_ascending_mask_order(self, monkeypatch):
+        # Each sweep asks grow about a whole stage at a time: n calls, stages 0..n-1 in
+        # turn, each with the stage's reached masks as ascending Python ints.
+        spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
+        asked, sweep_of = [], discrete.sweep
+
+        def recorded(n, grow, backup, leaf):
+            def recording(t, masks):
+                asked.append((t, list(masks)))
+                return grow(t, masks)
+            return sweep_of(n, recording, backup, leaf)
+
+        monkeypatch.setattr(discrete, "sweep", recorded)
+        for run in (lambda: solve_discrete(spec).stage_values,
+                    lambda: evaluate_policy_exact(spec, lambda t, m, d: np.minimum(m % 3, d))):
+            asked.clear()
+            layers = run()
+            assert [t for t, _ in asked] == list(range(spec.n))
+            for (_, masks), layer in zip(asked, layers):
+                assert all(type(mask) is int for mask in masks)
+                assert masks == sorted(set(masks)) == sorted(layer)
 
     @pytest.mark.parametrize("seed", [None, 1000, 1001, 1002, 1003])
     def test_optimal_policy_replays_the_solve_bit_for_bit(self, seed):

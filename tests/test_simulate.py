@@ -470,6 +470,27 @@ class TestBidderProtocol:
             replay = evaluate_policy_exact(spec, bidder)
             assert replay[0][0].shape == (int(e) + 1,)
 
+    @pytest.mark.parametrize("answer, got", [
+        (np.array([0, 1, 1]), r"an array of shape \(3,\), dtype int64"),
+        (np.zeros((1, 4)), r"an array of shape \(1, 4\), dtype float64"),
+        (None, "None"),
+        ("1", "'1'"),
+    ])
+    def test_neither_one_bid_nor_one_per_endowment_is_refused(self, t2, answer, got):
+        # The bidder answers (1, 1) wrongly; the evaluator asks 4 endowments there, and
+        # collect_rounds as many as the rounds that won stage 0, which bid 1 at d = 3.
+        def bidder(t, mask, d):
+            return answer if (t, mask) == (1, 1) else np.minimum(1, d)
+
+        rounds = collect_rounds(t2, lambda t, mask, d: np.minimum(1, d), 50, seed=2)
+        won = int(rounds.won[:, 0].sum())
+        for run, asked in ((lambda: evaluate_policy_exact(t2, bidder), 4),
+                           (lambda: collect_rounds(t2, bidder, 50, seed=2), won)):
+            with pytest.raises(ValueError, match=f"^bidder: {got} at stage 1, mask 1 is neither "
+                                                 f"one bid nor one per endowment asked "
+                                                 rf"\({asked}\)$"):
+                run()
+
     def test_table_bidders_are_one_function(self, t2):
         assert table_policy is DiscreteSolution.policy
         exact = solve_discrete(t2)
