@@ -35,8 +35,9 @@ def parse_grid_strategy(text: str):
         raise argparse.ArgumentTypeError(
             f"bad grid spec {text!r}; expected fixed:<g>, vg1:<k>,<t> or vg2:<k>,<t>")
     try:
-        return RunSpec(kind, g=int(knots), max_knots=int(knots),
-                       threshold=float(threshold or 0.0)).strategy()
+        fields = ({"g": int(knots)} if kind == "fixed" else
+                  {"max_knots": int(knots), "threshold": float(threshold or 0.0)})
+        return RunSpec(kind, **fields).strategy()
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {err}") from None
 

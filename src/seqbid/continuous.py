@@ -111,6 +111,8 @@ class HybridValueFunction:
         return len(self.components) - 1
 
     def component(self, t: int, held: Union[int, Iterable[int]]) -> PwlFunction:
+        if not 0 <= t <= self.n:
+            raise ValueError(f"t: stage {t} is outside 0..{self.n}")
         return self.components[t][holdings_mask(held)]
 
     def value(self, t: int, held: Union[int, Iterable[int]], d: float) -> float:
@@ -630,8 +632,7 @@ def solve_grids(spec: ProblemSpec, strategies: list[GridStrategy]) -> list[GridS
         stored = [_stored(c) for c in curves]
         return [tuple(stored[numbers[j]] for numbers in which) for j in range(len(jobs))]
 
-    layers = sweep(spec.n, lambda t, masks: [None if spec.settled(t, m) else True for m in masks],
-                   backup, lambda mask: (closed_form(mask),) * len(strategies))
+    layers = sweep(spec, backup, lambda mask: (closed_form(mask),) * len(strategies))
     return [_grid_solution(spec, closed_form, [{mask: each[s] for mask, each in layer.items()}
                                                for layer in layers], bids)
             for s, bids in enumerate(knot_bids)]

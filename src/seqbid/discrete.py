@@ -86,10 +86,19 @@ class DiscreteSolution:
     state_count: int
 
     def value(self, t: int, held: Union[int, Iterable[int]], d: int) -> float:
-        return float(self.stage_values[t][holdings_mask(held)][d])
+        return float(self._at(self.stage_values, t, held, d))
 
     def bid(self, t: int, held: Union[int, Iterable[int]], d: int) -> int:
-        return int(self.stage_bids[t][holdings_mask(held)][d])
+        return int(self._at(self.stage_bids, t, held, d))
+
+    def _at(self, tables: list, t: int, held, d: int):
+        """tables[t][mask][d], refusing a stage or endowment outside the tables, which a
+        negative index would count back from the end."""
+        if not 0 <= t < len(tables):
+            raise ValueError(f"t: stage {t} is outside 0..{len(tables) - 1}")
+        if not 0 <= d <= self.endowment:
+            raise ValueError(f"d: endowment {d} is outside 0..{self.endowment}")
+        return tables[t][holdings_mask(held)][d]
 
     def policy(self) -> Bidder:
         """The bidder that bids from these tables, each endowment rounded to an integer:
@@ -98,23 +107,28 @@ class DiscreteSolution:
         return lambda t, mask, d: stage_bids[t][mask][np.rint(d).astype(np.intp)]
 
 
-def sweep(n: int, grow, backup, leaf) -> list[dict]:
-    """Results for the components reachable from (0, 0), last stage first.
+def _settled_plan(spec: ProblemSpec):
+    """sweep's default grow, the solvers' plan: a settled component is a leaf."""
+    return lambda t, masks: [None if spec.settled(t, m) else True for m in masks]
 
-    The forward pass asks grow(t, masks) once per stage t < n, masks being the components
-    it reaches there in ascending order, for one answer per mask: None makes that one a
-    leaf, like every stage-n component; otherwise it reaches the lose successor (t + 1,
-    mask), and the win successor (t + 1, mask | 1 << t) too if the answer is True.  A stage
-    that grows nothing passes on its smallest mask, so no stage is empty.  The backward
-    pass sets each reached component to leaf(mask), the closed form, or if it grew to its
-    result from backup(t, jobs), which backs up a whole stage: jobs lists (mask, win, lose)
-    for its grown components in ascending mask order, win being lose when not reached.
-    Returns one dict of results per stage 0..n; a plan is refused as soon as it reaches
-    more than _MAX_COMPONENTS components.
+
+def sweep(spec: ProblemSpec, backup, leaf, grow=None) -> list[dict]:
+    """Results for the components of spec reachable from (0, 0), last stage first.
+
+    The forward pass asks grow(t, masks), by default _settled_plan(spec), once per stage
+    t < n with the masks it reaches there in ascending order, for one answer per mask: None
+    makes that one a leaf, like every stage-n component; anything else reaches the lose
+    successor (t + 1, mask), and True the win successor (t + 1, mask | 1 << t) too.  A stage
+    that grows nothing passes on its smallest mask, so no stage is empty.  The backward pass
+    sets each reached component to leaf(mask), or if it grew to its result from backup(t,
+    jobs), which backs up a whole stage: jobs lists (mask, win, lose) for its grown
+    components in ascending mask order, win being lose when not reached.  Returns one dict
+    per stage 0..n; a plan is refused as soon as it reaches more than _MAX_COMPONENTS.
     """
+    grow = grow or _settled_plan(spec)
     plan: list[list[tuple[int, Optional[bool]]]] = []
     frontier, total = [0], 1
-    for t in range(n):
+    for t in range(spec.n):
         plan.append(list(zip(frontier, grow(t, frontier), strict=True)))
         frontier = sorted({mask | won << t for mask, wins in plan[t] if wins is not None
                            for won in (0, wins)}) or frontier[:1]
@@ -122,8 +136,8 @@ def sweep(n: int, grow, backup, leaf) -> list[dict]:
         if total > _MAX_COMPONENTS:
             raise ValueError(f"n: the solve reaches {total:,} components by stage {t + 1}, "
                              f"above the limit of {_MAX_COMPONENTS:,}")
-    results = [dict() for _ in range(n)] + [{mask: leaf(mask) for mask in frontier}]
-    for t in range(n - 1, -1, -1):
+    results = [dict() for _ in range(spec.n)] + [{mask: leaf(mask) for mask in frontier}]
+    for t in range(spec.n - 1, -1, -1):
         jobs = [(mask, results[t + 1][mask | 1 << t if wins else mask], results[t + 1][mask])
                 for mask, wins in plan[t] if wins is not None]
         done = iter(backup(t, jobs))
@@ -145,13 +159,14 @@ def _ask(bidder: Bidder, t: int, mask: int, d: np.ndarray) -> np.ndarray:
 
 
 def _lattice(spec: ProblemSpec, caller: str):
-    """Endowment e, closed-form value by mask, and win probabilities per stage."""
+    """Endowment e, closed-form value by mask, and win probabilities per stage; the residual
+    is read at 0..e as its running maximum, so that no closed form dips in d."""
     if spec.mode != MODE_DISCRETE:
         raise ValueError(f"{caller} needs a discrete-mode spec")
     e = int(round(spec.endowment))
     if e > _MAX_ENDOWMENT:
         raise ValueError(f"endowment: {e:,} is above the lattice limit of {_MAX_ENDOWMENT:,}")
-    f_vals = spec.residual.values(np.arange(e + 1, dtype=float))
+    f_vals = np.maximum.accumulate(spec.residual.values(np.arange(e + 1, dtype=float)))
     ws = [dist.win_probability_vec(np.arange(e + 1)) for dist in spec.distributions]
     return e, lambda mask: spec.bundle_value(mask) + f_vals, ws
 
@@ -167,14 +182,14 @@ def _backup(w: np.ndarray, win: np.ndarray, lose: np.ndarray, z: np.ndarray) -> 
 
 
 def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
-    """Optimal values and bids for every state of a discrete spec."""
+    """Optimal values and first best bids for every state of a discrete spec.  A bid from
+    len(probs) up wins as surely and pays more, so a stage scans bids 0..min(d, len(probs)),
+    unless a win successor dips in d, which only a law summing above 1 can make; then 0..d."""
     e, closed_form, ws = _lattice(spec, "solve_discrete")
     n, ds = spec.n, np.arange(e + 1)
     stage_bids: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
 
     def backup(t, jobs):
-        # Every bid from len(probs) up wins with the same probability and pays more: when
-        # each win successor is nondecreasing in d, no first best bid lies beyond len(probs).
         masks, win, lose = zip(*jobs)
         win, lose = np.array(win), np.array(lose)
         band = len(spec.distributions[t].probs) if (win[:, 1:] >= win[:, :-1]).all() else e
@@ -185,9 +200,7 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
             stage_bids[t].update(zip(masks[i:i + step], bids.astype(np.int64)))
             yield from q[np.arange(len(q))[:, None], ds, bids]
 
-    values = sweep(n, lambda t, masks: [None if spec.settled(t, m) else True for m in masks],
-                   backup, closed_form)
-    return _solution(n, e, closed_form, values, stage_bids)
+    return _solution(n, e, closed_form, sweep(spec, backup, closed_form), stage_bids)
 
 
 def _solution(n: int, e: int, closed_form: Callable, values: list[dict],
@@ -234,4 +247,4 @@ def evaluate_policy_exact(spec: ProblemSpec, bidder: Bidder) -> list[dict[int, n
         _, win, lose = zip(*jobs)
         return _backup(ws[t], np.array(win), np.array(lose), bids[t][..., None])[..., 0]
 
-    return sweep(spec.n, grow, backup, closed_form)
+    return sweep(spec, backup, closed_form, grow)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 # solve_grid and compare_solutions stay bound here: perfbench/spans.py patches them by name.
-from .continuous import _MAXIMIZER, UniformFixed, Vg1, Vg2, error_bound, solve_grid, solve_grids
+from .continuous import UniformFixed, Vg1, Vg2, error_bound, solve_grid, solve_grids
 from .core import (
     _ENDOWMENT_SLACK,
     _MIN_P_POSITIVE,
@@ -150,6 +150,12 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("discrete", "fixed", "vg1", "vg2"):
             raise ValueError(f"kind: {self.kind!r} is not one of discrete, fixed, vg1, vg2")
+        ignored = {"discrete": ("g", "max_knots", "threshold"),
+                   "fixed": ("max_knots", "threshold")}.get(self.kind, ("g",))
+        for name in ignored:  # manifests write 0 for each
+            if getattr(self, name):
+                raise ValueError(f"{name}: {getattr(self, name)!r} does not act on a "
+                                 f"{self.kind} run")
         self.strategy()  # refuses a bad g, max_knots or threshold, tagged with the field
 
     @property
@@ -205,18 +211,18 @@ class ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Config from config_to_dict's layout; a missing field keeps its default.
 
-    Unknown keys are refused, but for a manifest's `experiments`. A `maximizer`
-    table, which manifests of earlier versions hold, may only repeat the fixed
-    settings. Every experiment derives its own generator seed.
+    Unknown keys are refused, but for a manifest's `experiments`, and so is a generator
+    seed: every experiment derives its own from master_seed.
     """
-    fixed = _untable(_MAXIMIZER)
-    for key, value in _read(_read(data, dict, "config").get("maximizer", {}), dict,
-                            "maximizer").items():
-        if key not in fixed or value != fixed[key]:
-            raise ValueError(f"maximizer.{key}: {value!r} cannot be set; the bid maximizer's "
-                             f"settings are fixed at {fixed}")
-    return _table(ExperimentConfig, {k: v for k, v in data.items()
-                                     if k not in ("maximizer", "experiments")}, "")
+    def generator(value, kind, field):
+        table = _read(value, dict, field)
+        if "seed" in table:
+            raise ValueError(f"{field}.seed: {_shown(table['seed'])} cannot be set; every "
+                             "experiment derives its own from master_seed")
+        return _table(kind, table, field)
+
+    return _table(ExperimentConfig, {k: v for k, v in _read(data, dict, "config").items()
+                                     if k != "experiments"}, "", generator=generator)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

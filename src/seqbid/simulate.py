@@ -197,7 +197,7 @@ def compare_all(exact: DiscreteSolution, approxes: list[HybridValueFunction],
     value_errs: list[list[list[np.ndarray]]] = [[] for _ in approxes]  # [approx][t][mask]
     pairs, dists, stages = [], [], []
     for t in range(exact.n):
-        masks = [m for m in sorted(exact.stage_values[t]) if (t, m) not in exact.settled]
+        masks = sorted(exact.stage_bids[t])
         stage_pairs = [(nxt[m | 1 << t], nxt[m]) for nxt in
                        (approx.components[t + 1] for approx in approxes) for m in masks]
         firsts, which = _distinct(stage_pairs)

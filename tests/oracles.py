@@ -68,18 +68,26 @@ def expectimax(spec: ProblemSpec, stand_pat: bool = False) -> tuple[dict, dict]:
     utilities are rebuilt from the raw problem data.  Stage t only carries
     masks over the resources already auctioned, i.e. mask < 2**t.
 
-    With stand_pat, a state whose holdings no bundle still completable beats
-    takes its terminal value and bids 0, the model solve_discrete solves.
-    Without it such a state still scans every bid: where the residual dips,
-    spending money on nothing can gain up to the dip.
+    As solve_discrete's lattice does, the residual is read at 0..e as its
+    running maximum.  With stand_pat, a state whose holdings no bundle still
+    completable beats takes its terminal value and bids 0, the model
+    solve_discrete solves.  Without it such a state still scans every bid:
+    unless a law's probabilities sum above 1, spending money on nothing then
+    gains nothing.
     """
-    n, e, terminal, below = _raw(spec)
+    n, e, _, below = _raw(spec)
     bundle_masks = [(sum(1 << (r - 1) for r in b.members), b.value) for b in spec.bundles]
+    f = np.maximum.accumulate(np.interp(np.arange(e + 1), spec.residual.xs, spec.residual.ys))
+
+    def held(mask: int) -> float:
+        return max((v for bm, v in bundle_masks if bm & mask == bm), default=0.0)
+
+    def terminal(mask: int, d: int) -> float:
+        return held(mask) + float(f[d])
 
     def stands_pat(t: int, mask: int) -> bool:
-        held = max((v for bm, v in bundle_masks if bm & mask == bm), default=0.0)
         still_open = mask | ((1 << n) - (1 << t))
-        return all(v <= held or bm & still_open != bm for bm, v in bundle_masks)
+        return all(v <= held(mask) or bm & still_open != bm for bm, v in bundle_masks)
 
     values: dict[tuple[int, int, int], float] = {}
     bids: dict[tuple[int, int, int], int] = {}
@@ -354,8 +362,7 @@ def per_knot_grid(spec: ProblemSpec, strategy) -> GridSolution:
             out.append(PwlFunction(curve.xs, tuple(float(y) for y in ys)))
         return out
 
-    layers = sweep(spec.n, lambda t, masks: [None if spec.settled(t, m) else True for m in masks],
-                   backup, closed_form)
+    layers = sweep(spec, backup, closed_form)
     return continuous._grid_solution(spec, closed_form, layers, knot_bids)
 
 
@@ -385,7 +392,7 @@ def per_component_evaluate(spec: ProblemSpec, bidder) -> list[dict[int, np.ndarr
         z = np.array([bids[t, mask] for mask in masks])[..., None]
         return discrete._backup(ws[t], np.array(win), np.array(lose), z)[..., 0]
 
-    return sweep(spec.n, lambda t, masks: [grow(t, mask) for mask in masks], backup, closed_form)
+    return sweep(spec, backup, closed_form, lambda t, masks: [grow(t, mask) for mask in masks])
 
 
 def per_component_compare(exact, approx, spec: ProblemSpec) -> ErrorReport:

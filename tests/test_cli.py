@@ -15,7 +15,7 @@ from seqbid.cli import build_parser, main, parse_grid_strategy
 from seqbid.continuous import UniformFixed, Vg1, Vg2
 from seqbid.core import TruncatedGaussian, to_discrete
 from seqbid.discrete import solve_discrete
-from seqbid.experiment import ExperimentConfig, config_to_dict
+from seqbid.experiment import ExperimentConfig, RunSpec, config_to_dict
 from seqbid.io import read_discrete_solution, save_spec, spec_to_dict
 from seqbid.pwl import PwlFunction
 from seqbid.simulate import constant_bid_policy
@@ -51,6 +51,16 @@ class TestParseGridStrategy:
         assert isinstance(strat, Vg2)
         assert strat.budget.max_knots == 40
         assert strat.budget.threshold == 0.0
+
+    @pytest.mark.parametrize("text, fields", [
+        ("fixed:5", {"g": 5}), ("vg1:15,0.01", {"max_knots": 15, "threshold": 0.01}),
+        ("vg2:40", {"max_knots": 40, "threshold": 0.0})])
+    def test_sets_only_its_kinds_fields(self, text, fields, monkeypatch):
+        built = []
+        monkeypatch.setattr("seqbid.cli.RunSpec", lambda kind, **kw: built.append(kw) or
+                            RunSpec(kind, **kw))
+        parse_grid_strategy(text)
+        assert built == [fields]
 
     @pytest.mark.parametrize("text", ["nope:3", "fixed:x", "vg1:", "fixed:"])
     def test_malformed(self, text):
@@ -408,15 +418,14 @@ class TestExperimentCommand:
         assert not (tmp_path / "x").exists()
 
     def test_huge_lattice_is_a_bad_config(self, tmp_path, capsys, monkeypatch):
-        # The maximizer's settings are fixed: a `maximizer` table may only repeat them.
+        # The maximizer's settings are fixed: the config has no `maximizer` table.
         monkeypatch.setattr("seqbid.cli.run_experiment_suite", must_not_run)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"maximizer": {"samples_per_segment": 10**9}}))
         rc = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad experiment config: "
-                                                  "maximizer.samples_per_segment: 1000000000 "
-                                                  "cannot be set")
+                                                  "maximizer: unknown setting; known: ")
 
     @pytest.mark.parametrize("cfg, message", [
         ({"runs": [{"kind": "fixed", "g": 10**9}]}, "runs[0].g: 1000000000 must be between"),

@@ -314,6 +314,16 @@ class TestHybridValueFunction:
         sol = solve_grid(c1, UniformFixed(5))
         assert sol.values.value(1, {1}, 1.0) == sol.values.value(1, 1, 1.0)
 
+    def test_stage_outside_0_to_n_refused(self):
+        # On generator instance 1000 (n = 9), stage -1 used to read stage 9's curve.
+        g5 = solve_grid(generate_instance(GeneratorParams(seed=1000)), UniformFixed(5)).values
+        for t in (-1, -10, 10):
+            with pytest.raises(ValueError, match=rf"^t: stage {t} is outside 0\.\.9$"):
+                g5.value(t, 0, 3.0)
+            with pytest.raises(ValueError, match=rf"^t: stage {t} is outside 0\.\.9$"):
+                g5.component(t, 0)
+        assert g5.value(9, 0, 3.0) == g5.component(9, 0)(3.0)
+
     def test_greedy_bid_matches_maximizer(self, c1):
         sol = solve_grid(c1, UniformFixed(5))
         zs, _ = _maximize_batch(sol.values.component(1, 1), sol.values.component(1, 0),

@@ -107,6 +107,35 @@ class TestT2:
         assert solve_discrete(t2).value(0, 0, 3) == pytest.approx(7.35, abs=1e-12)
 
 
+class TestLookups:
+    """value and bid refuse a stage or endowment that Python's negative indices would count
+    back from the end: on generator instance 1000 (n = 9, e = 30), value(0, 0, -1) used to
+    read d = 30, and value(-1, 0, 3) stage 9."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return solve_discrete(to_discrete(generate_instance(GeneratorParams(seed=1000))))
+
+    @pytest.mark.parametrize("t, d, message", [
+        (0, -1, r"d: endowment -1 is outside 0\.\.30"), (0, 31, r"d: endowment 31 is outside"),
+        (-1, 3, r"t: stage -1 is outside 0\.\.9"), (10, 3, r"t: stage 10 is outside 0\.\.9")])
+    def test_value_outside_the_tables_refused(self, sol, t, d, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            sol.value(t, 0, d)
+
+    @pytest.mark.parametrize("t, d, message", [
+        (0, -1, r"d: endowment -1 is outside 0\.\.30"), (-1, 3, r"t: stage -1 is outside 0\.\.8"),
+        (9, 3, r"t: stage 9 is outside 0\.\.8$")])
+    def test_bid_outside_the_tables_refused(self, sol, t, d, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            sol.bid(t, 0, d)
+
+    def test_the_corners_answer(self, sol):
+        assert sol.value(9, 0, 30) == sol.stage_values[9][0][30]
+        assert sol.value(0, 0, 0) == sol.stage_values[0][0][0]
+        assert sol.bid(8, 0, 30) == sol.stage_bids[8][0][30]
+
+
 def test_endowment_limit_refused_before_any_allocation(t2, tmp_path):
     # At endowment 2,000,000 one float array over 0..e takes 16 MB.  The solver, the
     # evaluator and the solution reader refuse it with less than 1 MB traced.
@@ -169,31 +198,64 @@ class TestSettled:
         assert sol.state_count == 4
 
 
-class TestBand:
-    """solve_discrete scans bids up to len(probs) only where each win successor is
-    nondecreasing in the endowment; elsewhere it scans every bid up to d."""
+def assert_twin_bits(spec, twin):
+    """spec's solve, and the exact evaluation of its bids, store the same components as
+    twin's, with the same bytes; and that evaluation replays the solve's values."""
+    sol, want = solve_discrete(spec), solve_discrete(twin)
+    replay = evaluate_policy_exact(spec, sol.policy())
+    for got, other in ((sol.stage_values, want.stage_values),
+                       (sol.stage_bids, want.stage_bids),
+                       (replay, evaluate_policy_exact(twin, want.policy()))):
+        assert [sorted(layer) for layer in got] == [sorted(layer) for layer in other]
+        for layer, twin_layer in zip(got, other):
+            assert all(layer[m].tobytes() == twin_layer[m].tobytes() for m in layer)
+    for layer, replayed in zip(sol.stage_values, replay):
+        assert all(replayed[m].tobytes() == layer[m].tobytes() for m in layer)
 
-    def test_dipping_residual_scans_every_bid(self):
+
+class TestBand:
+    """The lattice reads the residual as its running maximum, so solve_discrete scans bids
+    up to len(probs) only, unless a law whose probabilities sum above 1 makes a table dip."""
+
+    def test_dipping_residual_solves_as_its_running_maximum_twin(self):
         # A sure win at any bid from 1 up.  At d = 3, bid 2 keeps f(1) = 1 and bid 1 keeps
-        # f(2) = 1 - 1e-13: a scan that stopped at bid len(probs) = 1 would miss bid 2.
-        spec = ProblemSpec(
-            n=1,
-            bundles=(Bundle(frozenset({1}), 10.0),),
-            endowment=3.0,
-            residual=PwlFunction.from_knots([(0, 0), (1, 1), (2, 1 - 1e-13), (3, 2)]),
-            distributions=(DiscreteMultinomial((1.0,)),),
-            mode=MODE_DISCRETE,
-        )
-        assert validate_problem(spec) == []
-        sol = solve_discrete(spec)
-        assert sol.stage_bids[0][0].tolist() == [0, 1, 1, 2]
+        # f(2) = 1 - 1e-13, read as 1: both give 11, and the first best bid is 1.
+        def spec(dip):
+            return ProblemSpec(1, (Bundle(frozenset({1}), 10.0),), 3.0,
+                               PwlFunction.from_knots([(0, 0), (1, 1), (2, 1 - dip), (3, 2)]),
+                               (DiscreteMultinomial((1.0,)),), MODE_DISCRETE)
+
+        dipping, twin = spec(1e-13), spec(0.0)
+        assert validate_problem(dipping) == []
+        sol = solve_discrete(dipping)
+        assert sol.stage_bids[0][0].tolist() == [0, 1, 1, 1]
         assert sol.stage_values[0][0].tolist() == [0.0, 10.0, 11.0, 11.0]
+        assert_twin_bits(dipping, twin)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_micro_specs_solve_as_their_running_maximum_twins(self, data):
+        spec = data.draw(micro_specs())
+        ys = np.maximum.accumulate(spec.residual.ys)
+        assert_twin_bits(spec, replace(spec, residual=PwlFunction(spec.residual.xs, tuple(ys))))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_table_is_nondecreasing_in_d(self, data):
+        # A law whose probabilities sum above 1, which DiscreteMultinomial lets pass by up
+        # to 1e-12, weighs the lose branch by 1 - p < 0, and a table may then dip.
+        spec = data.draw(micro_specs())
+        assume(all(dist.win_probability(len(dist.probs)) <= 1.0 for dist in spec.distributions))
+        sol = solve_discrete(spec)
+        for layer in sol.stage_values:
+            assert all((np.diff(values) >= 0).all() for values in layer.values())
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_on_random_micro_specs(self, data):
-        # Where the residual dips, the unrestricted optimum may bid at a settled state to
-        # shed money; solve_discrete stands pat there, as expectimax's stand_pat does.
+        # Both oracles read the residual as its running maximum; then bidding at a settled
+        # state gains at most what a law's probabilities sum above 1, and standing pat, as
+        # solve_discrete does, is optimal within the tolerance.
         spec = data.draw(micro_specs())
         assert validate_problem(spec) == []
         values, bids = expectimax(spec, stand_pat=True)
@@ -429,14 +491,10 @@ class TestSweep:
     def test_components_above_the_limit_refused_before_any_backup(self, monkeypatch):
         # wide_lattice(18) reaches 37 components: (0, 0), then two per stage.
         spec, backups = wide_lattice(18), []
-
-        def grow(t, masks):
-            return [None if spec.settled(t, mask) else True for mask in masks]
-
         monkeypatch.setattr(discrete, "_MAX_COMPONENTS", 36)
         with pytest.raises(ValueError, match=r"^n: the solve reaches 37 components by stage "
                                              r"18, above the limit of 36$"):
-            sweep(spec.n, grow, lambda t, jobs: backups.append(t), lambda mask: 0.0)
+            sweep(spec, lambda t, jobs: backups.append(t), lambda mask: 0.0)
         assert backups == []
         with pytest.raises(ValueError, match="^n: the solve reaches 37 components"):
             solve_discrete(spec)
@@ -451,11 +509,11 @@ class TestSweep:
         spec = to_discrete(generate_instance(GeneratorParams(seed=1000)))
         asked, sweep_of = [], discrete.sweep
 
-        def recorded(n, grow, backup, leaf):
+        def recorded(spec, backup, leaf, grow=None):
             def recording(t, masks):
                 asked.append((t, list(masks)))
-                return grow(t, masks)
-            return sweep_of(n, recording, backup, leaf)
+                return (grow or discrete._settled_plan(spec))(t, masks)
+            return sweep_of(spec, backup, leaf, recording)
 
         monkeypatch.setattr(discrete, "sweep", recorded)
         for run in (lambda: solve_discrete(spec).stage_values,

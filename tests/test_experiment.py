@@ -98,6 +98,29 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec("vg1", max_knots=1)
 
+    @pytest.mark.parametrize("kind, setting, message", [
+        ("discrete", {"g": 5}, "g: 5 does not act on a discrete run"),
+        ("discrete", {"max_knots": 9}, "max_knots: 9 does not act on a discrete run"),
+        ("discrete", {"threshold": 0.1}, "threshold: 0.1 does not act on a discrete run"),
+        ("fixed", {"g": 5, "max_knots": 9}, "max_knots: 9 does not act on a fixed run"),
+        ("fixed", {"g": 5, "threshold": math.nan}, "threshold: nan does not act on a fixed run"),
+        ("vg1", {"g": 5, "max_knots": 9}, "g: 5 does not act on a vg1 run"),
+        ("vg2", {"g": 15, "max_knots": 9}, "g: 15 does not act on a vg2 run"),
+    ])
+    def test_a_setting_its_kind_ignores_is_refused(self, kind, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunSpec(kind, **setting)
+        with pytest.raises(ValueError, match=rf"^runs\[0\]\.{message}$"):
+            config_from_dict({"runs": [{"kind": kind, **setting}]})
+
+    def test_the_zeros_manifests_write_load(self):
+        zeros = {"g": 0, "max_knots": 0, "threshold": 0.0}
+        assert config_from_dict({"runs": [
+            {**zeros, "kind": "discrete"}, {**zeros, "kind": "fixed", "g": 5},
+            {**zeros, "kind": "vg1", "max_knots": 9}, {**zeros, "kind": "vg2", "max_knots": 9},
+        ]}).runs == (RunSpec("discrete"), RunSpec("fixed", g=5), RunSpec("vg1", max_knots=9),
+                     RunSpec("vg2", max_knots=9))
+
 
 class TestConfigDict:
     def test_round_trip(self):
@@ -269,9 +292,7 @@ class TestConfigDict:
         with pytest.raises(ValueError, match="generator.endowment: 2.5 must be a whole number"):
             replace(TINY, generator=GeneratorParams(endowment=2.5))
 
-    def test_manifest_of_earlier_versions_loads(self):
-        # Written by a version whose config still had a `maximizer` table, holding
-        # the settings the bid maximizer now fixes.
+    def test_manifest_loads(self):
         manifest = json.loads("""{
           "experiments": [{"index": 0, "n": 4, "seed": 1, "status": "ok"}],
           "generator": {"bid_mean_range": [3.0, 6.0], "bid_var": 0.5, "bundle_size_mean": 3.0,
@@ -279,26 +300,28 @@ class TestConfigDict:
                         "n_resources": 5, "residual_slope": 0.7, "value_mean": 15.0,
                         "value_var": 2.0},
           "master_seed": 9,
-          "maximizer": {"refine_tolerance": 0.0001, "samples_per_segment": 32},
           "n_experiments": 2,
           "runs": [{"g": 0, "kind": "discrete", "max_knots": 0, "threshold": 0.0},
                    {"g": 5, "kind": "fixed", "max_knots": 0, "threshold": 0.0}]
         }""")
         assert config_from_dict(manifest) == TINY
-        del manifest["maximizer"]["refine_tolerance"]
-        assert config_from_dict(manifest) == TINY
 
-    @pytest.mark.parametrize("block, message", [
-        ({"samples_per_segment": 64}, r"maximizer\.samples_per_segment: 64 cannot be set"),
-        ({"samples_per_segment": 32, "refine_tolerance": 1e-6},
-         r"maximizer\.refine_tolerance: 1e-06 cannot be set"),
-        ({"refine_tolerance": math.nan}, r"maximizer\.refine_tolerance: nan cannot be set"),
-        ({"tolerance": 1e-4}, r"maximizer\.tolerance: 0\.0001 cannot be set"),
-        ([32, 1e-4], r"maximizer: \[32, 0\.0001\] is not a table"),
+    @pytest.mark.parametrize("block", [
+        {"refine_tolerance": 0.0001, "samples_per_segment": 32},  # the fixed settings
+        {"samples_per_segment": 64}, {}, [32, 1e-4],
     ])
-    def test_maximizer_settings_other_than_the_fixed_ones_refused(self, block, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+    def test_a_maximizer_table_is_an_unknown_setting(self, block):
+        # Manifests of earlier versions held one; it can only repeat the fixed settings.
+        with pytest.raises(ValueError, match=r"^maximizer: unknown setting; known: "):
             config_from_dict({"maximizer": block})
+
+    @pytest.mark.parametrize("seed, shown", [(0, "0"), (7, "7"), (2**70, "a 71-bit integer"),
+                                             ("x", "'x'")])
+    def test_a_generator_seed_is_refused(self, seed, shown):
+        # Every experiment replaces it with derive_seed(master_seed, index).
+        with pytest.raises(ValueError, match=f"^generator.seed: {shown} cannot be set; every "
+                                             "experiment derives its own from master_seed$"):
+            config_from_dict({"generator": {"n_resources": 5, "seed": seed}})
 
     def test_duplicate_run_names_refused_in_code_too(self):
         with pytest.raises(ValueError, match=r"runs\[2\]: duplicate run name G5"):

@@ -51,7 +51,7 @@ CONFIGS = [
         n_experiments=2, master_seed=9,
         runs=(RunSpec("vg1", max_knots=9), RunSpec("vg2", max_knots=5, threshold=0.1)),
         generator=GeneratorParams(n_resources=5, bid_mean_range=(1.0, 2.0)))),
-     "maximizer": {"refine_tolerance": 0.0001, "samples_per_segment": 32}, "experiments": []},
+     "experiments": []},
     {"runs": [{"kind": "fixed", "g": 5}], "generator": {"endowment": 8}},
 ]
 
