@@ -25,8 +25,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, TruncatedGaussian, holdings_mask
-from .discrete import _MAX_STACK_CELLS, Layer, Settled, sweep
+from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, TruncatedGaussian
+from .discrete import _MAX_STACK_CELLS, Layer, Settled, _stage_mask, sweep
 from .pwl import MAX_KNOTS, PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
 
@@ -113,7 +113,7 @@ class HybridValueFunction:
     def component(self, t: int, held: Union[int, Iterable[int]]) -> PwlFunction:
         if not 0 <= t <= self.n:
             raise ValueError(f"t: stage {t} is outside 0..{self.n}")
-        return self.components[t][holdings_mask(held)]
+        return self.components[t][_stage_mask(t, held)]
 
     def value(self, t: int, held: Union[int, Iterable[int]], d: float) -> float:
         return self.component(t, held)(d)
@@ -498,8 +498,8 @@ def _grid_solution(spec: ProblemSpec, closed_form, layers: list[dict],
                    knot_bids: dict[tuple[int, int], np.ndarray]) -> GridSolution:
     """The GridSolution that stores `layers`; knot_bids keys its unsettled components."""
     deltas = [0.0] * spec.n + [spec.residual.max_consecutive_delta()[0]]
-    for t, mask in knot_bids:
-        deltas[t] = max(deltas[t], layers[t][mask].max_consecutive_delta()[0])
+    for (t, _), curve in {(t, id(layers[t][m])): layers[t][m] for t, m in knot_bids}.items():
+        deltas[t] = max(deltas[t], curve.max_consecutive_delta()[0])
     return GridSolution(
         HybridValueFunction([Layer(layer, 1 << t, closed_form)
                              for t, layer in enumerate(layers)], float(spec.endowment)),
@@ -626,9 +626,9 @@ def solve_grids(spec: ProblemSpec, strategies: list[GridStrategy]) -> list[GridS
                                      [ds for _, ds in wanted], spec.distributions[t])
             for (u, ds), (zs, qs) in zip(wanted, solved):
                 memos[u].update(zip(ds, zip(zs.tolist(), qs.tolist())))
+        unit_bids = [np.array([memo[x][0] for x in c.xs]) for memo, c in zip(memos, curves)]
         for bids, numbers in zip(knot_bids, which):
-            for (mask, _, _), u in zip(jobs, numbers):
-                bids[(t, mask)] = np.array([memos[u][x][0] for x in curves[u].xs])
+            bids.update({(t, mask): unit_bids[u].copy() for (mask, _, _), u in zip(jobs, numbers)})
         stored = [_stored(c) for c in curves]
         return [tuple(stored[numbers[j]] for numbers in which) for j in range(len(jobs))]
 

@@ -92,19 +92,32 @@ class DiscreteSolution:
         return int(self._at(self.stage_bids, t, held, d))
 
     def _at(self, tables: list, t: int, held, d: int):
-        """tables[t][mask][d], refusing a stage or endowment outside the tables, which a
-        negative index would count back from the end."""
+        """tables[t][mask][d], refusing a stage, mask or endowment outside the tables, which
+        a negative index would count back from the end, and an endowment not an integer."""
         if not 0 <= t < len(tables):
             raise ValueError(f"t: stage {t} is outside 0..{len(tables) - 1}")
+        mask = _stage_mask(t, held)
+        if not isinstance(d, (int, np.integer)):
+            raise ValueError(f"d: endowment {d} is not an integer")
         if not 0 <= d <= self.endowment:
             raise ValueError(f"d: endowment {d} is outside 0..{self.endowment}")
-        return tables[t][holdings_mask(held)][d]
+        return tables[t][mask][d]
 
     def policy(self) -> Bidder:
-        """The bidder that bids from these tables, each endowment rounded to an integer:
-        evaluate_policy_exact scores it, collect_rounds simulates it."""
+        """The bidder that bids from these tables: integer endowments, which
+        evaluate_policy_exact passes, index them as they come; others, which collect_rounds
+        passes, are rounded to an integer first."""
         stage_bids = self.stage_bids
-        return lambda t, mask, d: stage_bids[t][mask][np.rint(d).astype(np.intp)]
+        return lambda t, mask, d: stage_bids[t][mask][
+            d if np.asarray(d).dtype.kind in "iu" else np.rint(d).astype(np.intp)]
+
+
+def _stage_mask(t: int, held: Union[int, Iterable[int]]) -> int:
+    """holdings_mask(held), refused unless it is one of stage t's masks 0..2^t - 1."""
+    mask = held if isinstance(held, (int, np.integer)) else holdings_mask(held)
+    if not 0 <= mask < 1 << t:
+        raise ValueError(f"held: mask {mask} is outside 0..{(1 << t) - 1} at stage {t}")
+    return int(mask)
 
 
 def _settled_plan(spec: ProblemSpec):

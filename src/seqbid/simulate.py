@@ -188,35 +188,35 @@ def compare_all(exact: DiscreteSolution, approxes: list[HybridValueFunction],
     curves against the exact bid.  Greedy bids solve each stage's distinct (win, lose)
     curve pairs, equal bit for bit across all approximations, once, under the stage's
     distribution, in one maximizer call for all approximations, stages and knot counts
-    (G15 on generator instance 1000: 1,302 rows, not 4,991, in 1 call, not 13).
+    (G15 on generator instance 1000: 1,302 rows, not 4,991, in 1 call, not 13).  Stages are
+    scored as (approximations, masks, e + 1) arrays, each distinct curve object read once.
     """
     _require_continuous(spec, "compare_solutions")
     if any(exact.n != approx.n for approx in approxes):
         raise ValueError("stage counts differ between exact and approximate solutions")
     lattice = np.arange(exact.endowment + 1, dtype=float)
-    value_errs: list[list[list[np.ndarray]]] = [[] for _ in approxes]  # [approx][t][mask]
     pairs, dists, stages = [], [], []
     for t in range(exact.n):
         masks = sorted(exact.stage_bids[t])
+        shape = (len(approxes), len(masks), len(lattice))
         stage_pairs = [(nxt[m | 1 << t], nxt[m]) for nxt in
                        (approx.components[t + 1] for approx in approxes) for m in masks]
         firsts, which = _distinct(stage_pairs)
-        stages.append((masks, [len(pairs) + g for g in which]))
+        curves = [approx.components[t][m] for approx in approxes for m in masks]
+        read = {id(c): c.values(lattice) for c in {id(c): c for c in curves}.values()}
+        values, bids = (np.array([table[t][m] for m in masks], dtype=float).reshape(shape[1:])
+                        for table in (exact.stage_values, exact.stage_bids))
+        stages.append((np.array(which, dtype=np.intp) + len(pairs), bids, relative_sq_error(
+            np.array([read[id(c)] for c in curves]).reshape(shape), values)))
         pairs += [stage_pairs[i] for i in firsts]
         dists += [spec.distributions[t]] * len(firsts)
-        for approx, errs in zip(approxes, value_errs):
-            errs.append([relative_sq_error(approx.components[t][m].values(lattice),
-                                           exact.stage_values[t][m]) for m in masks])
-    greedy = _maximize_pairs(pairs, [lattice] * len(pairs), dists)
-    reports = []
-    for k, errs in enumerate(value_errs):
-        policy_errs = [[relative_sq_error(greedy[g][0], exact.stage_bids[t][m].astype(float))
-                        for g, m in zip(which[k * len(masks):], masks)]
-                       for t, (masks, which) in enumerate(stages)]
-        reports.append(ErrorReport([StageErrors(t, *_pooled(*e)) for t, e in
-                                    enumerate(zip(errs, policy_errs))],
-                                   *_pooled(sum(errs, []), sum(policy_errs, []))))
-    return reports
+    greedy = np.array([z for z, _ in _maximize_pairs(pairs, [lattice] * len(pairs), dists)])
+    errs = [(v, relative_sq_error(greedy.reshape(-1, len(lattice))[which].reshape(v.shape), bids))
+            for which, bids, v in stages]
+    return [ErrorReport([StageErrors(t, *_pooled([v[k].ravel()], [p[k].ravel()]))
+                         for t, (v, p) in enumerate(errs)],
+                        *_pooled([v[k].ravel() for v, _ in errs], [p[k].ravel() for _, p in errs]))
+            for k in range(len(approxes))]
 
 
 def _pooled(value_errs: list[np.ndarray], policy_errs: list[np.ndarray]) -> tuple:

@@ -6,7 +6,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_q_max, per_component_compare, per_knot_grid, random_small_instance
@@ -799,11 +799,21 @@ def assert_same_solution(sol, ref) -> None:
     assert sol.state_count == ref.state_count and set(sol.settled) == set(ref.settled)
 
 
+# Seed 43's experiment 3 (n = 7): no unsettled mask at stage 6, where the exact solve
+# stores no bids and compare_all scores arrays of shape (0, e + 1).
+EMPTY_STAGE_SEED = 129121643
+
+# Grids of a few knots each, cheap enough for the per-knot references on small instances.
+SMALL_STRATEGIES = (UniformFixed(2), UniformFixed(5), UniformFixed(9),
+                    Vg1(RefinementBudget(6, 0.0)), Vg1(RefinementBudget(9, 0.05)),
+                    Vg2(RefinementBudget(7, 0.01)))
+
+
 class TestAllGridsTogether:
     """solve_grids and compare_all, which the suite calls once per experiment, give
     bit for bit what one solve_grid and one compare_solutions call per grid give."""
 
-    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003, EMPTY_STAGE_SEED])
     def test_match_one_call_per_grid(self, seed):
         spec = generate_instance(GeneratorParams(seed=seed))
         sols = continuous.solve_grids(spec, list(GRID_STRATEGIES))
@@ -820,6 +830,45 @@ class TestAllGridsTogether:
     def test_no_grids(self, c1):
         exact = solve_discrete(to_discrete(c1))
         assert continuous.solve_grids(c1, []) == simulate.compare_all(exact, [], c1) == []
+
+    def test_a_stage_with_no_unsettled_mask(self):
+        spec = generate_instance(GeneratorParams(seed=EMPTY_STAGE_SEED))
+        exact = solve_discrete(to_discrete(spec))
+        assert [t for t, bids in enumerate(exact.stage_bids) if not bids] == [6]
+        sols = continuous.solve_grids(spec, list(GRID_STRATEGIES[:3]))
+        reports = simulate.compare_all(exact, [sol.values for sol in sols], spec)
+        for sol, report in zip(sols, reports):
+            assert report.per_stage[6] == simulate.StageErrors(6, 0.0, 0.0, 0.0, 0.0, 0)
+            assert repr(astuple(report)) == repr(astuple(
+                per_component_compare(exact, sol.values, spec)))
+
+    @given(instance=st.integers(0, 2**32 - 1),
+           strategies=st.lists(st.sampled_from(SMALL_STRATEGIES), min_size=1, max_size=3))
+    @example(instance=64, strategies=[UniformFixed(5), Vg2(RefinementBudget(7, 0.01))])
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_instances_match_the_references(self, instance, strategies):
+        # Seed 64 draws bundles {1} and {1, 2} at endowment 6, which leave stage 1 empty.
+        spec = random_small_instance(np.random.default_rng(instance))
+        assume(not core.validate_problem(spec))
+        sols = continuous.solve_grids(spec, strategies)
+        for strategy, sol in zip(strategies, sols):
+            ref = per_knot_grid(spec, strategy)
+            assert list(sol.knot_bids) == list(ref.knot_bids)
+            assert all(sol.knot_bids[key].tobytes() == ref.knot_bids[key].tobytes()
+                       for key in ref.knot_bids)
+            # The ledger charges every unsettled component's own curve, however shared.
+            deltas = [0.0] * spec.n + [spec.residual.max_consecutive_delta()[0]]
+            for t, mask in ref.knot_bids:
+                curve = ref.values.components[t][mask]
+                deltas[t] = max(deltas[t], curve.max_consecutive_delta()[0])
+            for ledger in (sol.ledger.deltas, ref.ledger.deltas):
+                assert np.array(ledger).tobytes() == np.array(deltas).tobytes()
+        if float(spec.endowment).is_integer():
+            exact = solve_discrete(to_discrete(spec))
+            reports = simulate.compare_all(exact, [sol.values for sol in sols], spec)
+            for sol, report in zip(sols, reports):
+                assert repr(astuple(report)) == repr(astuple(
+                    per_component_compare(exact, sol.values, spec)))
 
 
 MORE_INSTANCES = {"generator 2000": GeneratorParams(seed=2000),
@@ -873,6 +922,28 @@ class TestDistinctPairs:
                 mine, theirs = sol.knot_bids[key], sol.knot_bids[first]
                 assert np.array_equal(mine, theirs)
                 assert not (mine.flags.writeable and np.shares_memory(mine, theirs))
+
+
+class TestGridLookups:
+    """component and value refuse a mask outside stage t's 0..2^t - 1 with a held: tag, as
+    DiscreteSolution's lookups do: on generator instance 1000, value(0, 1, 3.0) used to
+    raise a bare KeyError: 1."""
+
+    @pytest.mark.parametrize("t, held, message", [
+        (0, 1, r"held: mask 1 is outside 0\.\.0 at stage 0$"),
+        (9, 512, r"held: mask 512 is outside 0\.\.511 at stage 9$"),
+        (2, [3], r"held: mask 4 is outside 0\.\.3 at stage 2$"),
+        (2, -1, r"held: mask -1 is outside 0\.\.3 at stage 2$")])
+    def test_mask_outside_the_stage_refused(self, instance_1000, t, held, message):
+        values = instance_1000[1].values
+        for lookup in (lambda: values.value(t, held, 3.0), lambda: values.component(t, held)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                lookup()
+
+    def test_the_last_masks_answer(self, instance_1000):
+        values = instance_1000[1].values
+        assert values.value(9, 511, 3.0) == values.components[9][511](3.0)
+        assert values.component(2, [1, 2]) is values.components[2][3]
 
 
 class TestSpeculativeAnswers:

@@ -134,6 +134,27 @@ class TestLookups:
         assert sol.value(9, 0, 30) == sol.stage_values[9][0][30]
         assert sol.value(0, 0, 0) == sol.stage_values[0][0][0]
         assert sol.bid(8, 0, 30) == sol.stage_bids[8][0][30]
+        assert sol.value(9, 511, np.int64(30)) == sol.stage_values[9][511][30]
+        assert sol.bid(2, [1, 2], 3) == sol.stage_bids[2][3][3]
+
+    @pytest.mark.parametrize("t, held, message", [
+        (0, 1, r"held: mask 1 is outside 0\.\.0 at stage 0$"),
+        (3, 8, r"held: mask 8 is outside 0\.\.7 at stage 3$"),
+        (2, [3], r"held: mask 4 is outside 0\.\.3 at stage 2$"),
+        (1, -1, r"held: mask -1 is outside 0\.\.1 at stage 1$")])
+    def test_mask_outside_the_stage_refused(self, sol, t, held, message):
+        # value(0, 1, 3) used to raise a bare KeyError: 1, and a negative mask an untagged
+        # ValueError from holdings_mask.
+        for lookup in (sol.value, sol.bid):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                lookup(t, held, 3)
+
+    @pytest.mark.parametrize("d", [3.0, 2.5, np.float64(3.0), "3"])
+    def test_endowment_not_an_integer_refused(self, sol, d):
+        # value(0, 0, 3.0) used to raise numpy's IndexError.
+        for lookup in (sol.value, sol.bid):
+            with pytest.raises(ValueError, match=r"^d: endowment \S+ is not an integer$"):
+                lookup(0, 0, d)
 
 
 def test_endowment_limit_refused_before_any_allocation(t2, tmp_path):
@@ -339,6 +360,16 @@ class TestPolicyEvaluation:
             assert set(sol.stage_values[t]) <= set(replay[t])
             for mask, arr in replay[t].items():
                 assert np.allclose(arr, sol.stage_values[t][mask], atol=1e-12)
+
+    def test_integer_endowments_read_the_table_rows(self, t2):
+        sol = solve_discrete(t2)
+        bidder = sol.policy()
+        for t, layer in enumerate(sol.stage_bids):
+            for mask, row in layer.items():
+                ds = np.arange(len(row))
+                for at in (ds, ds.astype(np.int32), ds[::-1], ds[:1]):
+                    assert np.array_equal(bidder(t, mask, at), row[at])
+                assert np.array_equal(bidder(t, mask, ds + 0.4), row)  # floats are rounded
 
     def test_bids_in_settled_states_match_brute_force(self):
         def bid_one(t, mask, d):
