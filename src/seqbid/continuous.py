@@ -25,7 +25,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, TruncatedGaussian
+from .core import BidDistribution, MODE_CONTINUOUS, ProblemSpec, TruncatedGaussian, _tagged
 from .discrete import _MAX_STACK_CELLS, Layer, Settled, _stage_mask, sweep
 from .pwl import MAX_KNOTS, PwlFunction, RefinementBudget, vg1_refine, vg2_refine
 
@@ -116,7 +116,7 @@ class HybridValueFunction:
         return self.components[t][_stage_mask(t, held)]
 
     def value(self, t: int, held: Union[int, Iterable[int]], d: float) -> float:
-        return self.component(t, held)(d)
+        return _tagged("d: ", self.component(t, held), d)
 
 
 @dataclass

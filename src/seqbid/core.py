@@ -61,7 +61,8 @@ class Bundle:
 
 @dataclass(frozen=True)
 class DiscreteMultinomial:
-    """High-bid distribution over integer levels 0..len(probs) - 1; probs[k] = P(w = k)."""
+    """High-bid distribution over integer levels 0..len(probs) - 1; probs[k] = P(w = k).
+    probs may sum to 1 within 1e-12; every win probability is capped at 1."""
 
     probs: tuple[float, ...]
 
@@ -88,14 +89,13 @@ class DiscreteMultinomial:
         return float(self.win_probability_vec(z))
 
     def win_probability_vec(self, z: np.ndarray) -> np.ndarray:
-        # Capped before the cast, so that a bid beyond any int64 wins too.
-        return self._cum[np.ceil(np.minimum(z, len(self.probs))).astype(np.int64)]
+        # z is capped before the cast, so that a bid beyond any int64 wins too.
+        return np.minimum(self._cum, 1.0)[np.ceil(np.minimum(z, len(self.probs))).astype(np.int64)]
 
     @cached_property
     def _sample_cdf(self) -> np.ndarray:
         # Generator.choice(len(p), p=p)'s own table, normalized as numpy
-        # normalizes it; kept apart from _cum, whose bits the win
-        # probabilities read.
+        # normalizes it from the uncapped _cum.
         return self._cum[1:] / self._cum[-1]
 
     def sample(self, u: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .core import MODE_DISCRETE, ProblemSpec, holdings_mask
+from .core import MODE_DISCRETE, ProblemSpec, _tagged, holdings_mask
 
 # bidder(t, holdings_mask, endowments) -> a bid per endowment, or one bid for them all.
 Bidder = Callable[[int, int, np.ndarray], np.ndarray]
@@ -113,8 +113,8 @@ class DiscreteSolution:
 
 
 def _stage_mask(t: int, held: Union[int, Iterable[int]]) -> int:
-    """holdings_mask(held), refused unless it is one of stage t's masks 0..2^t - 1."""
-    mask = held if isinstance(held, (int, np.integer)) else holdings_mask(held)
+    """holdings_mask(held), refused with a held: tag unless one of stage t's masks 0..2^t - 1."""
+    mask = held if isinstance(held, (int, np.integer)) else _tagged("held: ", holdings_mask, held)
     if not 0 <= mask < 1 << t:
         raise ValueError(f"held: mask {mask} is outside 0..{(1 << t) - 1} at stage {t}")
     return int(mask)
@@ -173,7 +173,7 @@ def _ask(bidder: Bidder, t: int, mask: int, d: np.ndarray) -> np.ndarray:
 
 def _lattice(spec: ProblemSpec, caller: str):
     """Endowment e, closed-form value by mask, and win probabilities per stage; the residual
-    is read at 0..e as its running maximum, so that no closed form dips in d."""
+    is read at 0..e as its running maximum, so that no table dips in d."""
     if spec.mode != MODE_DISCRETE:
         raise ValueError(f"{caller} needs a discrete-mode spec")
     e = int(round(spec.endowment))
@@ -196,8 +196,7 @@ def _backup(w: np.ndarray, win: np.ndarray, lose: np.ndarray, z: np.ndarray) -> 
 
 def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
     """Optimal values and first best bids for every state of a discrete spec.  A bid from
-    len(probs) up wins as surely and pays more, so a stage scans bids 0..min(d, len(probs)),
-    unless a win successor dips in d, which only a law summing above 1 can make; then 0..d."""
+    len(probs) up wins as surely and pays more, so a stage scans bids 0..min(d, len(probs))."""
     e, closed_form, ws = _lattice(spec, "solve_discrete")
     n, ds = spec.n, np.arange(e + 1)
     stage_bids: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
@@ -205,7 +204,7 @@ def solve_discrete(spec: ProblemSpec) -> DiscreteSolution:
     def backup(t, jobs):
         masks, win, lose = zip(*jobs)
         win, lose = np.array(win), np.array(lose)
-        band = len(spec.distributions[t].probs) if (win[:, 1:] >= win[:, :-1]).all() else e
+        band = min(len(spec.distributions[t].probs), e)
         step = max(1, _MAX_STACK_CELLS // ((band + 1) * (e + 1)))
         for i in range(0, len(jobs), step):
             q = _backup(ws[t], win[i:i + step], lose[i:i + step], ds[None, None, :band + 1])

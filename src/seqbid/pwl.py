@@ -85,7 +85,7 @@ class PwlFunction:
     def _interp(self, ds: np.ndarray) -> np.ndarray:
         """np.interp at ds, a point or an array of them, refusing any outside the domain."""
         lo, hi = self.xs[0], self.xs[-1]
-        if ds.size and (ds.min() < lo - _DOMAIN_SLACK or ds.max() > hi + _DOMAIN_SLACK):
+        if ds.size and not (lo - _DOMAIN_SLACK <= ds.min() and ds.max() <= hi + _DOMAIN_SLACK):
             where = f"point {ds.item()!r}" if ds.ndim == 0 else "points"
             raise ValueError(f"{where} outside domain [{lo}, {hi}]")
         ax, ay = self._ax, self._ay

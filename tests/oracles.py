@@ -38,7 +38,8 @@ from seqbid.simulate import ErrorReport, StageErrors, _pooled, relative_sq_error
 
 
 def _raw(spec: ProblemSpec):
-    """Stage count, endowment, terminal utility and P(high bid < z) tables."""
+    """Stage count, endowment, terminal utility and P(high bid < z) tables, each entry
+    capped at 1 as DiscreteMultinomial caps its win probabilities."""
     n = int(spec.n)
     e = int(round(spec.endowment))
     fx = np.asarray(spec.residual.xs)
@@ -56,7 +57,7 @@ def _raw(spec: ProblemSpec):
         acc = [0.0]
         for p in getattr(dist, "probs", ()):  # a Gaussian stage has no table
             acc.append(acc[-1] + p)
-        below.append(acc)
+        below.append([min(a, 1.0) for a in acc])
     return n, e, terminal, below
 
 
@@ -71,9 +72,8 @@ def expectimax(spec: ProblemSpec, stand_pat: bool = False) -> tuple[dict, dict]:
     As solve_discrete's lattice does, the residual is read at 0..e as its
     running maximum.  With stand_pat, a state whose holdings no bundle still
     completable beats takes its terminal value and bids 0, the model
-    solve_discrete solves.  Without it such a state still scans every bid:
-    unless a law's probabilities sum above 1, spending money on nothing then
-    gains nothing.
+    solve_discrete solves.  Without it such a state still scans every bid, and
+    spending money on nothing then gains nothing.
     """
     n, e, _, below = _raw(spec)
     bundle_masks = [(sum(1 << (r - 1) for r in b.members), b.value) for b in spec.bundles]

@@ -925,23 +925,34 @@ class TestDistinctPairs:
 
 
 class TestGridLookups:
-    """component and value refuse a mask outside stage t's 0..2^t - 1 with a held: tag, as
-    DiscreteSolution's lookups do: on generator instance 1000, value(0, 1, 3.0) used to
-    raise a bare KeyError: 1."""
+    """component and value refuse a mask outside stage t's 0..2^t - 1 with a held: tag,
+    and value an endowment off the curve with a d: tag, as DiscreteSolution's lookups do:
+    on generator instance 1000, value(0, 1, 3.0) used to raise a bare KeyError: 1."""
 
     @pytest.mark.parametrize("t, held, message", [
         (0, 1, r"held: mask 1 is outside 0\.\.0 at stage 0$"),
         (9, 512, r"held: mask 512 is outside 0\.\.511 at stage 9$"),
         (2, [3], r"held: mask 4 is outside 0\.\.3 at stage 2$"),
-        (2, -1, r"held: mask -1 is outside 0\.\.3 at stage 2$")])
+        (2, -1, r"held: mask -1 is outside 0\.\.3 at stage 2$"),
+        (1, [0], r"held: resource index 0 out of range \(1-based\)$")])
     def test_mask_outside_the_stage_refused(self, instance_1000, t, held, message):
         values = instance_1000[1].values
         for lookup in (lambda: values.value(t, held, 3.0), lambda: values.component(t, held)):
             with pytest.raises(ValueError, match=f"^{message}"):
                 lookup()
 
+    @pytest.mark.parametrize("d, message", [
+        (31.0, r"d: point 31\.0 outside domain \[0\.0, 30\.0\]$"),
+        (-1e-6, r"d: point -1e-06 outside domain"),
+        (float("nan"), r"d: point nan outside domain")])
+    def test_endowment_outside_the_curve_refused(self, instance_1000, d, message):
+        # The discrete lookups tag an endowment with d:, and a NaN used to read as nan.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            instance_1000[1].values.value(0, 0, d)
+
     def test_the_last_masks_answer(self, instance_1000):
         values = instance_1000[1].values
+        assert values.value(0, 0, 30.0 + 1e-10) == values.components[0][0](30.0)
         assert values.value(9, 511, 3.0) == values.components[9][511](3.0)
         assert values.component(2, [1, 2]) is values.components[2][3]
 

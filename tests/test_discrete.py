@@ -141,7 +141,8 @@ class TestLookups:
         (0, 1, r"held: mask 1 is outside 0\.\.0 at stage 0$"),
         (3, 8, r"held: mask 8 is outside 0\.\.7 at stage 3$"),
         (2, [3], r"held: mask 4 is outside 0\.\.3 at stage 2$"),
-        (1, -1, r"held: mask -1 is outside 0\.\.1 at stage 1$")])
+        (1, -1, r"held: mask -1 is outside 0\.\.1 at stage 1$"),
+        (1, [0], r"held: resource index 0 out of range \(1-based\)$")])
     def test_mask_outside_the_stage_refused(self, sol, t, held, message):
         # value(0, 1, 3) used to raise a bare KeyError: 1, and a negative mask an untagged
         # ValueError from holdings_mask.
@@ -235,8 +236,8 @@ def assert_twin_bits(spec, twin):
 
 
 class TestBand:
-    """The lattice reads the residual as its running maximum, so solve_discrete scans bids
-    up to len(probs) only, unless a law whose probabilities sum above 1 makes a table dip."""
+    """The lattice reads the residual as its running maximum and caps win probabilities at
+    1, so no table dips in d and solve_discrete scans bids up to len(probs) only."""
 
     def test_dipping_residual_solves_as_its_running_maximum_twin(self):
         # A sure win at any bid from 1 up.  At d = 3, bid 2 keeps f(1) = 1 and bid 1 keeps
@@ -260,13 +261,23 @@ class TestBand:
         ys = np.maximum.accumulate(spec.residual.ys)
         assert_twin_bits(spec, replace(spec, residual=PwlFunction(spec.residual.xs, tuple(ys))))
 
+    def test_law_summing_above_1_solves_as_its_capped_twin(self):
+        # DiscreteMultinomial lets probs sum to 1 within 1e-12.  Uncapped, stage 1 would
+        # weigh the lose branch by 1 - p < 0, and (1, {1}) would read 2.7e-13 too high.
+        def spec(probs):
+            return ProblemSpec(2, (Bundle(frozenset({1, 2}), 1.0),), 5.0,
+                               PwlFunction.linear(0.7, 0.0, 5.0),
+                               (DiscreteMultinomial((1.0,)), DiscreteMultinomial(probs)),
+                               MODE_DISCRETE)
+
+        above = spec((1.0000000000009,))
+        assert_twin_bits(above, spec((1.0,)))
+        assert above.distributions[1].win_probability(1) == 1.0
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_every_table_is_nondecreasing_in_d(self, data):
-        # A law whose probabilities sum above 1, which DiscreteMultinomial lets pass by up
-        # to 1e-12, weighs the lose branch by 1 - p < 0, and a table may then dip.
         spec = data.draw(micro_specs())
-        assume(all(dist.win_probability(len(dist.probs)) <= 1.0 for dist in spec.distributions))
         sol = solve_discrete(spec)
         for layer in sol.stage_values:
             assert all((np.diff(values) >= 0).all() for values in layer.values())
@@ -274,9 +285,9 @@ class TestBand:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_on_random_micro_specs(self, data):
-        # Both oracles read the residual as its running maximum; then bidding at a settled
-        # state gains at most what a law's probabilities sum above 1, and standing pat, as
-        # solve_discrete does, is optimal within the tolerance.
+        # Both oracles read the residual as its running maximum and cap win probabilities at
+        # 1; then bidding at a settled state gains nothing, and standing pat, as
+        # solve_discrete does, is optimal.
         spec = data.draw(micro_specs())
         assert validate_problem(spec) == []
         values, bids = expectimax(spec, stand_pat=True)

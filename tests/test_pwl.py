@@ -80,6 +80,13 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             f.values(np.array([0.0, 2.5]))
 
+    def test_nan_refused(self):
+        f = PwlFunction.linear(0.7, 0.0, 2.0)
+        with pytest.raises(ValueError, match=r"^point nan outside domain"):
+            f(float("nan"))
+        with pytest.raises(ValueError, match=r"^points outside domain"):
+            f.values(np.array([0.0, np.nan, 1.0]))
+
     def test_linear_constructor(self):
         f = PwlFunction.linear(0.7, 0.0, 30.0)
         assert f.xs == (0.0, 30.0)
