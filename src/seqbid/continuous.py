@@ -242,9 +242,11 @@ def _knot_positions(x: np.ndarray, xp: np.ndarray, edges: np.ndarray) -> tuple:
     return k, np.where(snap, 0, k), np.where(snap, -0.0, off)
 
 
-def _interp_rows(at: tuple, values: np.ndarray, slopes: np.ndarray, rows=slice(None)):
+def _interp_rows(at: tuple, values: np.ndarray, slopes: np.ndarray, rows=None):
     """Each curve at every point of `at`; with rows = arange(C)[:, None], curve c at row c."""
     k, js, off = at
+    if rows is None:
+        return np.take(slopes, js, axis=1) * off + np.take(values, k, axis=1)
     return slopes[rows, js] * off + values[rows, k]
 
 
@@ -259,8 +261,8 @@ def _values_at(table: tuple, x: np.ndarray, first: int = 0) -> np.ndarray:
     xp, edges, values, slopes = table
     if len(values) == 1 and xp.ndim == 1:
         return np.interp(x, xp, values[0, 1:])
-    rows = np.arange(first, len(values))[:, None] if x.ndim > 1 else slice(first, None)
-    return _interp_rows(_knot_positions(x, xp, edges), values, slopes, rows)
+    rows = np.arange(len(values) - first)[:, None] if x.ndim > 1 else None
+    return _interp_rows(_knot_positions(x, xp, edges), values[first:], slopes[first:], rows)
 
 
 def _window(table: tuple, sel: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> tuple:
@@ -315,11 +317,14 @@ def _scan_shared(win: tuple, dist, of, d: np.ndarray, base: np.ndarray,
                  lv: np.ndarray) -> np.ndarray:
     """_bracket of every pair at the endowments d that all pairs share, the pairs'
     win curves sharing their knots: candidates, knot positions and, per distribution of
-    these pairs, win probabilities are computed once and broadcast over blocks of pairs."""
+    these pairs, win probabilities are computed once and broadcast over blocks of pairs.
+    The repeats of d's last endowment that end it, a padded row's, are scanned once."""
     win_x, win_e, win_y, win_s = win
     if of is not None:  # the laws of these pairs only, renumbered
         own, of = np.unique(of, return_inverse=True)
-    dcol = d[:, None]
+    changes = np.flatnonzero(d.view(np.int64) != d[-1:].view(np.int64))
+    n = changes[-1] + 2 if len(changes) else 1
+    dcol = d[:n, None]
     z = _candidates(dcol, win_x, base)
     p = (dist.win_probability_vec(z) if of is None else _Laws(dist[:, own, None, None])
          .win_probability_vec(np.broadcast_to(z, (len(own),) + z.shape)))  # p[k]: law own[k]'s
@@ -332,16 +337,17 @@ def _scan_shared(win: tuple, dist, of, d: np.ndarray, base: np.ndarray,
         pp = p if of is None else p[of[part]]
         q = (_interp_rows(scan_at, win_y[part], win_s[part]) if len(win_y) > 1
              else np.interp(dcol - z, win_x, win_y[0, 1:])[None]) * pp
-        q += (1.0 - pp) * lv[part, :, None]
-        found[:, part] = _bracket(q, z)
+        q += (1.0 - pp) * lv[part, :n, None]
+        found[:, part, :n] = _bracket(q, z)
+    found[..., n:] = found[..., n - 1 : n]
     return found
 
 
 def _scan_cells(win: tuple, layout: np.ndarray, dist, of, d: np.ndarray,
                 base: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    """_bracket of pair c at each endowment d[c, j], pairs differing in endowments or
-    in win knots: candidates, win probabilities and knot positions are computed once
-    per distinct (win knots, endowment, distribution) and read per pair by index."""
+    """_bracket of pair c at each endowment d[c, j], for a knot-count group whose rows
+    or win knots differ: candidates, win probabilities and knot positions are computed
+    once per distinct (win knots, endowment, distribution) and read per pair by index."""
     win_x, win_e, win_y, win_s = win
     pair, dc, lvc = np.repeat(np.arange(len(d)), d.shape[1]), d.ravel(), lv.ravel()
     keys = (dc.view(np.int64), layout[pair]) + (() if of is None else (of[pair],))
@@ -432,13 +438,15 @@ def _maximize_batch(
     stacks every stage); a stack's curves may differ in knots and in knot count.
     For endowment d the candidates are the piece boundaries {d - x : x a win knot}
     clipped to [0, d], a uniform lattice over [0, d], denser for more win knots, and
-    0 and d.  Candidates, win probabilities and knot positions are computed once per
-    distinct (win knots, endowment, distribution): broadcast over pairs sharing one
-    endowment row and one set of win knots, else read per pair by index.  Stacks read
-    curves through an exact replica of np.interp.  All best candidates are then
-    polished in one loop, by golden section inside their bracketing candidates, for
-    as many steps as the pair's widest bracket needs, so no pair depends on the pairs
-    stacked with it.  Exact objective ties resolve to the smallest bid.
+    0 and d.  Pairs are scanned per win knot count.  A group whose pairs share one set
+    of win knots and one endowment row, equal bit for bit, is scanned once per endowment
+    of the row, its padding once, and broadcast over the pairs (_scan_shared); any other
+    group once per distinct (win knots, endowment, distribution), read per pair by
+    index (_scan_cells).  Stacks read curves through an exact replica of np.interp.
+    All best candidates are then polished in one loop, by golden section inside their
+    bracketing candidates, for as many steps as the pair's widest bracket needs, so no
+    pair depends on the pairs stacked with it.  Exact objective ties resolve to the
+    smallest bid.
     """
     win = win if isinstance(win, CurveStack) else CurveStack([win])
     win_t, lose_t = _interp_table(win), _interp_table(lose)
@@ -458,9 +466,9 @@ def _maximize_batch(
         lv = np.atleast_2d(_values_at(lose_t, d[0] if shared and lose_t[0].ndim == 1 else d))
         found = np.empty((4,) + d.shape)
         for idx, table, base in scans:
-            law = None if of is None else of[idx]
-            found[:, idx] = (_scan_shared(table, dist, law, d[0], base, lv[idx])
-                             if shared and table[0].ndim == 1 else
+            law, group = (None if of is None else of[idx]), bits[idx]
+            found[:, idx] = (_scan_shared(table, dist, law, d[idx][0], base, lv[idx])
+                             if table[0].ndim == 1 and (shared or (group == group[0]).all()) else
                              _scan_cells(table, win.layout[idx], dist, law, d[idx], base,
                                          lv[idx]))
         out_z[:, start : start + chunk], out_q[:, start : start + chunk] = _polish(

@@ -129,7 +129,8 @@ table_policy = DiscreteSolution.policy
 
 def greedy_policy(v: HybridValueFunction, spec: ProblemSpec) -> Bidder:
     """Bidder that maximizes the one-step objective against stored curves; a copy of
-    the curve pair per endowment, stacked, makes each bid the one a lone call gives."""
+    the curve pair per distinct endowment (equal bit for bit), stacked, makes each bid
+    the one a lone call gives, and rounds that share an endowment share its bid."""
     _require_continuous(spec, "greedy_policy")
 
     def bidder(t, mask, d):
@@ -137,9 +138,11 @@ def greedy_policy(v: HybridValueFunction, spec: ProblemSpec) -> Bidder:
         bad = np.flatnonzero(~((d >= 0.0) & (d <= v.m + 1e-9)))
         if len(bad):
             raise ValueError(f"endowment {float(d[bad[0]])!r} outside [0, {v.m}]")
+        _, first, each = np.unique(d.view(np.int64), return_index=True, return_inverse=True)
         nxt = v.components[t + 1]
-        win, lose = (CurveStack([curve] * len(d)) for curve in (nxt[mask | 1 << t], nxt[mask]))
-        return _maximize_batch(win, lose, spec.distributions[t], d[:, None], _MAXIMIZER)[0][:, 0]
+        win, lose = (CurveStack([curve] * len(first)) for curve in (nxt[mask | 1 << t], nxt[mask]))
+        return _maximize_batch(win, lose, spec.distributions[t], d[first, None],
+                               _MAXIMIZER)[0][each, 0]
 
     return bidder
 

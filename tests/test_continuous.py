@@ -378,14 +378,15 @@ class TestMaximizerConfig:
 
 
 class CountingDist:
-    """A distribution that counts win_probability_vec calls: one per scan, one
-    per golden-section step and one for the polished midpoint."""
+    """A distribution that counts win_probability_vec calls (one per scan, one per
+    golden-section step and one for the polished midpoint) and their elements."""
 
     def __init__(self, dist):
-        self.dist, self.calls = dist, 0
+        self.dist, self.calls, self.elems = dist, 0, []
 
     def win_probability_vec(self, z):
         self.calls += 1
+        self.elems.append(np.size(z))
         return self.dist.win_probability_vec(z)
 
 
@@ -525,7 +526,9 @@ class TestStackedMaximizer:
     @settings(max_examples=60, deadline=None)
     def test_mixed_knot_counts_match_one_pair_calls(self, data):
         # One call stacks win curves of 2, 5 and 15 knots, even or uneven, lose curves
-        # of other counts and a distribution per pair; rows shared by all pairs or not.
+        # of other counts and a distribution per pair; rows shared by all pairs, rows of
+        # their own, or a solve_grids stage's: the even knots of each win knot count,
+        # padded to the widest, equal within a knot-count group and unequal across them.
         m = data.draw(st.sampled_from([2.0, 7.5, 30.0]))
         size = data.draw(st.integers(2, 8))
         pairs = [(random_curve(data, m, [2, 5, 15]), random_curve(data, m, [2, 3, 7]))
@@ -535,14 +538,30 @@ class TestStackedMaximizer:
                 for std in stds]
         width = data.draw(st.integers(1, 5))
         row = st.lists(st.floats(0.0, m), min_size=width, max_size=width)
-        rows = np.array([data.draw(row)] * size if data.draw(st.booleans())
-                        else [data.draw(row) for _ in pairs])
-        zs, qs = _maximize_batch(CurveStack([w for w, _ in pairs]),
-                                 CurveStack([lose for _, lose in pairs]), laws, rows,
-                                 continuous._MAXIMIZER)
-        for (win, lose), law, d, z, q in zip(pairs, laws, rows, zs, qs):
-            z1, q1 = _maximize_batch(win, lose, law, d, continuous._MAXIMIZER)
-            assert np.array_equal(z, z1) and np.array_equal(q, q1)
+        shape = data.draw(st.sampled_from(["shared", "own", "stage"]))
+        rows = ([np.array(data.draw(row))] * size if shape == "shared" else
+                [np.array(data.draw(row)) for _ in pairs] if shape == "own" else
+                [np.linspace(0.0, m, len(win.xs)) for win, _ in pairs])
+        assert_stack_matches_pairs(pairs, laws, rows)
+
+    def test_padding_adds_no_scan_work(self):
+        # A solve_grids stage stacks G5 and G15 units, the G5 rows padded with their
+        # last endowment to 15: the G5 group's scan, like a lone call on a padded row,
+        # computes win probabilities at the row's 5 distinct endowments only.
+        m, dist = 30.0, TruncatedGaussian(6.0, 4.0)
+        grid = {g: np.linspace(0.0, m, g) for g in (5, 15)}
+        curve = {g: PwlFunction(tuple(xs), tuple(np.sqrt(xs + 1.0).tolist()))
+                 for g, xs in grid.items()}
+        pairs = [(curve[5].shift(4.0), curve[5]), (curve[5].shift(2.0), curve[5]),
+                 (curve[15].shift(4.0), curve[15])]
+        rows = [grid[5], grid[5], grid[15]]
+        stacked, lone, padded = CountingDist(dist), CountingDist(dist), CountingDist(dist)
+        _maximize_pairs(pairs, rows, stacked)
+        _maximize_batch(*pairs[0], lone, grid[5], continuous._MAXIMIZER)
+        [(z, q)] = _maximize_pairs(pairs[:1], [np.pad(grid[5], (0, 10), "edge")], padded)
+        assert stacked.elems[0] == lone.elems[0] == padded.elems[0] == 5 * (2 + 5 + 32 * 4)
+        assert z[4] > 0.0 and (z[5:] == z[4]).all() and (q[5:] == q[4]).all()
+        assert_stack_matches_pairs(pairs, dist, rows)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (random_micro_instance, random_small_instance, reference_rounds, same_rounds,
                      scalar_round, seventy_resources, table_bid)
+from seqbid import simulate
 from seqbid.continuous import (_MAXIMIZER, HybridValueFunction, UniformFixed, _maximize_batch,
                                solve_grid)
 from seqbid.core import (
@@ -422,6 +423,26 @@ class TestGreedyPolicy:
                 lone = [_maximize_batch(nxt[mask | 1 << t], nxt[mask], spec.distributions[t],
                                         np.array([d]), _MAXIMIZER)[0][0] for d in ds]
                 assert bidder(t, mask, ds).tolist() == lone
+
+    def test_repeated_endowments_are_solved_once(self, monkeypatch):
+        # Rounds that share holdings mostly share endowments too: each distinct endowment,
+        # -0.0 and 0.0 apart, is one stacked row, and every copy gets a lone call's bits.
+        spec = generate_instance(GeneratorParams(seed=1000))
+        values = solve_grid(spec, UniformFixed(15)).values
+        ds = np.array([15.0, 3.5, 15.0, 0.0, 3.5, -0.0, 15.0, 7.25, 0.0])
+        rows = []
+
+        def recorded(win, lose, dist, d, cfg):
+            rows.append(len(d))
+            return _maximize_batch(win, lose, dist, d, cfg)
+
+        monkeypatch.setattr(simulate, "_maximize_batch", recorded)
+        t, mask = 1, next(iter(values.components[1]))
+        got = greedy_policy(values, spec)(t, mask, ds)
+        nxt = values.components[t + 1]
+        lone = [_maximize_batch(nxt[mask | 1 << t], nxt[mask], spec.distributions[t],
+                                np.array([d]), _MAXIMIZER)[0][0] for d in ds]
+        assert rows == [5] and got.view(np.int64).tolist() == np.array(lone).view(np.int64).tolist()
 
     def test_rejects_endowment_outside_domain(self, c1):
         bidder = greedy_policy(solve_grid(c1, UniformFixed(5)).values, c1)
